@@ -11,7 +11,6 @@ from .core import (
     PotentialContractError,
     ValidationReport,
     apply_potential,
-    check_progress_conditions,
     eliminate_self_loops,
     validate,
     verify_minimal,
@@ -76,7 +75,6 @@ __all__ = [
     "approximate_energies",
     "brute_force_energies",
     "brute_force_penalty",
-    "check_progress_conditions",
     "eliminate_self_loops",
     "emit_energies",
     "emit_game",

@@ -73,19 +73,6 @@ def weight_sweep_suite(
     return rows
 
 
-def penalty_suite(
-    choices: int = 5, seed: int = 11, weights: tuple[int, ...] = (8, 32, 128, 512)
-) -> list[Row]:
-    """High-penalty instances across weight scales, both solvers."""
-    rows: list[Row] = []
-    for cap in weights:
-        graph = high_penalty_family(choices, cap, seed)
-        params = f"choices={choices};W={cap};seed={seed}"
-        rows.append(_baseline_row("penalty", "penalty", params, graph))
-        rows.append(_exact_row("penalty", "penalty", params, graph))
-    return rows
-
-
 def window_suite(seed: int = 3) -> list[Row]:
     """Windowed-weight instances: value iteration over the windowed list
     versus the full value range."""
@@ -127,7 +114,6 @@ def window_suite(seed: int = 3) -> list[Row]:
 
 SUITES = {
     "wsweep": weight_sweep_suite,
-    "penalty": penalty_suite,
     "window": window_suite,
 }
 

@@ -184,26 +184,6 @@ def verify_minimal(graph: GameGraph, e: EnergyFn) -> bool:
     return True
 
 
-def check_progress_conditions(graph: GameGraph, e: EnergyFn) -> bool:
-    """Check the two one-sided progress conditions of a sufficient energy
-    function: every Alice node has some out-edge with e(u) + w >= e(v), and
-    every Bob node satisfies that inequality on all of its out-edges.
-
-    The all-infinite function satisfies both trivially.
-    """
-    for node in range(graph.n):
-        ok_edges = (
-            e[node] + weight >= e[dst]
-            for _, dst, weight in (graph.edges[i] for i in graph.out_edges[node])
-        )
-        if graph.is_alice(node):
-            if not any(ok_edges):
-                return False
-        elif not all(ok_edges):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class PotentialTransform:
     """Result of re-weighting a game by a potential function.

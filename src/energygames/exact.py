@@ -13,12 +13,13 @@ nodes the first approximation already proved losing.  The second condition is
 automatic for a correct guess (a sufficiently fine rounding keeps exactly the
 losing nodes losing) but rejects the inflated near-fixed-points that an
 undersized bound can produce; rejected guesses are halved until D_k would
-drop below 1, when unrestricted value iteration settles the instance.
+drop below 2, when unrestricted value iteration settles the instance.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ from .core import (
     verify_minimal,
 )
 from .rounding import approximate_energies
-from .value_iteration import solve_with_list
+from .value_iteration import ViterResult, solve_with_list
 
 
 @dataclass(frozen=True)
@@ -74,17 +75,52 @@ class SolveReport:
     energies: EnergyFn
     bound: int
     guesses: tuple[GuessRecord, ...]
-    fallback_used: bool
-    fallback_updates: int
+    fallback: PhaseRecord | None  # the full-range value iteration, if it ran
     wall_ms: float
-    total_updates: int
-    total_steps: int
-    total_edge_work: int
+
+    def _phases(self) -> Iterator[PhaseRecord]:
+        for guess in self.guesses:
+            yield from guess.phases
+        if self.fallback is not None:
+            yield self.fallback
+
+    @property
+    def fallback_used(self) -> bool:
+        return self.fallback is not None
+
+    @property
+    def fallback_updates(self) -> int:
+        return 0 if self.fallback is None else self.fallback.updates
+
+    @property
+    def total_updates(self) -> int:
+        return sum(p.updates for p in self._phases())
+
+    @property
+    def total_steps(self) -> int:
+        return sum(p.steps for p in self._phases())
+
+    @property
+    def total_edge_work(self) -> int:
+        return sum(p.edge_work for p in self._phases())
 
     @property
     def recursion_depth(self) -> int:
         accepted = [g for g in self.guesses if g.accepted]
         return len(accepted[0].phases) if accepted else 0
+
+
+def _value_iteration_phase(n: int, bound: int, result: ViterResult) -> PhaseRecord:
+    return PhaseRecord(
+        nodes=n,
+        bound=bound,
+        error_budget=None,
+        granularity=None,
+        updates=result.total_updates,
+        steps=result.steps,
+        edge_work=result.edge_work,
+        dropped=0,
+    )
 
 
 def minimal_energy_with_penalty_bound(
@@ -122,18 +158,7 @@ def _solve_level(
         if bound <= n:
             result = solve_with_list(graph, full_list(n))
             if recorder is not None:
-                recorder.phases.append(
-                    PhaseRecord(
-                        nodes=n,
-                        bound=bound,
-                        error_budget=None,
-                        granularity=None,
-                        updates=result.total_updates,
-                        steps=result.steps,
-                        edge_work=result.edge_work,
-                        dropped=0,
-                    )
-                )
+                recorder.phases.append(_value_iteration_phase(n, bound, result))
             return result.energies
         # Halving step; the approximation rejects budgets below n, so small
         # odd bounds are clamped up (still within n * floor).
@@ -169,8 +194,9 @@ def solve(graph: GameGraph, bound: int | None = None) -> SolveReport:
     Tries penalty guesses D_k = floor(M/2^k)/n for k = 1, 2, ...; each run is
     accepted only if it passes the fixed-point check and its infinite set
     matches the nodes dropped by the first approximation phase.  Once the
-    guess would drop below 1, falls back to plain value iteration over the
-    full value range, which needs no penalty assumption.
+    guess would drop below 2 (a granularity-1 rounding rounds nothing), falls
+    back to plain value iteration over the full value range, which needs no
+    penalty assumption.
     """
     started = time.perf_counter()
     n = graph.n
@@ -179,25 +205,9 @@ def solve(graph: GameGraph, bound: int | None = None) -> SolveReport:
         raise ValueError("the energy bound must be non-negative")
 
     guesses: list[GuessRecord] = []
-    total_updates = 0
-    total_steps = 0
-    total_edge_work = 0
-
-    def report(energies: EnergyFn, fallback_used: bool, fallback_updates: int) -> SolveReport:
-        return SolveReport(
-            energies=energies,
-            bound=cap,
-            guesses=tuple(guesses),
-            fallback_used=fallback_used,
-            fallback_updates=fallback_updates,
-            wall_ms=(time.perf_counter() - started) * 1000.0,
-            total_updates=total_updates,
-            total_steps=total_steps,
-            total_edge_work=total_edge_work,
-        )
-
+    fallback: PhaseRecord | None = None
     k = 1
-    while n > 0 and cap >> k >= n:
+    while n > 0 and cap >> k >= 2 * n:
         budget = cap >> k
         guess = Fraction(budget, n)
         recorder = _RunRecorder()
@@ -207,9 +217,6 @@ def solve(graph: GameGraph, bound: int | None = None) -> SolveReport:
             energies = minimal_energy_with_penalty_bound(graph, cap, guess, recorder)
         except PotentialContractError as exc:
             contract_error = str(exc)
-        total_updates += sum(p.updates for p in recorder.phases)
-        total_steps += sum(p.steps for p in recorder.phases)
-        total_edge_work += sum(p.edge_work for p in recorder.phases)
         verified = energies is not None and verify_minimal(graph, energies)
         if energies is not None and recorder.first_drop is not None:
             infinite = frozenset(v for v in range(n) if energies[v] == INF)
@@ -226,13 +233,19 @@ def solve(graph: GameGraph, bound: int | None = None) -> SolveReport:
         )
         guesses.append(record)
         if record.accepted:
-            assert energies is not None
-            return report(energies, fallback_used=False, fallback_updates=0)
+            break
         k += 1
+    else:  # no guess accepted
+        result = solve_with_list(graph, full_list(cap))
+        assert verify_minimal(graph, result.energies), "full-range value iteration is exact"
+        energies = result.energies
+        fallback = _value_iteration_phase(n, cap, result)
 
-    result = solve_with_list(graph, full_list(cap))
-    total_updates += result.total_updates
-    total_steps += result.steps
-    total_edge_work += result.edge_work
-    assert verify_minimal(graph, result.energies), "full-range value iteration is exact"
-    return report(result.energies, fallback_used=True, fallback_updates=result.total_updates)
+    assert energies is not None
+    return SolveReport(
+        energies=energies,
+        bound=cap,
+        guesses=tuple(guesses),
+        fallback=fallback,
+        wall_ms=(time.perf_counter() - started) * 1000.0,
+    )

@@ -5,7 +5,7 @@ Game files are DIMACS-flavored and diff-friendly::
     # comment lines start with '#', blank lines are ignored
     p eg <n> <m>
     v <id> <A|B>        (one per node, ids 0..n-1)
-    e <src> <dst> <w>   (one per edge, in order)
+    e <src> <dst> <w>   (one per edge, in order; repeated lines are parallel edges)
 
 Energy files carry one ``v <id> <value>`` line per node, ids ascending, with
 the literal ``inf`` for infinite energies.  Emitters produce canonical files
@@ -51,7 +51,6 @@ def parse_game(text: str) -> GameGraph:
 
     owners: list[str | None] = [None] * n
     edges: list[Edge] = []
-    seen_edges: set[Edge] = set()
     for line_no, line in lines[1:]:
         parts = line.split()
         if parts[0] == "v":
@@ -79,11 +78,7 @@ def parse_game(text: str) -> GameGraph:
                 raise GameFileError(line_no, f"edge source {src} out of range 0..{n - 1}")
             if not 0 <= dst < n:
                 raise GameFileError(line_no, f"edge target {dst} out of range 0..{n - 1}")
-            edge = (src, dst, weight)
-            if edge in seen_edges:
-                raise GameFileError(line_no, f"duplicate edge line {line!r}")
-            seen_edges.add(edge)
-            edges.append(edge)
+            edges.append((src, dst, weight))
         else:
             raise GameFileError(line_no, f"unknown record {parts[0]!r}")
 

@@ -8,7 +8,6 @@ from energygames import (
     PotentialContractError,
     apply_potential,
     brute_force_energies,
-    check_progress_conditions,
     eliminate_self_loops,
     validate,
     verify_minimal,
@@ -106,18 +105,6 @@ class TestVerifyMinimal:
                     continue
                 bumped = exact[:v] + (exact[v] + 1,) + exact[v + 1 :]
                 assert not verify_minimal(graph, bumped)
-
-
-class TestProgressConditions:
-    def test_all_infinite_trivially_satisfies(self, fig1):
-        assert check_progress_conditions(fig1, (INF, INF, INF))
-
-    def test_reference_energies_satisfy(self, fig1):
-        assert check_progress_conditions(fig1, (0, 4, 8))
-
-    def test_zero_function_violates_at_bob_node(self, fig1):
-        # node 2's edge of weight -8 into node 0 breaks Bob's condition
-        assert not check_progress_conditions(fig1, (0, 0, 0))
 
 
 class TestApplyPotential:

@@ -130,10 +130,38 @@ class TestSolveDriver:
         rejected = [g for g in report.guesses if not g.accepted]
         assert rejected, "coarse guesses must fail on the trap"
         assert any(g.verified and not g.infinite_consistent for g in rejected)
+        # every guess with D >= 2 fails; the full-range fallback settles it
+        assert rejected == list(report.guesses)
+        assert report.fallback_used
 
     def test_worst_case_penalty_falls_back(self, neg_two_cycle):
         report = solve(neg_two_cycle)
         assert report.energies == (INF, INF)
+        assert report.fallback_used and not report.guesses
+
+    def test_worst_case_penalty_rejects_every_guess_under_large_bound(self, neg_two_cycle):
+        report = solve(neg_two_cycle, bound=64)
+        assert report.energies == brute_force_energies(neg_two_cycle) == (INF, INF)
+        assert [g.error_budget for g in report.guesses] == [32, 16, 8, 4]
+        assert not any(g.accepted for g in report.guesses)
+        assert report.fallback_used
+        assert report.fallback.bound == 64 and report.fallback.granularity is None
+
+    def test_no_guess_rounds_at_granularity_one(self):
+        # a granularity-1 rounding rounds nothing, so it would repeat the
+        # fallback's full-range value iteration; the driver stops before it
+        for seed in range(120):
+            graph = small_random(seed)
+            report = solve(graph)
+            for guess in report.guesses:
+                assert guess.penalty_guess >= 2
+                assert guess.phases[0].granularity >= 2
+
+    def test_report_totals_sum_the_phases(self):
+        for seed in range(120):
+            report = solve(small_random(seed))
+            phases = [p for g in report.guesses for p in g.phases]
+            assert report.total_updates == sum(p.updates for p in phases) + report.fallback_updates
 
     def test_low_penalty_instances_match_oracle(self):
         # a forced cycle of total -1 over n nodes has penalty exactly 1/n

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from energygames import ALICE, BOB, INF, GameGraph
 from energygames.cli import main
@@ -11,6 +13,20 @@ from energygames.fileio import (
 )
 
 from conftest import small_random
+
+
+@st.composite
+def _game_graphs(draw):
+    """Graphs with n >= 1 whose edges are drawn from a small pool, so
+    identical parallel edges are common."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    owners = draw(st.lists(st.sampled_from((ALICE, BOB)), min_size=n, max_size=n))
+    node = st.integers(min_value=0, max_value=n - 1)
+    edge = st.tuples(node, node, st.integers(min_value=-(10**9), max_value=10**9))
+    pool = draw(st.lists(edge, min_size=1, max_size=4))
+    edges = draw(st.lists(st.sampled_from(pool), max_size=12))
+    return GameGraph(tuple(owners), tuple(edges))
+
 
 FIG1_TEXT = """\
 # three-node reference game
@@ -48,7 +64,6 @@ class TestGameFiles:
             ("p eg 3 6\nv 0 A\nv 1 B\nv 2 B\ne 0 1 7\n", "promised 6 edges"),
             ("v 0 A\np eg 1 0\n", "expected 'p eg"),
             ("p eg 2 1\nv 0 A\nv 0 B\nv 1 B\ne 0 1 1\n", "duplicate declaration"),
-            ("p eg 2 2\nv 0 A\nv 1 B\ne 0 1 1\ne 0 1 1\n", "duplicate edge"),
             ("p eg 2 1\nv 0 A\nv 1 C\ne 0 1 1\n", "owner must be A or B"),
             ("p eg 2 1\nv 0 A\nv 1 B\ne 0 5 1\n", "out of range"),
             ("p eg 2 1\nv 0 A\nv 1 B\nq 0 1 1\n", "unknown record"),
@@ -64,6 +79,16 @@ class TestGameFiles:
         text = "p eg 2 3\nv 0 A\nv 1 B\ne 0 1 1\ne 0 1 2\ne 1 0 0\n"
         graph = parse_game(text)
         assert graph.m == 3
+
+    def test_repeated_edge_lines_roundtrip(self):
+        text = "p eg 2 3\nv 0 A\nv 1 B\ne 0 1 1\ne 0 1 1\ne 1 0 0\n"
+        graph = parse_game(text)
+        assert graph.edges == ((0, 1, 1), (0, 1, 1), (1, 0, 0))
+        assert emit_game(graph) == text
+
+    @given(_game_graphs())
+    def test_emit_parse_roundtrip_property(self, graph):
+        assert parse_game(emit_game(graph)) == graph
 
 
 class TestEnergyFiles:
@@ -216,9 +241,9 @@ class TestCli:
 
 class TestBenchSuites:
     def test_all_suites_run_and_sort_rows(self):
-        from energygames.bench import run_suite
+        from energygames.bench import SUITES, run_suite
 
-        for name in ("penalty", "window"):
+        for name in SUITES:
             rows = run_suite(name)
             assert rows == sorted(rows, key=lambda r: (str(r["params"]), str(r["algorithm"])))
             assert all(int(r["node_updates"]) >= 0 for r in rows)
