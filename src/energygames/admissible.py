@@ -54,9 +54,6 @@ class AdmissibleList:
     def value_at(self, index: int) -> Energy:
         return INF if index >= len(self.finite) else self.finite[index]
 
-    def next_at_least(self, value: Energy) -> Energy:
-        return self.value_at(self.index_at_least(value))
-
 
 def full_list(bound: int) -> AdmissibleList:
     """Every value 0..bound plus INF: admissible whenever bound caps the

@@ -36,10 +36,6 @@ class PotentialContractError(ValueError):
     sound approximation of the game it is applied to."""
 
 
-def is_finite(value: Energy) -> bool:
-    return value != INF
-
-
 def opponent(owner: str) -> str:
     return BOB if owner == ALICE else ALICE
 
@@ -62,9 +58,12 @@ class GameGraph:
             if owner not in (ALICE, BOB):
                 raise ValueError(f"unknown owner {owner!r}")
         for src, dst, weight in self.edges:
+            # Exact type checks: bool is an int subclass, and True emits as "True".
+            if type(src) is not int or type(dst) is not int:
+                raise ValueError(f"edge ({src!r},{dst!r}) endpoint is not an integer")
             if not (0 <= src < n and 0 <= dst < n):
                 raise ValueError(f"edge ({src},{dst}) endpoint out of range")
-            if not isinstance(weight, int):
+            if type(weight) is not int:
                 raise ValueError(f"edge ({src},{dst}) weight {weight!r} is not an integer")
 
     @property

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .admissible import full_list
@@ -48,12 +48,6 @@ class PhaseRecord:
     steps: int
     edge_work: int
     dropped: int
-
-
-@dataclass
-class _RunRecorder:
-    phases: list[PhaseRecord] = field(default_factory=list)
-    first_drop: frozenset[int] | None = None
 
 
 @dataclass(frozen=True)
@@ -89,10 +83,6 @@ class SolveReport:
         return self.fallback is not None
 
     @property
-    def fallback_updates(self) -> int:
-        return 0 if self.fallback is None else self.fallback.updates
-
-    @property
     def total_updates(self) -> int:
         return sum(p.updates for p in self._phases())
 
@@ -103,11 +93,6 @@ class SolveReport:
     @property
     def total_edge_work(self) -> int:
         return sum(p.edge_work for p in self._phases())
-
-    @property
-    def recursion_depth(self) -> int:
-        accepted = [g for g in self.guesses if g.accepted]
-        return len(accepted[0].phases) if accepted else 0
 
 
 def _value_iteration_phase(n: int, bound: int, result: ViterResult) -> PhaseRecord:
@@ -127,7 +112,6 @@ def minimal_energy_with_penalty_bound(
     graph: GameGraph,
     bound: int,
     penalty_floor: Fraction | int,
-    recorder: _RunRecorder | None = None,
 ) -> EnergyFn:
     """Minimal energies assuming ``penalty_floor`` <= P(G,w) and ``bound``
     caps the finite minimal energies.
@@ -141,24 +125,21 @@ def minimal_energy_with_penalty_bound(
         raise ValueError("the penalty lower bound must be at least 1")
     if bound < 0:
         raise ValueError("the energy bound must be non-negative")
-    return _solve_level(graph, bound, floor, recorder, depth=0)
+    return _solve_level(graph, bound, floor, [])
 
 
 def _solve_level(
-    graph: GameGraph,
-    bound: int,
-    floor: Fraction,
-    recorder: _RunRecorder | None,
-    depth: int,
+    graph: GameGraph, bound: int, floor: Fraction, phases: list[PhaseRecord]
 ) -> EnergyFn:
+    """The recursion behind :func:`minimal_energy_with_penalty_bound`; appends
+    one record per level to ``phases``."""
     n = graph.n
     if n == 0:
         return ()
     if floor >= Fraction(bound, 2 * n):
         if bound <= n:
             result = solve_with_list(graph, full_list(n))
-            if recorder is not None:
-                recorder.phases.append(_value_iteration_phase(n, bound, result))
+            phases.append(_value_iteration_phase(n, bound, result))
             return result.energies
         # Halving step; the approximation rejects budgets below n, so small
         # odd bounds are clamped up (still within n * floor).
@@ -169,22 +150,19 @@ def _solve_level(
         budget = (n * floor.numerator) // floor.denominator
     approx = approximate_energies(graph, bound, budget)
     transform = apply_potential(graph, approx.energies)
-    if recorder is not None:
-        recorder.phases.append(
-            PhaseRecord(
-                nodes=n,
-                bound=bound,
-                error_budget=budget,
-                granularity=approx.granularity,
-                updates=approx.viter.total_updates,
-                steps=approx.viter.steps,
-                edge_work=approx.viter.edge_work,
-                dropped=n - len(transform.kept),
-            )
+    phases.append(
+        PhaseRecord(
+            nodes=n,
+            bound=bound,
+            error_budget=budget,
+            granularity=approx.granularity,
+            updates=approx.viter.total_updates,
+            steps=approx.viter.steps,
+            edge_work=approx.viter.edge_work,
+            dropped=n - len(transform.kept),
         )
-        if depth == 0:
-            recorder.first_drop = frozenset(range(n)) - frozenset(transform.kept)
-    residual = _solve_level(transform.graph, budget, floor, recorder, depth + 1)
+    )
+    residual = _solve_level(transform.graph, budget, floor, phases)
     return transform.lift(residual, n)
 
 
@@ -192,11 +170,13 @@ def solve(graph: GameGraph, bound: int | None = None) -> SolveReport:
     """Compute verified minimal energies without knowing the penalty.
 
     Tries penalty guesses D_k = floor(M/2^k)/n for k = 1, 2, ...; each run is
-    accepted only if it passes the fixed-point check and its infinite set
-    matches the nodes dropped by the first approximation phase.  Once the
-    guess would drop below 2 (a granularity-1 rounding rounds nothing), falls
-    back to plain value iteration over the full value range, which needs no
-    penalty assumption.
+    accepted only if it passes the fixed-point check and has exactly as many
+    infinite nodes as its first phase dropped.  That phase is always an
+    approximation (guesses need M >= 4n > n), and lifting keeps every node it
+    dropped infinite, so equal counts mean no deeper level found a new
+    infinite node.  Once the guess would drop below 2 (a granularity-1
+    rounding rounds nothing), falls back to plain value iteration over the
+    full value range, which needs no penalty assumption.
     """
     started = time.perf_counter()
     n = graph.n
@@ -210,26 +190,22 @@ def solve(graph: GameGraph, bound: int | None = None) -> SolveReport:
     while n > 0 and cap >> k >= 2 * n:
         budget = cap >> k
         guess = Fraction(budget, n)
-        recorder = _RunRecorder()
+        phases: list[PhaseRecord] = []
         contract_error: str | None = None
         energies: EnergyFn | None = None
         try:
-            energies = minimal_energy_with_penalty_bound(graph, cap, guess, recorder)
+            energies = _solve_level(graph, cap, guess, phases)
         except PotentialContractError as exc:
             contract_error = str(exc)
         verified = energies is not None and verify_minimal(graph, energies)
-        if energies is not None and recorder.first_drop is not None:
-            infinite = frozenset(v for v in range(n) if energies[v] == INF)
-            consistent = infinite == recorder.first_drop
-        else:
-            consistent = energies is not None
+        consistent = energies is not None and energies.count(INF) == phases[0].dropped
         record = GuessRecord(
             error_budget=budget,
             penalty_guess=guess,
             verified=verified,
             infinite_consistent=consistent,
             contract_error=contract_error,
-            phases=tuple(recorder.phases),
+            phases=tuple(phases),
         )
         guesses.append(record)
         if record.accepted:

@@ -46,7 +46,7 @@ def parse_game(text: str) -> GameGraph:
         n, m = int(parts[2]), int(parts[3])
     except ValueError:
         raise GameFileError(line_no, f"non-integer counts in header {header!r}") from None
-    if n < 1 or m < 0:
+    if n < 0 or m < 0:
         raise GameFileError(line_no, f"invalid counts in header {header!r}")
 
     owners: list[str | None] = [None] * n

@@ -92,81 +92,51 @@ def eval_pair(graph: GameGraph, pair: StrategyPair, start: int) -> Energy:
     negative total weight the energy is infinite; otherwise it is
     max(0, -min prefix sum) over the simple prefixes of the walk.
     """
-    choice = pair.edge_choice(graph)
-    return _walk_value(graph, choice, start)
+    values, _ = _lasso_walk(graph, pair.edge_choice(graph))
+    return values[start]
 
 
-def _walk_value(graph: GameGraph, choice: tuple[int, ...], start: int) -> Energy:
-    first_seen = {start: 0}
-    sums: list[int] = [0]
-    cur = start
-    while True:
-        _, dst, weight = graph.edges[choice[cur]]
-        sums.append(sums[-1] + weight)
-        cur = dst
-        if cur in first_seen:
-            cycle_weight = sums[-1] - sums[first_seen[cur]]
-            if cycle_weight < 0:
-                return INF
-            simple = sums[1:-1]  # the closing step revisits a node
-            return max(0, -min(simple, default=0))
-        first_seen[cur] = len(sums) - 1
+def _lasso_walk(
+    graph: GameGraph, choice: tuple[int, ...]
+) -> tuple[list[Energy], list[tuple[int, int]]]:
+    """Per node under a fixed edge choice, the energy and the (total weight,
+    length) of the unique reachable cycle, in O(n) overall.
 
-
-def _eval_all(graph: GameGraph, choice: tuple[int, ...]) -> list[Energy]:
-    """Energies at every node under a fixed edge choice, in O(n) overall.
-
-    Uses the out-degree-one recurrence e(u) = max(0, e(v) - w(u,v)): cycle
-    values are seeded by a direct prefix-sum walk, then pulled back along the
-    lasso stems.
+    Each walk from a fresh start stops at a node already done or at a node it
+    revisits, which closes a new cycle.  That node's value comes from the
+    walk's prefix sums: infinite if the cycle is negative, else how far the
+    sums dip below the sum at that node.  The out-degree-one recurrence
+    e(u) = max(0, e(v) - w(u,v)) then pulls values back along the walk.
     """
     values: list[Energy | None] = [None] * graph.n
+    cycles: list[tuple[int, int] | None] = [None] * graph.n
     for s in range(graph.n):
         if values[s] is not None:
             continue
         path: list[int] = []
         pos: dict[int, int] = {}
+        sums = [0]
         cur = s
         while values[cur] is None and cur not in pos:
             pos[cur] = len(path)
             path.append(cur)
-            cur = graph.edges[choice[cur]][1]
+            _, dst, weight = graph.edges[choice[cur]]
+            sums.append(sums[-1] + weight)
+            cur = dst
         if values[cur] is None:
-            # Found a fresh cycle: path[pos[cur]:] closes on cur.
-            values[cur] = _walk_value(graph, choice, cur)
-        # Pull values back along the walked path.
+            # Found a fresh cycle: path[j:] closes on cur.
+            j = pos[cur]
+            total = sums[-1] - sums[j]
+            cycles[cur] = (total, len(path) - j)
+            values[cur] = INF if total < 0 else sums[j] - min(sums[j:])
         for node in reversed(path):
+            cycles[node] = cycles[cur]
             if values[node] is not None:
                 continue
             _, dst, weight = graph.edges[choice[node]]
             succ = values[dst]
             values[node] = INF if succ == INF else max(0, succ - weight)
-    return values  # type: ignore[return-value]
-
-
-def _reached_cycles(
-    graph: GameGraph, choice: tuple[int, ...]
-) -> list[tuple[int, int]]:
-    """Per node, the (total weight, length) of the unique reachable cycle."""
-    info: list[tuple[int, int] | None] = [None] * graph.n
-    for s in range(graph.n):
-        if info[s] is not None:
-            continue
-        path: list[int] = []
-        pos: dict[int, int] = {}
-        sums = [0]
-        cur = s
-        while info[cur] is None and cur not in pos:
-            pos[cur] = len(path)
-            path.append(cur)
-            sums.append(sums[-1] + graph.edges[choice[cur]][2])
-            cur = graph.edges[choice[cur]][1]
-        if info[cur] is None:
-            j = pos[cur]
-            info[cur] = (sums[-1] - sums[j], len(path) - j)
-        for node in path:
-            info[node] = info[cur]
-    return info  # type: ignore[return-value]
+    return values, cycles  # type: ignore[return-value]
 
 
 def _choice_space(graph: GameGraph, owner: str) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -190,7 +160,7 @@ def brute_force_energies(
         for tau in itertools.product(*bob_opts):
             for node, edge in zip(bob_nodes, tau):
                 base[node] = edge
-            vals = _eval_all(graph, tuple(base))
+            vals, _ = _lasso_walk(graph, tuple(base))
             worst = [max(a, b) for a, b in zip(worst, vals)]
         if best is None:
             best = worst
@@ -245,9 +215,7 @@ def brute_force_penalty(
         for sigma in itertools.product(*alice_opts):
             for node, edge in zip(alice_nodes, sigma):
                 base[node] = edge
-            vector = tuple(base)
-            vals = _eval_all(graph, vector)
-            cycles = _reached_cycles(graph, vector)
+            vals, cycles = _lasso_walk(graph, tuple(base))
             for s in range(n):
                 value[s] = min(value[s], vals[s])
                 total, length = cycles[s]

@@ -49,9 +49,6 @@ def round_weights(graph: GameGraph, granularity: int) -> RoundedGame:
 class ApproxResult:
     energies: EnergyFn
     granularity: int  # B = floor(error_budget / n)
-    bound: int
-    error_budget: int
-    rounded: RoundedGame
     viter: ViterResult
 
 
@@ -73,13 +70,6 @@ def approximate_energies(graph: GameGraph, bound: int, error_budget: int) -> App
             f"error budget {error_budget} is below the node count {graph.n}"
         )
     granularity = error_budget // graph.n
-    rounded = round_weights(graph, granularity)
-    result = solve_with_list(rounded.graph, multiples_list(granularity, bound))
-    return ApproxResult(
-        energies=result.energies,
-        granularity=granularity,
-        bound=bound,
-        error_budget=error_budget,
-        rounded=rounded,
-        viter=result,
-    )
+    rounded = round_weights(graph, granularity).graph
+    result = solve_with_list(rounded, multiples_list(granularity, bound))
+    return ApproxResult(energies=result.energies, granularity=granularity, viter=result)

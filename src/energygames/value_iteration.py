@@ -18,12 +18,9 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
 from .core import Energy, EnergyFn, GameGraph
 from .admissible import AdmissibleList
-
-UpdateHook = Callable[[int, Energy, Energy, list[Energy]], None]
 
 
 @dataclass(frozen=True)
@@ -39,23 +36,12 @@ class ViterResult:
         return sum(self.updates)
 
 
-def solve_with_list(
-    graph: GameGraph,
-    admissible: AdmissibleList,
-    *,
-    order: str = "fifo",
-    on_update: UpdateHook | None = None,
-    check_counters: bool = False,
-) -> ViterResult:
+def solve_with_list(graph: GameGraph, admissible: AdmissibleList) -> ViterResult:
     """Compute the minimal energies of ``graph`` given an admissible list.
 
-    ``order`` selects the pending-queue discipline ("fifo" or "lifo"); the
-    final energies are order-independent.  ``on_update`` is called after every
-    update with (node, old, new, live energy array).  ``check_counters``
-    recomputes every counter from scratch after each update (slow; for tests).
+    Violating nodes are processed first in, first out; the final energies do
+    not depend on the order.
     """
-    if order not in ("fifo", "lifo"):
-        raise ValueError(f"unknown order {order!r}")
     if any(src == dst for src, dst, _ in graph.edges):
         raise ValueError("self-loops must be eliminated before value iteration")
 
@@ -71,29 +57,24 @@ def solve_with_list(
         eu = e[u]
         return sum(1 for i in graph.out_edges[u] if eu + edges[i][2] >= e[edges[i][1]])
 
-    def violating(u: int) -> bool:
-        eu = e[u]
-        bad = (eu + edges[i][2] < e[edges[i][1]] for i in graph.out_edges[u])
-        return all(bad) if is_alice[u] else any(bad)
-
     pending: deque[int] = deque()
     queued = [False] * n
-    for u in range(n):
-        if violating(u):
-            pending.append(u)
-            queued[u] = True
     count = [0] * n
     for u in range(n):
-        if is_alice[u] and not queued[u]:
+        if is_alice[u]:
             count[u] = satisfied_count(u)
+            queued[u] = count[u] == 0
+        else:
+            eu = e[u]
+            queued[u] = any(eu + edges[i][2] < e[edges[i][1]] for i in graph.out_edges[u])
+        if queued[u]:
+            pending.append(u)
 
     updates = [0] * n
     steps = 0
     edge_work = 0
-    pop = pending.popleft if order == "fifo" else pending.pop
-
     while pending:
-        u = pop()
+        u = pending.popleft()
         queued[u] = False
         old = e[u]
         pick = min if is_alice[u] else max
@@ -121,12 +102,6 @@ def solve_with_list(
             elif not queued[t]:
                 pending.append(t)
                 queued[t] = True
-        if on_update is not None:
-            on_update(u, old, new, e)
-        if check_counters:
-            for v in range(n):
-                if is_alice[v] and not queued[v]:
-                    assert count[v] == satisfied_count(v), f"counter drift at node {v}"
 
     wall_ms = (time.perf_counter() - started) * 1000.0
     return ViterResult(tuple(e), tuple(updates), steps, edge_work, wall_ms)

@@ -103,12 +103,8 @@ class TestMultiplesAdmissibility:
 class TestLookup:
     def test_next_at_least(self):
         lst = multiples_list(3, 10)
-        assert lst.next_at_least(-7) == 0
-        assert lst.next_at_least(0) == 0
-        assert lst.next_at_least(1) == 3
-        assert lst.next_at_least(12) == 12
-        assert lst.next_at_least(13) == INF
-        assert lst.next_at_least(INF) == INF
+        for value, expected in ((-7, 0), (0, 0), (1, 3), (12, 12), (13, INF), (INF, INF)):
+            assert lst.value_at(lst.index_at_least(value)) == expected
 
     def test_malformed_lists_rejected(self):
         with pytest.raises(ValueError):

@@ -43,8 +43,10 @@ class TestValidate:
             GameGraph(("X",), ())
 
     def test_edge_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            GameGraph((ALICE,), ((0, 3, 1),))
+        # True is an int, but as an endpoint or a weight it emits as "True"
+        for edges in (((0, 3, 1),), ((0, True, 1),), ((0, 1, True),)):
+            with pytest.raises(ValueError):
+                GameGraph((ALICE, BOB), edges)
 
 
 class TestEliminateSelfLoops:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from energygames import ALICE, BOB, INF, GameGraph
@@ -17,10 +17,12 @@ from conftest import small_random
 
 @st.composite
 def _game_graphs(draw):
-    """Graphs with n >= 1 whose edges are drawn from a small pool, so
-    identical parallel edges are common."""
-    n = draw(st.integers(min_value=1, max_value=6))
+    """Graphs with n >= 0 whose edges are drawn from a small pool, so
+    identical parallel edges are common; the empty graph has no edges."""
+    n = draw(st.integers(min_value=0, max_value=6))
     owners = draw(st.lists(st.sampled_from((ALICE, BOB)), min_size=n, max_size=n))
+    if n == 0:
+        return GameGraph((), ())
     node = st.integers(min_value=0, max_value=n - 1)
     edge = st.tuples(node, node, st.integers(min_value=-(10**9), max_value=10**9))
     pool = draw(st.lists(edge, min_size=1, max_size=4))
@@ -87,6 +89,7 @@ class TestGameFiles:
         assert emit_game(graph) == text
 
     @given(_game_graphs())
+    @example(GameGraph((), ()))
     def test_emit_parse_roundtrip_property(self, graph):
         assert parse_game(emit_game(graph)) == graph
 

@@ -13,7 +13,7 @@ from energygames import (
     eval_pair,
     find_ergodic_partition,
 )
-from energygames.oracle import BudgetExceeded, OracleBudget, _eval_all, pair_count
+from energygames.oracle import BudgetExceeded, OracleBudget, _lasso_walk, pair_count
 
 from conftest import all_edge_choices, dfs_path_minimum, small_random
 
@@ -49,11 +49,12 @@ class TestEvalPair:
         for seed in range(60):
             graph = small_random(seed, max_n=5)
             for choice in all_edge_choices(graph):
-                values = _eval_all(graph, choice)
+                values, cycles = _lasso_walk(graph, choice)
                 for start in range(graph.n):
                     worst, negative = dfs_path_minimum(graph, choice, start)
                     expect = INF if negative else max(0, -(worst if worst is not None else 0))
                     assert values[start] == expect
+                    assert (cycles[start][0] < 0) == negative
 
 
 class TestBruteForceEnergies:

@@ -15,7 +15,7 @@ from energygames import (
     round_weights,
 )
 from energygames.generators import high_penalty_family
-from energygames.oracle import _eval_all, _reached_cycles
+from energygames.oracle import _lasso_walk
 
 from conftest import all_edge_choices, simple_cycles, small_random
 
@@ -104,8 +104,8 @@ class TestPerPairRounding:
             rounded = round_weights(graph, granularity).graph
             slack = graph.n * granularity
             for choice in all_edge_choices(graph):
-                true_vals = _eval_all(graph, choice)
-                rounded_vals = _eval_all(rounded, choice)
+                true_vals, _ = _lasso_walk(graph, choice)
+                rounded_vals, _ = _lasso_walk(rounded, choice)
                 for t, r in zip(true_vals, rounded_vals):
                     if t == INF:
                         continue  # the bound only claims anything when the
