@@ -12,8 +12,8 @@ import sys
 from fractions import Fraction
 
 from . import bench as bench_mod
-from .core import GameGraph, INF, eliminate_self_loops, validate, verify_minimal
-from .exact import minimal_energy_with_penalty_bound, solve
+from .core import GameGraph, INF, eliminate_self_loops, validate
+from .exact import solve
 from .fileio import GameFileError, emit_energies, emit_game, parse_energies, parse_game
 from .generators import GenSpec, generate, windowed_game
 from .oracle import (
@@ -76,18 +76,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="exact minimal energies")
     p_solve.add_argument("game")
     p_solve.add_argument("--out", help="energy file path (default stdout)")
-    p_solve.add_argument("--bound", type=int, help="upper bound on finite energies (default n*W)")
     p_solve.add_argument(
         "--assume-penalty",
         type=_fraction,
         metavar="D",
-        help="skip guessing: run the recursion with this penalty lower bound",
+        help="first penalty guess; a wrong one costs time, not the answer",
     )
 
     p_approx = sub.add_parser("approx", help="additive lower-bound approximation")
     p_approx.add_argument("game")
     p_approx.add_argument("--error", type=int, required=True, help="additive error budget c")
-    p_approx.add_argument("--bound", type=int, help="upper bound on finite energies (default n*W)")
     p_approx.add_argument("--out")
 
     p_decide = sub.add_parser("decide", help="print the winner at a node")
@@ -141,14 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     graph = _load_game(args.game)
-    bound = graph.default_bound() if args.bound is None else args.bound
-    if args.assume_penalty is not None:
-        energies = minimal_energy_with_penalty_bound(graph, bound, args.assume_penalty)
-        verified = verify_minimal(graph, energies)
-        _write(emit_energies(energies), args.out)
-        print(f"verified: {'yes' if verified else 'no'}", file=sys.stderr)
-        return EXIT_OK
-    report = solve(graph, bound)
+    report = solve(graph, penalty=args.assume_penalty)
     _write(emit_energies(report.energies), args.out)
     for guess in report.guesses:
         status = "accepted" if guess.accepted else "rejected"
@@ -170,8 +161,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_approx(args) -> int:
     graph = _load_game(args.game)
-    bound = graph.default_bound() if args.bound is None else args.bound
-    result = approximate_energies(graph, bound, args.error)
+    result = approximate_energies(graph, graph.default_bound(), args.error)
     _write(emit_energies(result.energies), args.out)
     print(
         f"granularity B={result.granularity} (band width n*B={graph.n * result.granularity})",
@@ -193,9 +183,9 @@ def _cmd_verify(args) -> int:
     graph = _load_game(args.game)
     with open(args.energies, encoding="utf-8") as handle:
         energies = parse_energies(handle.read(), graph.n)
-    if verify_minimal(graph, energies):
+    if energies == solve(graph).energies:
         return EXIT_OK
-    print("energies do not satisfy the minimal-energy equations", file=sys.stderr)
+    print("energies are not the minimal energies", file=sys.stderr)
     return EXIT_VERIFY
 
 

@@ -6,14 +6,10 @@ game to within half the bound; subtracting the approximation as a potential
 yields a residual game with the same penalty and half the bound.  Iterating
 reaches a trivially small bound, where plain value iteration finishes.
 
-The driver does not know the penalty: it guesses decreasing lower bounds
-D_k = (M / 2^k) / n, runs the recursion, and accepts a result only when it
-passes the fixed-point verification and introduces no infinities beyond the
-nodes the first approximation already proved losing.  The second condition is
-automatic for a correct guess (a sufficiently fine rounding keeps exactly the
-losing nodes losing) but rejects the inflated near-fixed-points that an
-undersized bound can produce; rejected guesses are halved until D_k would
-drop below 2, when unrestricted value iteration settles the instance.
+The driver does not know the penalty: on the a-priori bound M = n*W it
+guesses decreasing lower bounds, runs the recursion and keeps a result only
+when a check that is exact on that bound passes (see :func:`solve`).  A wrong
+guess, the caller's included, costs time but never changes the answer.
 """
 
 from __future__ import annotations
@@ -166,29 +162,37 @@ def _solve_level(
     return transform.lift(residual, n)
 
 
-def solve(graph: GameGraph, bound: int | None = None) -> SolveReport:
+def solve(graph: GameGraph, *, penalty: Fraction | int | None = None) -> SolveReport:
     """Compute verified minimal energies without knowing the penalty.
 
-    Tries penalty guesses D_k = floor(M/2^k)/n for k = 1, 2, ...; each run is
-    accepted only if it passes the fixed-point check and has exactly as many
-    infinite nodes as its first phase dropped.  That phase is always an
-    approximation (guesses need M >= 4n > n), and lifting keeps every node it
-    dropped infinite, so equal counts mean no deeper level found a new
-    infinite node.  Once the guess would drop below 2 (a granularity-1
-    rounding rounds nothing), falls back to plain value iteration over the
-    full value range, which needs no penalty assumption.
+    On the a-priori bound M = n*W, tries error budgets c from M >> 1 down
+    (``penalty`` only lowers the first to floor(n*penalty)), halving until the
+    guess c/n would drop below 2, then runs full-range value iteration.  A run
+    is accepted iff it passes the fixed-point check and has exactly as many
+    infinite nodes as its first phase dropped (lifting keeps those infinite),
+    that is, iff no deeper level found a new infinite node.  This is exact:
+
+    (i) rounding up only helps Alice, and the rounded game's finite energies
+        are at most n*W, so the first phase drops only truly losing nodes;
+    (ii) a deeper level's capped value iteration is the least fixed point of
+        an operator at least the true one: if it makes no new node infinite,
+        its values are the rounded game's energies, lower bounds, so the
+        lifted result is at most e*;
+    (iii) passing :func:`verify_minimal` gives at least e*.
+    A bound below n*W would break (i), so none is taken.
     """
     started = time.perf_counter()
     n = graph.n
-    cap = graph.default_bound() if bound is None else bound
-    if bound is not None and bound < 0:
-        raise ValueError("the energy bound must be non-negative")
+    cap = graph.default_bound()
+    budget = cap >> 1
+    if penalty is not None:
+        if penalty < 1:
+            raise ValueError("the penalty lower bound must be at least 1")
+        budget = min(budget, n * Fraction(penalty) // 1)
 
     guesses: list[GuessRecord] = []
     fallback: PhaseRecord | None = None
-    k = 1
-    while n > 0 and cap >> k >= 2 * n:
-        budget = cap >> k
+    while n > 0 and budget >= 2 * n:
         guess = Fraction(budget, n)
         phases: list[PhaseRecord] = []
         contract_error: str | None = None
@@ -210,7 +214,7 @@ def solve(graph: GameGraph, bound: int | None = None) -> SolveReport:
         guesses.append(record)
         if record.accepted:
             break
-        k += 1
+        budget >>= 1
     else:  # no guess accepted
         result = solve_with_list(graph, full_list(cap))
         assert verify_minimal(graph, result.energies), "full-range value iteration is exact"

@@ -48,6 +48,9 @@ def parse_game(text: str) -> GameGraph:
         raise GameFileError(line_no, f"non-integer counts in header {header!r}") from None
     if n < 0 or m < 0:
         raise GameFileError(line_no, f"invalid counts in header {header!r}")
+    for count, kind in ((n, "nodes"), (m, "edges")):  # one record each
+        if count > len(lines) - 1:
+            raise GameFileError(line_no, f"header promised {count} {kind}, found {len(lines) - 1} records")
 
     owners: list[str | None] = [None] * n
     edges: list[Edge] = []

@@ -185,7 +185,7 @@ class PenaltyReport:
 
     @property
     def graph_penalty(self) -> Penalty:
-        return min(self.per_node)
+        return min(self.per_node, default=INF)
 
 
 def brute_force_penalty(

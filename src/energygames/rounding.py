@@ -61,10 +61,12 @@ def approximate_energies(graph: GameGraph, bound: int, error_budget: int) -> App
     energies e satisfy e <= e* unconditionally; when every node's penalty is
     at least B = floor(error_budget/n) they additionally satisfy
     e* <= e + n*B <= e + error_budget with identical infinite sets.
-    Rejects error budgets below the node count (they would force B = 0).
+    Rejects the empty game and error budgets below the node count (B = 0).
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
+    if graph.n == 0:
+        raise ValueError("the game has no nodes")
     if error_budget < graph.n:
         raise ValueError(
             f"error budget {error_budget} is below the node count {graph.n}"

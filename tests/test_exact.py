@@ -48,6 +48,8 @@ class TestPenaltyBoundRecursion:
     def test_penalty_floor_below_one_rejected(self, fig3):
         with pytest.raises(ValueError):
             minimal_energy_with_penalty_bound(fig3, 18, Fraction(1, 2))
+        with pytest.raises(ValueError):
+            solve(fig3, penalty=Fraction(1, 2))
 
     def test_valid_floors_always_exact(self):
         for seed in range(40):
@@ -139,9 +141,12 @@ class TestSolveDriver:
         assert report.energies == (INF, INF)
         assert report.fallback_used and not report.guesses
 
-    def test_worst_case_penalty_rejects_every_guess_under_large_bound(self, neg_two_cycle):
-        report = solve(neg_two_cycle, bound=64)
-        assert report.energies == brute_force_energies(neg_two_cycle) == (INF, INF)
+    def test_worst_case_penalty_rejects_every_guess_under_large_bound(self):
+        # the forced two-cycle of total -2, plus an unused heavy edge for Bob
+        # that lifts n*W to 64
+        graph = GameGraph((ALICE, BOB), ((0, 1, -1), (1, 0, -1), (1, 0, 32)))
+        report = solve(graph)
+        assert report.energies == brute_force_energies(graph) == (INF, INF)
         assert [g.error_budget for g in report.guesses] == [32, 16, 8, 4]
         assert not any(g.accepted for g in report.guesses)
         assert report.fallback_used
@@ -197,10 +202,19 @@ class TestSolveDriver:
             # the largest workable guess (or the true penalty caps it)
             assert accepted[0].penalty_guess >= min(penalty, Fraction(report.bound, 2 * graph.n)) / 2
 
-    def test_explicit_bound(self, fig3):
-        report = solve(fig3, 18)
+    def test_penalty_hint_sets_the_first_guess(self, fig3):
+        report = solve(fig3, penalty=3)
         assert report.energies == (0, 4, 8)
-        assert report.bound == 18
+        assert report.bound == 24
+        assert [(g.penalty_guess, g.accepted) for g in report.guesses] == [(3, True)]
+
+    def test_penalty_hint_never_changes_the_answer(self):
+        hints = (1, 2, 3, Fraction(7, 2), 10, 1000)
+        for seed in range(120):
+            graph = small_random(seed)
+            exact = brute_force_energies(graph)
+            for hint in hints:
+                assert solve(graph, penalty=hint).energies == exact, (seed, hint)
 
     def test_all_zero_weights(self):
         graph = GameGraph((ALICE, BOB), ((0, 1, 0), (1, 0, 0)))

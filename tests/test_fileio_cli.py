@@ -70,6 +70,8 @@ class TestGameFiles:
             ("p eg 2 1\nv 0 A\nv 1 B\ne 0 5 1\n", "out of range"),
             ("p eg 2 1\nv 0 A\nv 1 B\nq 0 1 1\n", "unknown record"),
             ("p eg 2 1\nv 0 A\ne 0 1 1\n", "missing node declarations"),
+            ("p eg 1000000000000000000 0\n", "promised 1000000000000000000 nodes"),
+            ("p eg 1 1000000000000000000\nv 0 A\n", "promised 1000000000000000000 edges, found 1 records"),
         ],
     )
     def test_malformed_inputs_rejected(self, mutation, fragment):
@@ -126,10 +128,31 @@ class TestCli:
 
     def test_solve_assume_penalty(self, tmp_path, capsys):
         game = self._write_fig1(tmp_path)
-        assert main(["solve", game, "--assume-penalty", "3", "--bound", "24"]) == 0
+        assert main(["solve", game, "--assume-penalty", "3"]) == 0
         captured = capsys.readouterr()
         assert parse_energies(captured.out, 3) == (0, 4, 8)
-        assert "verified: yes" in captured.err
+        assert "guess c=9 D=3: accepted" in captured.err
+
+    def test_wrong_assume_penalty_keeps_the_answer(self, tmp_path, capsys):
+        path = tmp_path / "trap.eg"
+        path.write_text("p eg 3 4\nv 0 A\nv 1 B\nv 2 B\ne 0 1 -9\ne 0 2 0\ne 1 0 10\ne 2 0 -1\n")
+        assert main(["solve", str(path), "--assume-penalty", "2"]) == 0
+        captured = capsys.readouterr()
+        assert parse_energies(captured.out, 3) == (9, 0, 10)
+        assert "fallback=yes" in captured.err
+
+    @pytest.mark.parametrize("command", [["solve"], ["approx", "--error", "2"]], ids=["solve", "approx"])
+    def test_bound_option_removed(self, tmp_path, capsys, command):
+        # e* = (5, 0) exceeds 2, so a bound of 2 would make both nodes infinite
+        path = tmp_path / "pm5.eg"
+        path.write_text("p eg 2 2\nv 0 A\nv 1 A\ne 0 1 -5\ne 1 0 5\n")
+        argv = command[:1] + [str(path)] + command[1:]
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--bound", "2"])
+        assert err.value.code == 1
+        assert "unrecognized arguments: --bound 2" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert parse_energies(capsys.readouterr().out, 2) == (5, 0)
 
     def test_decide(self, tmp_path, capsys):
         game = self._write_fig1(tmp_path)
@@ -150,6 +173,51 @@ class TestCli:
         bad.write_text("v 0 0\nv 1 0\nv 2 0\n")
         assert main(["verify", game, str(good)]) == 0
         assert main(["verify", game, str(bad)]) == 3
+
+    @pytest.mark.parametrize(
+        "game, energies",
+        [
+            # inflated fixed points: each passes the local equations
+            ("p eg 2 2\nv 0 A\nv 1 A\ne 0 1 0\ne 1 0 0\n", "v 0 5\nv 1 5\n"),
+            ("p eg 2 2\nv 0 A\nv 1 A\ne 0 1 0\ne 1 0 0\n", "v 0 inf\nv 1 inf\n"),
+            ("p eg 2 2\nv 0 A\nv 1 A\ne 0 1 -5\ne 1 0 5\n", "v 0 inf\nv 1 inf\n"),
+        ],
+    )
+    def test_verify_rejects_inflated_fixed_points(self, tmp_path, capsys, game, energies):
+        game_path = tmp_path / "g.eg"
+        game_path.write_text(game)
+        energy_path = tmp_path / "g.energy"
+        energy_path.write_text(energies)
+        assert main(["verify", str(game_path), str(energy_path)]) == 3
+        assert "energies are not the minimal energies" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["solve", "{game}"], 0),
+            (["solve", "{game}", "--assume-penalty", "2"], 0),
+            (["approx", "{game}", "--error", "5"], 1),
+            (["decide", "{game}", "--node", "0"], 2),
+            (["verify", "{game}", "{energies}"], 0),
+            (["oracle", "{game}"], 0),
+            (["penalty", "{game}"], 0),
+            (["reduce", "winall", "{game}", "--node", "0"], 2),
+            (["reduce", "bipartite", "{game}"], 0),
+            (["reduce", "complete", "{game}"], 0),
+        ],
+        ids=lambda x: " ".join(x) if isinstance(x, list) else f"exit{x}",
+    )
+    def test_empty_game(self, tmp_path, capsys, argv, code):
+        game = tmp_path / "empty.eg"
+        game.write_text("p eg 0 0\n")
+        energies = tmp_path / "empty.energy"
+        energies.write_text("")
+        argv = [a.format(game=game, energies=energies) for a in argv]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if argv[0] == "penalty":
+            assert captured.out == "graph inf\n"
 
     def test_oracle_and_penalty(self, tmp_path, capsys):
         game = self._write_fig1(tmp_path)
@@ -225,7 +293,7 @@ class TestCli:
     def test_approx_band(self, tmp_path, capsys):
         path = tmp_path / "fig3.eg"
         path.write_text("p eg 3 4\nv 0 A\nv 1 B\nv 2 B\ne 0 1 7\ne 0 2 2\ne 1 2 4\ne 2 0 -8\n")
-        assert main(["approx", str(path), "--error", "9", "--bound", "18"]) == 0
+        assert main(["approx", str(path), "--error", "9"]) == 0
         captured = capsys.readouterr()
         assert parse_energies(captured.out, 3) == (0, 0, 6)
         assert "B=3" in captured.err
