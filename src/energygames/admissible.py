@@ -7,39 +7,48 @@ upward to the next list member, so smaller lists mean less work.  Three
 constructions are provided: the full range {0..M}, the multiples of a common
 weight divisor B, and the windowed list for games whose weights cluster
 around d center values within a jitter of delta.
+
+The full and multiples lists are arithmetic progressions, so they are stored
+as ``range`` objects: O(1) memory, and O(1) rounding up to the next member.
+Only windowed lists are materialized as tuples, searched by bisection.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .core import INF, Energy
 
 
 @dataclass(frozen=True)
 class AdmissibleList:
-    """Strictly increasing non-negative values with an implicit terminal INF."""
+    """Strictly increasing non-negative values with an implicit terminal INF.
 
-    finite: tuple[int, ...]
+    ``finite`` is a ``range`` for arithmetic progressions and a tuple
+    otherwise; both are sorted sequences with O(1) ``len`` and indexing.
+    """
+
+    finite: tuple[int, ...] | range
 
     def __post_init__(self) -> None:
-        if not self.finite:
+        finite = self.finite
+        if not finite:
             raise ValueError("an admissible list needs at least one finite value")
-        if self.finite[0] < 0:
+        if finite[0] < 0:
             raise ValueError("admissible values must be non-negative")
-        if any(a >= b for a, b in zip(self.finite, self.finite[1:])):
+        if isinstance(finite, range):
+            increasing = finite.step > 0
+        else:
+            increasing = all(a < b for a, b in zip(finite, finite[1:]))
+        if not increasing:
             raise ValueError("admissible values must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.finite) + 1  # the terminal INF counts
 
     def __contains__(self, value: Energy) -> bool:
-        if value == INF:
-            return True
-        i = bisect_left(self.finite, value)
-        return i < len(self.finite) and self.finite[i] == value
+        return self.value_at(self.index_at_least(value)) == value
 
     @property
     def smallest(self) -> int:
@@ -47,9 +56,14 @@ class AdmissibleList:
 
     def index_at_least(self, value: Energy) -> int:
         """Index of the smallest member >= value; len(finite) encodes INF."""
-        if value == INF:
-            return len(self.finite)
-        return bisect_left(self.finite, value)
+        finite = self.finite
+        if value > finite[-1]:
+            return len(finite)
+        if isinstance(finite, range):
+            # ceil((value - start) / step), clamped at the first member;
+            # bisect_left on a range is about 4x slower than on a tuple.
+            return max(0, -((finite.start - value) // finite.step))
+        return bisect_left(finite, value)
 
     def value_at(self, index: int) -> Energy:
         return INF if index >= len(self.finite) else self.finite[index]
@@ -60,7 +74,7 @@ def full_list(bound: int) -> AdmissibleList:
     finite minimal energies."""
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    return AdmissibleList(tuple(range(bound + 1)))
+    return AdmissibleList(range(bound + 1))
 
 
 def multiples_list(granularity: int, bound: int) -> AdmissibleList:
@@ -75,7 +89,7 @@ def multiples_list(granularity: int, bound: int) -> AdmissibleList:
     if bound < 0:
         raise ValueError("bound must be non-negative")
     steps = -(-bound // granularity)  # ceil
-    return AdmissibleList(tuple(i * granularity for i in range(steps + 1)))
+    return AdmissibleList(range(0, steps * granularity + 1, granularity))
 
 
 def window_list(centers: list[int], delta: int, n: int, bound: int) -> AdmissibleList:
@@ -90,11 +104,15 @@ def window_list(centers: list[int], delta: int, n: int, bound: int) -> Admissibl
         raise ValueError("at least one center is required")
     if delta < 0 or n < 0 or bound < 0:
         raise ValueError("delta, n, and bound must be non-negative")
-    distinct = sorted(set(centers))
+    # After k rounds, layer holds the negated sums of exactly k centers.  They
+    # lie in [-k*max, -k*min], so a layer stays small where the multisets of
+    # k centers number C(k+d-1, d-1).
+    distinct = set(centers)
+    layer = {0}
     sums = {0}
-    for k in range(1, n + 1):
-        for combo in combinations_with_replacement(distinct, k):
-            sums.add(-sum(combo))
+    for _ in range(n):
+        layer = {s - c for s in layer for c in distinct}
+        sums |= layer
     width = n * delta
     values: list[int] = []
     for y in sorted(sums):

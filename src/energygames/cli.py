@@ -173,7 +173,7 @@ def _cmd_approx(args) -> int:
 def _cmd_decide(args) -> int:
     graph = _load_game(args.game)
     if not 0 <= args.node < graph.n:
-        raise GameFileError(0, f"node {args.node} out of range 0..{graph.n - 1}")
+        raise ValueError(f"node {args.node} out of range 0..{graph.n - 1}")
     report = solve(graph)
     print("ALICE" if report.energies[args.node] != INF else "BOB")
     return EXIT_OK
@@ -211,7 +211,7 @@ def _cmd_reduce(args) -> int:
     graph = _load_game(args.game)
     if args.step == "winall":
         if not 0 <= args.node < graph.n:
-            raise GameFileError(0, f"node {args.node} out of range 0..{graph.n - 1}")
+            raise ValueError(f"node {args.node} out of range 0..{graph.n - 1}")
         reduced, _, trace = to_win_everywhere(graph, args.node)
     elif args.step == "bipartite":
         reduced, trace = to_bipartite(graph)

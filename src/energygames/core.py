@@ -87,13 +87,6 @@ class GameGraph:
             out[src].append(i)
         return tuple(tuple(ids) for ids in out)
 
-    @cached_property
-    def in_edges(self) -> tuple[tuple[int, ...], ...]:
-        inc: list[list[int]] = [[] for _ in range(self.n)]
-        for i, (_, dst, _) in enumerate(self.edges):
-            inc[dst].append(i)
-        return tuple(tuple(ids) for ids in inc)
-
     def out_degree(self, node: int) -> int:
         return len(self.out_edges[node])
 

@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,11 +13,11 @@ from energygames.oracle import brute_force_energies
 class TestFullList:
     def test_degenerate_bound(self):
         lst = full_list(0)
-        assert lst.finite == (0,)
+        assert tuple(lst.finite) == (0,)
         assert INF in lst and 0 in lst
 
     def test_small_bound(self):
-        assert full_list(3).finite == (0, 1, 2, 3)
+        assert tuple(full_list(3).finite) == (0, 1, 2, 3)
 
     def test_universal_bound_for_reference_graph(self, fig1):
         lst = full_list(fig1.n * fig1.max_weight)
@@ -25,14 +27,14 @@ class TestFullList:
 
 class TestMultiplesList:
     def test_example(self):
-        assert multiples_list(3, 10).finite == (0, 3, 6, 9, 12)
+        assert tuple(multiples_list(3, 10).finite) == (0, 3, 6, 9, 12)
 
     def test_unit_granularity_degenerates(self):
         assert multiples_list(1, 5).finite == full_list(5).finite
 
     def test_rounded_reference_values_contained(self):
         lst = multiples_list(6, 18)
-        assert lst.finite == (0, 6, 12, 18)
+        assert tuple(lst.finite) == (0, 6, 12, 18)
         for value in (0, 0, 6):
             assert value in lst
 
@@ -48,6 +50,30 @@ class TestMultiplesList:
         assert all(a < b for a, b in zip(lst.finite, lst.finite[1:]))
 
 
+class TestImplicitLists:
+    @given(
+        st.integers(min_value=1, max_value=50),
+        st.integers(min_value=0, max_value=500),
+        st.lists(st.integers(min_value=-100, max_value=700) | st.just(INF), max_size=20),
+    )
+    def test_range_agrees_with_tuple(self, granularity, bound, values):
+        implicit = multiples_list(granularity, bound)
+        explicit = AdmissibleList(tuple(implicit.finite))
+        assert isinstance(implicit.finite, range)
+        assert len(implicit) == len(explicit)
+        for value in values:
+            index = implicit.index_at_least(value)
+            assert index == explicit.index_at_least(value)
+            assert implicit.value_at(index) == explicit.value_at(index)
+            assert (value in implicit) == (value in explicit)
+
+    def test_full_list_is_not_materialized(self):
+        lst = full_list(10**18)
+        assert len(lst) == 10**18 + 2
+        assert lst.index_at_least(5 * 10**17) == 5 * 10**17
+        assert lst.value_at(lst.index_at_least(10**18 + 1)) == INF
+
+
 class TestWindowList:
     def test_single_center_clamped(self):
         assert window_list([0], delta=1, n=2, bound=2).finite == (0, 1, 2)
@@ -60,6 +86,25 @@ class TestWindowList:
         assert lst.finite[0] == 0
         assert all(a < b for a, b in zip(lst.finite, lst.finite[1:]))
         assert all(0 <= v <= 30 for v in lst.finite)
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.integers(min_value=-8, max_value=8), min_size=1, max_size=4),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=60),
+    )
+    def test_matches_enumeration_of_center_sums(self, centers, delta, n, bound):
+        sums = {
+            -sum(combo)
+            for k in range(n + 1)
+            for combo in combinations_with_replacement(sorted(set(centers)), k)
+        }
+        width = n * delta
+        expected = sorted(
+            {v for y in sums for v in range(max(y - width, 0), min(y + width, bound) + 1)}
+        )
+        assert list(window_list(centers, delta, n, bound).finite) == expected
 
     def test_oracle_energies_admissible_on_windowed_instances(self):
         for seed in range(40):
@@ -113,6 +158,9 @@ class TestLookup:
             AdmissibleList((3, 3))
         with pytest.raises(ValueError):
             AdmissibleList((-1, 2))
+        for bad in (range(0), range(-1, 3), range(5, 0, -1)):
+            with pytest.raises(ValueError):
+                AdmissibleList(bad)
 
 
 def _with_edges(spec: GenSpec) -> GenSpec:

@@ -197,11 +197,11 @@ class TestCli:
             (["solve", "{game}"], 0),
             (["solve", "{game}", "--assume-penalty", "2"], 0),
             (["approx", "{game}", "--error", "5"], 1),
-            (["decide", "{game}", "--node", "0"], 2),
+            (["decide", "{game}", "--node", "0"], 1),
             (["verify", "{game}", "{energies}"], 0),
             (["oracle", "{game}"], 0),
             (["penalty", "{game}"], 0),
-            (["reduce", "winall", "{game}", "--node", "0"], 2),
+            (["reduce", "winall", "{game}", "--node", "0"], 1),
             (["reduce", "bipartite", "{game}"], 0),
             (["reduce", "complete", "{game}"], 0),
         ],
@@ -218,6 +218,24 @@ class TestCli:
         assert "Traceback" not in captured.err
         if argv[0] == "penalty":
             assert captured.out == "graph inf\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decide", "{game}", "--node", "7"],
+            ["decide", "{game}", "--node", "-1"],
+            ["reduce", "winall", "{game}", "--node", "7"],
+        ],
+        ids=" ".join,
+    )
+    def test_node_out_of_range_is_a_usage_error(self, tmp_path, capsys, argv):
+        game = tmp_path / "two.eg"
+        game.write_text("p eg 2 2\nv 0 A\nv 1 B\ne 0 1 1\ne 1 0 -1\n")
+        argv = [a.format(game=game) for a in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"node {argv[-1]} out of range 0..1" in err
+        assert "line" not in err
 
     def test_oracle_and_penalty(self, tmp_path, capsys):
         game = self._write_fig1(tmp_path)

@@ -89,6 +89,12 @@ class TestSolveWithList:
         with pytest.raises(ValueError):
             solve_with_list(graph, full_list(1))
 
+    @pytest.mark.parametrize("owners", [(ALICE, BOB), (BOB, ALICE)])
+    def test_sinks_rejected(self, owners):
+        graph = GameGraph(owners, ((1, 0, -1),))
+        with pytest.raises(ValueError, match="out-edge"):
+            solve_with_list(graph, full_list(2))
+
     def test_steps_account_for_list_positions(self, fig1):
         result = solve_with_list(fig1, full_list(24))
         # with a unit-spaced list, positions advanced equal the energy climbed
