@@ -141,6 +141,12 @@ def _cmd_solve(args) -> int:
     graph = _load_game(args.game)
     report = solve(graph, penalty=args.assume_penalty)
     _write(emit_energies(report.energies), args.out)
+    region = report.region
+    print(
+        f"losing region: size={region.size} certified={'yes' if region.certified else 'no'} "
+        f"rounds={region.rounds} updates={sum(p.updates for p in region.phases)}",
+        file=sys.stderr,
+    )
     for guess in report.guesses:
         status = "accepted" if guess.accepted else "rejected"
         detail = guess.contract_error or (

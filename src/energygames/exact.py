@@ -10,6 +10,10 @@ The driver does not know the penalty: on the a-priori bound M = n*W it
 guesses decreasing lower bounds, runs the recursion and keeps a result only
 when a check that is exact on that bound passes (see :func:`solve`).  A wrong
 guess, the caller's included, costs time but never changes the answer.
+
+Losing nodes would climb to n*W in every guess, so before the guess loop
+:func:`solve` finds the losing region under small caps, certifies it by a trap
+check and a dual game, and drops it; the guess loop then runs on the rest.
 """
 
 from __future__ import annotations
@@ -19,13 +23,14 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .admissible import full_list
+from .admissible import full_list, multiples_list
 from .core import (
     INF,
     EnergyFn,
     GameGraph,
     PotentialContractError,
     apply_potential,
+    opponent,
     verify_minimal,
 )
 from .rounding import approximate_energies
@@ -61,14 +66,26 @@ class GuessRecord:
 
 
 @dataclass(frozen=True)
+class RegionRecord:
+    """The pre-pass that finds and certifies the losing region."""
+
+    size: int  # nodes in the last round's infinite set
+    certified: bool
+    rounds: int
+    phases: tuple[PhaseRecord, ...]  # one per kernel call, primal and dual
+
+
+@dataclass(frozen=True)
 class SolveReport:
     energies: EnergyFn
-    bound: int
+    bound: int  # the guess loop's a-priori bound, on the nodes it solved
+    region: RegionRecord
     guesses: tuple[GuessRecord, ...]
     fallback: PhaseRecord | None  # the full-range value iteration, if it ran
     wall_ms: float
 
     def _phases(self) -> Iterator[PhaseRecord]:
+        yield from self.region.phases
         for guess in self.guesses:
             yield from guess.phases
         if self.fallback is not None:
@@ -91,12 +108,14 @@ class SolveReport:
         return sum(p.edge_work for p in self._phases())
 
 
-def _value_iteration_phase(n: int, bound: int, result: ViterResult) -> PhaseRecord:
+def _value_iteration_phase(
+    n: int, bound: int, result: ViterResult, granularity: int | None = None
+) -> PhaseRecord:
     return PhaseRecord(
         nodes=n,
         bound=bound,
         error_budget=None,
-        granularity=None,
+        granularity=granularity,
         updates=result.total_updates,
         steps=result.steps,
         edge_work=result.edge_work,
@@ -162,37 +181,98 @@ def _solve_level(
     return transform.lift(residual, n)
 
 
-def solve(graph: GameGraph, *, penalty: Fraction | int | None = None) -> SolveReport:
-    """Compute verified minimal energies without knowing the penalty.
+def _trap_dual(graph: GameGraph, losing: list[int]) -> GameGraph | None:
+    """The dual of the subgame on ``losing``, or None unless that set is a
+    trap for Alice.
 
-    On the a-priori bound M = n*W, tries error budgets c from M >> 1 down
-    (``penalty`` only lowers the first to floor(n*penalty)), halving until the
-    guess c/n would drop below 2, then runs full-range value iteration.  A run
-    is accepted iff it passes the fixed-point check and has exactly as many
-    infinite nodes as its first phase dropped (lifting keeps those infinite),
-    that is, iff no deeper level found a new infinite node.  This is exact:
-
-    (i) rounding up only helps Alice, and the rounded game's finite energies
-        are at most n*W, so the first phase drops only truly losing nodes;
-    (ii) a deeper level's capped value iteration is the least fixed point of
-        an operator at least the true one: if it makes no new node infinite,
-        its values are the rounded game's energies, lower bounds, so the
-        lifted result is at most e*;
-    (iii) passing :func:`verify_minimal` gives at least e*.
-    A bound below n*W would break (i), so none is taken.
+    The dual swaps the owners and re-weights each edge to -(k*w + 1) with
+    k = |S| + 1.  A finite dual energy everywhere is a Bob strategy inside S
+    under which every cycle has k*T + L <= 0 for its total T and length
+    1 <= L <= |S|, that is T < 0.
     """
-    started = time.perf_counter()
+    index = {v: i for i, v in enumerate(losing)}
+    stays = [False] * len(losing)
+    k = len(losing) + 1
+    edges = []
+    for src, dst, weight in graph.edges:
+        i = index.get(src)
+        if i is None:
+            continue
+        j = index.get(dst)
+        if j is None:
+            if graph.is_alice(src):
+                return None  # Alice can leave S
+            continue
+        stays[i] = True
+        edges.append((i, j, -(k * weight + 1)))
+    if not all(stays):
+        return None  # a Bob node cannot stay in S
+    return GameGraph(tuple(opponent(graph.owners[v]) for v in losing), tuple(edges))
+
+
+def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[int] | None]:
+    """Find the losing region and certify it; the node list is None unless
+    certified.  The argument is in :func:`solve`."""
+    n = graph.n
+    if n == 0:
+        return RegionRecord(0, True, 0, ()), []
+    cap = graph.default_bound()
+    bound = max(graph.max_weight, 1)
+    phases: list[PhaseRecord] = []
+    primal_work = dual_work = 0
+    rounds = 0
+    while True:
+        rounds += 1
+        granularity = max(1, bound // (2 * n))
+        primal = solve_with_list(graph, multiples_list(granularity, bound))
+        phases.append(_value_iteration_phase(n, bound, primal, granularity))
+        primal_work += primal.edge_work
+        losing = [v for v in range(n) if primal.energies[v] == INF]
+        if not losing:
+            return RegionRecord(0, True, rounds, tuple(phases)), losing
+        dual = _trap_dual(graph, losing)
+        if dual is not None:
+            size = len(losing)
+            top = (size + 1) * bound
+            # A node's first update from 0 already reaches its one-step
+            # target, so caps below the largest target fail for certain.
+            floor = max(
+                (min if dual.is_alice(u) else max)(-dual.edges[i][2] for i in dual.out_edges[u])
+                for u in range(size)
+            )
+            dual_cap = size + 1
+            while dual_cap < floor:
+                dual_cap *= 2
+            while dual_cap <= top:
+                dual_granularity = max(1, dual_cap // (2 * size))
+                result = solve_with_list(dual, multiples_list(dual_granularity, dual_cap))
+                phases.append(_value_iteration_phase(size, dual_cap, result, dual_granularity))
+                if INF not in result.energies:
+                    return RegionRecord(size, True, rounds, tuple(phases)), losing
+                dual_work += result.edge_work
+                if dual_work > primal_work:
+                    return RegionRecord(size, False, rounds, tuple(phases)), None
+                dual_cap *= 2
+        bound *= 2
+        if bound >= cap:
+            return RegionRecord(len(losing), False, rounds, tuple(phases)), None
+
+
+def _guess_loop(
+    graph: GameGraph, penalty: Fraction | int | None
+) -> tuple[EnergyFn, int, tuple[GuessRecord, ...], PhaseRecord | None]:
+    """The penalty-guess loop on the a-priori bound n*W of ``graph``; returns
+    the energies, that bound, the guesses and the fallback, if it ran."""
     n = graph.n
     cap = graph.default_bound()
+    if n == 0:
+        return (), cap, (), None
     budget = cap >> 1
     if penalty is not None:
-        if penalty < 1:
-            raise ValueError("the penalty lower bound must be at least 1")
         budget = min(budget, n * Fraction(penalty) // 1)
 
     guesses: list[GuessRecord] = []
-    fallback: PhaseRecord | None = None
-    while n > 0 and budget >= 2 * n:
+    while budget >= 2 * n:
         guess = Fraction(budget, n)
         phases: list[PhaseRecord] = []
         contract_error: str | None = None
@@ -213,19 +293,75 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | None = None) -> SolveRe
         )
         guesses.append(record)
         if record.accepted:
-            break
+            assert energies is not None
+            return energies, cap, tuple(guesses), None
         budget >>= 1
-    else:  # no guess accepted
-        result = solve_with_list(graph, full_list(cap))
-        assert verify_minimal(graph, result.energies), "full-range value iteration is exact"
-        energies = result.energies
-        fallback = _value_iteration_phase(n, cap, result)
+    result = solve_with_list(graph, full_list(cap))
+    assert verify_minimal(graph, result.energies), "full-range value iteration is exact"
+    return result.energies, cap, tuple(guesses), _value_iteration_phase(n, cap, result)
 
-    assert energies is not None
+
+def solve(graph: GameGraph, *, penalty: Fraction | int | None = None) -> SolveReport:
+    """Compute verified minimal energies without knowing the penalty.
+
+    First the losing region.  Starting at M = max(W, 1) and doubling M, value
+    iteration on the true weights over the multiples of max(1, M // 2n) up
+    to M gives p; S is its infinite set.  S is certified when it is a trap
+    for Alice (her nodes in S have every successor in S, Bob's at least one)
+    and a dual game on S is finite everywhere (see :func:`_trap_dual`).  The
+    dual is solved over caps D = k, 2k, ... up to k*M, k = |S| + 1, each over
+    the multiples of max(1, D // 2|S|); caps below the largest one-step
+    target of the dual are skipped, because a node's first update reaches
+    its target.  Then S is exactly the losing region:
+
+    (a) the trap and the dual give Bob a strategy that keeps every play in S
+        and makes every cycle negative, so S holds only losing nodes;
+    (b) p's finite values are a progress measure (Alice keeps them by moving
+        along an edge that holds, Bob cannot break them), so every node
+        outside S is winning and S holds every losing node;
+    (c) S is the infinite set of a fixed point, so no Bob node outside S has
+        an edge into it and every Alice node outside S keeps an edge out of
+        it: dropping S with :func:`apply_potential` cannot raise, and since
+        Bob cannot enter S and Alice loses there, the rest is a subgame
+        whose energies are the true ones.
+    No S is certified when M reaches n*W, or when the dual's cumulative edge
+    work passes the primal's; the guess loop then runs on the whole graph.
+
+    The guess loop, on the a-priori bound M = n*W of the graph it is given,
+    tries error budgets c from M >> 1 down (``penalty`` only lowers the first
+    to floor(n*penalty)), halving until the guess c/n would drop below 2,
+    then runs full-range value iteration.  A run is accepted iff it passes
+    the fixed-point check and has exactly as many infinite nodes as its
+    first phase dropped (lifting keeps those infinite), that is, iff no
+    deeper level found a new infinite node.  This is exact:
+
+    (i) rounding up only helps Alice, and the rounded game's finite energies
+        are at most n*W, so the first phase drops only truly losing nodes;
+    (ii) a deeper level's capped value iteration is the least fixed point of
+        an operator at least the true one: if it makes no new node infinite,
+        its values are the rounded game's energies, lower bounds, so the
+        lifted result is at most e*;
+    (iii) passing :func:`verify_minimal` gives at least e*.
+    A bound below n*W would break (i), so none is taken.
+    """
+    started = time.perf_counter()
+    if penalty is not None and penalty < 1:
+        raise ValueError("the penalty lower bound must be at least 1")
+    region, losing = _losing_region(graph)
+    if losing:
+        drop = [0] * graph.n
+        for v in losing:
+            drop[v] = INF
+        transform = apply_potential(graph, tuple(drop))
+        energies, bound, guesses, fallback = _guess_loop(transform.graph, penalty)
+        energies = transform.lift(energies, graph.n)
+    else:
+        energies, bound, guesses, fallback = _guess_loop(graph, penalty)
     return SolveReport(
         energies=energies,
-        bound=cap,
-        guesses=tuple(guesses),
+        bound=bound,
+        region=region,
+        guesses=guesses,
         fallback=fallback,
         wall_ms=(time.perf_counter() - started) * 1000.0,
     )

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from energygames import ALICE, BOB, INF, GameGraph
-from energygames.generators import GenSpec, random_game
+from energygames.generators import GenSpec, SplitMix64, random_game
 
 
 @pytest.fixture
@@ -48,6 +48,20 @@ def small_random(seed: int, max_n: int = 6, max_w: int = 10, max_out: int = 3) -
         max_out=max_out,
     )
     return random_game(spec)
+
+
+def zero_cycle_game(seed: int, n: int = 100, max_weight: int = 3) -> GameGraph:
+    """A zero-weight Hamiltonian cycle plus n // 10 extra edges of weight in
+    [-max_weight, max_weight], with owners drawn last.  At n = 100, seed 1 is
+    losing everywhere and seeds 0 and 2 have no losing node."""
+    rng = SplitMix64(seed)
+    edges = [(i, (i + 1) % n, 0) for i in range(n)]
+    for _ in range(n // 10):
+        src = rng.randint(0, n - 1)
+        dst = (src + rng.randint(1, n - 1)) % n
+        edges.append((src, dst, rng.randint(-max_weight, max_weight)))
+    owners = tuple(ALICE if rng.randint(0, 1) else BOB for _ in range(n))
+    return GameGraph(owners, tuple(edges))
 
 
 def all_edge_choices(graph: GameGraph):

@@ -10,11 +10,29 @@ from energygames import (
     apply_potential,
     brute_force_energies,
     brute_force_penalty,
+    full_list,
+    solve_with_list,
+    to_bipartite,
+    to_complete_bipartite,
+    to_win_everywhere,
     verify_minimal,
 )
-from energygames.exact import _solve_level, minimal_energy_with_penalty_bound, solve
+from energygames.exact import (
+    _losing_region,
+    _solve_level,
+    minimal_energy_with_penalty_bound,
+    solve,
+)
+from energygames.generators import GenSpec, random_game
 
-from conftest import induced_subgraph, small_random
+from conftest import induced_subgraph, small_random, zero_cycle_game
+from test_acceptance import (
+    FIG3,
+    SHALLOW_TRAP,
+    high_penalty_instance,
+    random_small,
+    windowed_instance,
+)
 
 
 class TestPenaltyBoundRecursion:
@@ -136,21 +154,22 @@ class TestSolveDriver:
         assert rejected == list(report.guesses)
         assert report.fallback_used
 
-    def test_worst_case_penalty_falls_back(self, neg_two_cycle):
+    def test_worst_case_penalty_is_certified_losing(self, neg_two_cycle):
         report = solve(neg_two_cycle)
         assert report.energies == (INF, INF)
-        assert report.fallback_used and not report.guesses
+        assert report.region.certified and report.region.size == 2
+        assert not report.guesses and not report.fallback_used
 
-    def test_worst_case_penalty_rejects_every_guess_under_large_bound(self):
+    def test_worst_case_penalty_certified_under_large_bound(self):
         # the forced two-cycle of total -2, plus an unused heavy edge for Bob
-        # that lifts n*W to 64
+        # that lifts n*W to 64: one pre-pass round at M = W = 32 certifies
+        # both nodes, so no guess climbs them to 64
         graph = GameGraph((ALICE, BOB), ((0, 1, -1), (1, 0, -1), (1, 0, 32)))
         report = solve(graph)
         assert report.energies == brute_force_energies(graph) == (INF, INF)
-        assert [g.error_budget for g in report.guesses] == [32, 16, 8, 4]
-        assert not any(g.accepted for g in report.guesses)
-        assert report.fallback_used
-        assert report.fallback.bound == 64 and report.fallback.granularity is None
+        assert report.region.certified and report.region.rounds == 1
+        assert report.region.phases[0].bound == 32
+        assert not report.guesses and not report.fallback_used
 
     def test_no_guess_rounds_at_granularity_one(self):
         # a granularity-1 rounding rounds nothing, so it would repeat the
@@ -163,12 +182,19 @@ class TestSolveDriver:
                 assert guess.phases[0].granularity >= 2
 
     def test_report_totals_sum_the_phases(self):
+        saw_dual = False
         for seed in range(120):
             report = solve(small_random(seed))
-            phases = [p for g in report.guesses for p in g.phases]
+            phases = list(report.region.phases)
+            saw_dual |= len(phases) > report.region.rounds
+            phases += [p for g in report.guesses for p in g.phases]
             if report.fallback is not None:
                 phases.append(report.fallback)
             assert report.total_updates == sum(p.updates for p in phases)
+            assert report.total_steps == sum(p.steps for p in phases)
+            assert report.total_edge_work == sum(p.edge_work for p in phases)
+            assert report.region.phases and report.region.rounds >= 1
+        assert saw_dual, "some instance must run the dual"
 
     def test_low_penalty_instances_match_oracle(self):
         # a forced cycle of total -1 over n nodes has penalty exactly 1/n
@@ -196,11 +222,16 @@ class TestSolveDriver:
             report = solve(graph)
             if report.fallback_used:
                 continue
+            # the guess loop runs on the nodes outside the certified region
+            solved = graph.n - report.region.size if report.region.certified else graph.n
+            if solved == 0:
+                assert not report.guesses  # nothing left to guess on
+                continue
             accepted = [g for g in report.guesses if g.accepted]
             assert len(accepted) == 1
             # guesses halve, so the accepted one is within a factor two of
             # the largest workable guess (or the true penalty caps it)
-            assert accepted[0].penalty_guess >= min(penalty, Fraction(report.bound, 2 * graph.n)) / 2
+            assert accepted[0].penalty_guess >= min(penalty, Fraction(report.bound, 2 * solved)) / 2
 
     def test_penalty_hint_sets_the_first_guess(self, fig3):
         report = solve(fig3, penalty=3)
@@ -231,3 +262,72 @@ class TestSolveDriver:
         assert report.wall_ms >= 0.0
         for guess in report.guesses:
             assert guess.error_budget >= fig3.n or guess.accepted
+
+
+def full_range(graph: GameGraph):
+    return solve_with_list(graph, full_list(graph.default_bound())).energies
+
+
+class TestLosingRegion:
+    def test_certified_region_is_the_oracles_infinite_set(self):
+        instances = [small_random(seed) for seed in range(500)]
+        # acceptance criterion 5's families
+        instances += [FIG3, SHALLOW_TRAP]
+        instances += [random_small(seed) for seed in range(200)]
+        instances += [high_penalty_instance(seed) for seed in range(40)]
+        instances += [windowed_instance(seed)[1][0] for seed in range(40)]
+        for n in (2, 3, 4, 5):
+            edges = tuple((i, (i + 1) % n, -1 if i == 0 else 0) for i in range(n))
+            instances.append(GameGraph(tuple(ALICE if i % 2 else BOB for i in range(n)), edges))
+        certified_losing = 0
+        for graph in instances:
+            exact = brute_force_energies(graph)
+            region, losing = _losing_region(graph)
+            if region.certified:
+                assert losing == [v for v in range(graph.n) if exact[v] == INF]
+                certified_losing += bool(losing)
+            assert solve(graph).energies == exact
+        assert certified_losing >= 100
+
+    @pytest.mark.parametrize("heavy", [100, 1000, 10**6])
+    def test_trap_with_a_zero_alice_cycle_is_never_certified(self, heavy):
+        # Alice's cycle 0 -> 1 -> 0 totals 0 through a -1 edge, so she wins
+        # everywhere, but the primal's coarse list climbs it to infinity; the
+        # whole graph is then a trap and only the dual can reject it
+        graph = GameGraph((ALICE, ALICE, BOB), ((0, 1, -1), (1, 0, 1), (2, 0, heavy)))
+        report = solve(graph)
+        assert report.region.size == 3 and not report.region.certified
+        assert report.energies == brute_force_energies(graph) == (1, 0, 0)
+
+    def test_set_alice_can_leave_is_not_certified(self):
+        # at M = 100 the primal makes the negative cycle 0 <-> 1 infinite, but
+        # Alice escapes from 0 along a dip of 200; the dual on {0, 1} alone
+        # would be finite, so only the trap check rejects the set
+        graph = GameGraph(
+            (ALICE, BOB, ALICE, ALICE, ALICE),
+            ((0, 1, -1), (1, 0, -1), (0, 2, -100), (2, 3, -100), (3, 4, 100), (4, 3, 0)),
+        )
+        report = solve(graph)
+        assert report.energies == brute_force_energies(graph) == (200, 201, 100, 0, 0)
+        assert report.region.rounds == 3 and report.region.size == 0
+
+    def test_flooded_reduction_output_still_exact(self):
+        # an output whose input Alice wins: the primal's coarse list climbs its
+        # zero-total mixed-weight cycles to infinity, so nothing is certified
+        # and the guess loop solves the whole graph
+        graph = random_game(GenSpec("random", n=2, m=2, max_weight=2, seed=1))
+        reduced, _, _ = to_win_everywhere(graph, 1)
+        completed, _ = to_complete_bipartite(to_bipartite(reduced)[0])
+        report = solve(completed)
+        assert report.region.size == completed.n and not report.region.certified
+        assert report.guesses and report.energies == full_range(completed)
+        assert INF not in report.energies
+
+    def test_zero_cycle_family_matches_full_range(self):
+        outcomes = []
+        for seed in range(3):
+            graph = zero_cycle_game(seed)
+            reference = full_range(graph)
+            assert solve(graph).energies == reference
+            outcomes.append(reference.count(INF))
+        assert outcomes == [0, 100, 0]

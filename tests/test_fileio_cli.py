@@ -154,6 +154,15 @@ class TestCli:
         assert main(argv) == 0
         assert parse_energies(capsys.readouterr().out, 2) == (5, 0)
 
+    def test_solve_reports_the_losing_region(self, tmp_path, capsys):
+        path = tmp_path / "lost.eg"
+        path.write_text("p eg 2 2\nv 0 A\nv 1 B\ne 0 1 -1\ne 1 0 -1\n")
+        assert main(["solve", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert parse_energies(captured.out, 2) == (INF, INF)
+        assert "losing region: size=2 certified=yes rounds=1 updates=3\n" in captured.err
+        assert "guess" not in captured.err and "fallback=no" in captured.err
+
     def test_decide(self, tmp_path, capsys):
         game = self._write_fig1(tmp_path)
         assert main(["decide", game, "--node", "0"]) == 0
