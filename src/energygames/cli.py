@@ -7,11 +7,9 @@ Exit codes: 0 success, 1 usage or precondition error, 2 malformed input file,
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from fractions import Fraction
 
-from . import bench as bench_mod
 from .core import GameGraph, INF, eliminate_self_loops, validate
 from .exact import solve
 from .fileio import GameFileError, emit_energies, emit_game, parse_energies, parse_game
@@ -129,10 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--center-lo", type=int, help="window family: center range low end")
     p_gen.add_argument("--center-hi", type=int, help="window family: center range high end")
     p_gen.add_argument("--choices", type=int, help="penalty family: branch count")
-
-    p_bench = sub.add_parser("bench", help="run a measurement suite")
-    p_bench.add_argument("--suite", required=True, choices=sorted(bench_mod.SUITES))
-    p_bench.add_argument("--out", required=True, help="CSV output path")
 
     return parser
 
@@ -267,15 +261,6 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    rows = bench_mod.run_suite(args.suite)
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=bench_mod.CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-    return EXIT_OK
-
-
 _COMMANDS = {
     "solve": _cmd_solve,
     "approx": _cmd_approx,
@@ -285,7 +270,6 @@ _COMMANDS = {
     "penalty": _cmd_penalty,
     "reduce": _cmd_reduce,
     "gen": _cmd_gen,
-    "bench": _cmd_bench,
 }
 
 

@@ -221,6 +221,9 @@ def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[int] | None]:
     phases: list[PhaseRecord] = []
     primal_work = dual_work = 0
     rounds = 0
+    tried: list[int] | None = None  # the last S whose dual was built
+    dual: GameGraph | None = None
+    dual_cap = 0
     while True:
         rounds += 1
         granularity = max(1, bound // (2 * n))
@@ -230,19 +233,24 @@ def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[int] | None]:
         losing = [v for v in range(n) if primal.energies[v] == INF]
         if not losing:
             return RegionRecord(0, True, rounds, tuple(phases)), losing
-        dual = _trap_dual(graph, losing)
+        size = len(losing)
+        # The dual depends only on S, so for an unchanged S the ladder
+        # resumes at the first cap it has not tried.
+        if losing != tried:
+            tried = losing
+            dual = _trap_dual(graph, losing)
+            if dual is not None:
+                # A node's first update from 0 already reaches its one-step
+                # target, so caps below the largest target fail for certain.
+                floor = max(
+                    (min if dual.is_alice(u) else max)(-dual.edges[i][2] for i in dual.out_edges[u])
+                    for u in range(size)
+                )
+                dual_cap = size + 1
+                while dual_cap < floor:
+                    dual_cap *= 2
         if dual is not None:
-            size = len(losing)
             top = (size + 1) * bound
-            # A node's first update from 0 already reaches its one-step
-            # target, so caps below the largest target fail for certain.
-            floor = max(
-                (min if dual.is_alice(u) else max)(-dual.edges[i][2] for i in dual.out_edges[u])
-                for u in range(size)
-            )
-            dual_cap = size + 1
-            while dual_cap < floor:
-                dual_cap *= 2
             while dual_cap <= top:
                 dual_granularity = max(1, dual_cap // (2 * size))
                 result = solve_with_list(dual, multiples_list(dual_granularity, dual_cap))
@@ -312,7 +320,8 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | None = None) -> SolveRe
     dual is solved over caps D = k, 2k, ... up to k*M, k = |S| + 1, each over
     the multiples of max(1, D // 2|S|); caps below the largest one-step
     target of the dual are skipped, because a node's first update reaches
-    its target.  Then S is exactly the losing region:
+    its target, and so are caps an earlier round already tried on the same
+    S.  Then S is exactly the losing region:
 
     (a) the trap and the dual give Bob a strategy that keeps every play in S
         and makes every cycle negative, so S holds only losing nodes;

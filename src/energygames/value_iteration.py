@@ -19,7 +19,6 @@ loop then reads only those lists.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
 
@@ -33,7 +32,6 @@ class ViterResult:
     updates: tuple[int, ...]  # pop-updates per node
     steps: int  # list positions advanced, summed over all updates
     edge_work: int  # out- plus in-degree touched per update
-    wall_ms: float
 
     @property
     def total_updates(self) -> int:
@@ -46,7 +44,6 @@ def solve_with_list(graph: GameGraph, admissible: AdmissibleList) -> ViterResult
     Violating nodes are processed first in, first out; the final energies do
     not depend on the order.
     """
-    started = time.perf_counter()
     n = graph.n
     succ: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     pred: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -130,5 +127,4 @@ def solve_with_list(graph: GameGraph, admissible: AdmissibleList) -> ViterResult
                 pending.append(t)
                 queued[t] = True
 
-    wall_ms = (time.perf_counter() - started) * 1000.0
-    return ViterResult(tuple(e), tuple(updates), steps, edge_work, wall_ms)
+    return ViterResult(tuple(e), tuple(updates), steps, edge_work)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from energygames import INF, full_list, multiples_list, window_list
+from energygames import INF, full_list, multiples_list, solve_with_list, window_list
 from energygames.admissible import AdmissibleList
 from energygames.generators import GenSpec, multiples_game, windowed_game
 from energygames.oracle import brute_force_energies
@@ -107,6 +107,7 @@ class TestWindowList:
         assert list(window_list(centers, delta, n, bound).finite) == expected
 
     def test_oracle_energies_admissible_on_windowed_instances(self):
+        fewer_steps = 0
         for seed in range(40):
             spec = GenSpec(
                 family="window",
@@ -123,8 +124,16 @@ class TestWindowList:
             graph, centers = windowed_game(spec)
             bound = graph.default_bound()
             lst = window_list(list(centers), spec.delta, graph.n, bound)
-            for value in brute_force_energies(graph):
+            exact = brute_force_energies(graph)
+            for value in exact:
                 assert value in lst
+            windowed = solve_with_list(graph, lst)
+            full = solve_with_list(graph, full_list(bound))
+            assert windowed.energies == full.energies == exact
+            # the windowed list skips values the full list steps through
+            assert windowed.steps <= full.steps
+            fewer_steps += windowed.steps < full.steps
+        assert fewer_steps
 
 
 class TestMultiplesAdmissibility:

@@ -323,6 +323,17 @@ class TestLosingRegion:
         assert report.guesses and report.energies == full_range(completed)
         assert INF not in report.energies
 
+    def test_unchanged_region_resumes_the_dual_ladder(self):
+        # S keeps the same 74 nodes from round 3 to round 5, so each of those
+        # rounds starts the dual at the first cap it has not tried yet
+        graph = random_game(GenSpec("random", 96, 384, 1000, 4039238161212164089))
+        report = solve(graph)
+        region = report.region
+        assert region.certified and region.size == 74 and region.rounds == 5
+        duals = [(p.nodes, p.bound) for p in region.phases if p.nodes == region.size]
+        assert duals == [(74, 76_800), (74, 153_600), (74, 307_200), (74, 614_400)]
+        assert report.energies == full_range(graph)
+
     def test_zero_cycle_family_matches_full_range(self):
         outcomes = []
         for seed in range(3):

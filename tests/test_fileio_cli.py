@@ -329,31 +329,9 @@ class TestCli:
         game = self._write_fig1(tmp_path)
         assert main(["approx", game, "--error", "1"]) == 1
 
-    def test_bench_writes_csv(self, tmp_path):
-        out = str(tmp_path / "bench.csv")
-        assert main(["bench", "--suite", "window", "--out", out]) == 0
-        with open(out) as handle:
-            header = handle.readline().strip().split(",")
-        assert header[:4] == ["suite", "family", "params", "algorithm"]
-
-
-class TestBenchSuites:
-    def test_all_suites_run_and_sort_rows(self):
-        from energygames.bench import SUITES, run_suite
-
-        for name in SUITES:
-            rows = run_suite(name)
-            assert rows == sorted(rows, key=lambda r: (str(r["params"]), str(r["algorithm"])))
-            assert all(int(r["node_updates"]) >= 0 for r in rows)
-
-    def test_weight_sweep_separation_visible(self):
-        from energygames.bench import weight_sweep_suite
-
-        rows = weight_sweep_suite(choices=4, seed=5, weights=(16, 256))
-        baseline = {  # params -> list_steps
-            r["params"]: int(r["list_steps"])
-            for r in rows
-            if r["algorithm"] == "value-iteration-full"
-        }
-        steps = sorted(baseline.values())
-        assert steps[1] >= 8 * steps[0]
+    def test_bench_subcommand_removed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--suite", "wsweep", "--out", str(tmp_path / "sweep.csv")])
+        assert err.value.code == 1
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
