@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage or precondition error, 2 malformed input file,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -67,6 +68,7 @@ def _penalty_str(value) -> str:
     return "inf" if value == INF else str(value)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="energygames", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -143,11 +145,9 @@ def _cmd_solve(args) -> int:
     )
     for guess in report.guesses:
         status = "accepted" if guess.accepted else "rejected"
-        detail = guess.contract_error or (
-            f"verified={guess.verified} infinite_consistent={guess.infinite_consistent}"
-        )
         print(
-            f"guess c={guess.error_budget} D={guess.penalty_guess}: {status} ({detail})",
+            f"guess c={guess.error_budget} D={guess.penalty_guess}: {status} "
+            f"(verified={guess.verified} infinite_consistent={guess.infinite_consistent})",
             file=sys.stderr,
         )
     print(

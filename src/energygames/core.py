@@ -215,6 +215,7 @@ def apply_potential(graph: GameGraph, e: EnergyFn) -> PotentialTransform:
     kept = [v for v in range(graph.n) if e[v] != INF]
     new_index = {old: new for new, old in enumerate(kept)}
     edges: list[Edge] = []
+    has_successor = [False] * graph.n
     for src, dst, weight in graph.edges:
         if e[src] == INF:
             continue
@@ -224,11 +225,12 @@ def apply_potential(graph: GameGraph, e: EnergyFn) -> PotentialTransform:
                     f"Bob node {src} has finite energy but successor {dst} does not"
                 )
             continue
+        has_successor[src] = True
         edges.append((new_index[src], new_index[dst], weight + e[src] - e[dst]))
-    sub = GameGraph(tuple(graph.owners[v] for v in kept), tuple(edges))
-    for new, old in enumerate(kept):
-        if graph.is_alice(old) and sub.out_degree(new) == 0:
+    for old in kept:
+        if not has_successor[old] and graph.is_alice(old):
             raise PotentialContractError(
                 f"Alice node {old} has finite energy but no finite-energy successor"
             )
+    sub = GameGraph(tuple(graph.owners[v] for v in kept), tuple(edges))
     return PotentialTransform(sub, tuple(kept), tuple(e[v] for v in kept))

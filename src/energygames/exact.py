@@ -57,12 +57,11 @@ class GuessRecord:
     penalty_guess: Fraction  # D_k = c_k / n
     verified: bool
     infinite_consistent: bool
-    contract_error: str | None
     phases: tuple[PhaseRecord, ...]
 
     @property
     def accepted(self) -> bool:
-        return self.contract_error is None and self.verified and self.infinite_consistent
+        return self.verified and self.infinite_consistent
 
 
 @dataclass(frozen=True)
@@ -109,18 +108,28 @@ class SolveReport:
 
 
 def _value_iteration_phase(
-    n: int, bound: int, result: ViterResult, granularity: int | None = None
+    n: int, bound: int, result: ViterResult, granularity: int | None = None,
+    error_budget: int | None = None, dropped: int = 0,
 ) -> PhaseRecord:
     return PhaseRecord(
         nodes=n,
         bound=bound,
-        error_budget=None,
+        error_budget=error_budget,
         granularity=granularity,
         updates=result.total_updates,
         steps=result.steps,
         edge_work=result.edge_work,
-        dropped=0,
+        dropped=dropped,
     )
+
+
+def _coarse_step(graph: GameGraph, cap: int, phases: list[PhaseRecord]) -> ViterResult:
+    """Value iteration over the multiples of max(1, cap // 2n) up to ``cap``;
+    appends its record to ``phases``."""
+    granularity = max(1, cap // (2 * graph.n))
+    result = solve_with_list(graph, multiples_list(granularity, cap))
+    phases.append(_value_iteration_phase(graph.n, cap, result, granularity))
+    return result
 
 
 def minimal_energy_with_penalty_bound(
@@ -132,8 +141,7 @@ def minimal_energy_with_penalty_bound(
     caps the finite minimal energies.
 
     When either assumption is wrong the result may be wrong and must be
-    checked by the caller (see :func:`solve`); a violated potential-transform
-    contract surfaces as PotentialContractError.
+    checked by the caller (see :func:`solve`).
     """
     floor = Fraction(penalty_floor)
     if floor < 1:
@@ -165,18 +173,8 @@ def _solve_level(
         budget = (n * floor.numerator) // floor.denominator
     approx = approximate_energies(graph, bound, budget)
     transform = apply_potential(graph, approx.energies)
-    phases.append(
-        PhaseRecord(
-            nodes=n,
-            bound=bound,
-            error_budget=budget,
-            granularity=approx.granularity,
-            updates=approx.viter.total_updates,
-            steps=approx.viter.steps,
-            edge_work=approx.viter.edge_work,
-            dropped=n - len(transform.kept),
-        )
-    )
+    dropped = n - len(transform.kept)
+    phases.append(_value_iteration_phase(n, bound, approx.viter, approx.granularity, budget, dropped))
     residual = _solve_level(transform.graph, budget, floor, phases)
     return transform.lift(residual, n)
 
@@ -189,25 +187,26 @@ def _trap_dual(graph: GameGraph, losing: list[int]) -> GameGraph | None:
     k = |S| + 1.  A finite dual energy everywhere is a Bob strategy inside S
     under which every cycle has k*T + L <= 0 for its total T and length
     1 <= L <= |S|, that is T < 0.
+
+    The trap test is :func:`apply_potential`'s contract on the owner-swapped
+    game with potential 0 on S and infinity elsewhere: with the owners
+    swapped, "no finite Bob node has an edge out of S" says that Alice cannot
+    leave S, and "every finite Alice node keeps a successor in S" says that
+    every Bob node of S can stay.  The kept subgame, in ascending node order
+    with its weights unchanged by the zero potential, is the dual.
     """
-    index = {v: i for i, v in enumerate(losing)}
-    stays = [False] * len(losing)
     k = len(losing) + 1
-    edges = []
-    for src, dst, weight in graph.edges:
-        i = index.get(src)
-        if i is None:
-            continue
-        j = index.get(dst)
-        if j is None:
-            if graph.is_alice(src):
-                return None  # Alice can leave S
-            continue
-        stays[i] = True
-        edges.append((i, j, -(k * weight + 1)))
-    if not all(stays):
-        return None  # a Bob node cannot stay in S
-    return GameGraph(tuple(opponent(graph.owners[v]) for v in losing), tuple(edges))
+    swapped = GameGraph(
+        tuple(opponent(owner) for owner in graph.owners),
+        tuple((src, dst, -(k * weight + 1)) for src, dst, weight in graph.edges),
+    )
+    potential = [INF] * graph.n
+    for v in losing:
+        potential[v] = 0
+    try:
+        return apply_potential(swapped, tuple(potential)).graph
+    except PotentialContractError:
+        return None
 
 
 def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[int] | None]:
@@ -226,9 +225,7 @@ def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[int] | None]:
     dual_cap = 0
     while True:
         rounds += 1
-        granularity = max(1, bound // (2 * n))
-        primal = solve_with_list(graph, multiples_list(granularity, bound))
-        phases.append(_value_iteration_phase(n, bound, primal, granularity))
+        primal = _coarse_step(graph, bound, phases)
         primal_work += primal.edge_work
         losing = [v for v in range(n) if primal.energies[v] == INF]
         if not losing:
@@ -252,9 +249,7 @@ def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[int] | None]:
         if dual is not None:
             top = (size + 1) * bound
             while dual_cap <= top:
-                dual_granularity = max(1, dual_cap // (2 * size))
-                result = solve_with_list(dual, multiples_list(dual_granularity, dual_cap))
-                phases.append(_value_iteration_phase(size, dual_cap, result, dual_granularity))
+                result = _coarse_step(dual, dual_cap, phases)
                 if INF not in result.energies:
                     return RegionRecord(size, True, rounds, tuple(phases)), losing
                 dual_work += result.edge_work
@@ -283,25 +278,16 @@ def _guess_loop(
     while budget >= 2 * n:
         guess = Fraction(budget, n)
         phases: list[PhaseRecord] = []
-        contract_error: str | None = None
-        energies: EnergyFn | None = None
-        try:
-            energies = _solve_level(graph, cap, guess, phases)
-        except PotentialContractError as exc:
-            contract_error = str(exc)
-        verified = energies is not None and verify_minimal(graph, energies)
-        consistent = energies is not None and energies.count(INF) == phases[0].dropped
+        energies = _solve_level(graph, cap, guess, phases)
         record = GuessRecord(
             error_budget=budget,
             penalty_guess=guess,
-            verified=verified,
-            infinite_consistent=consistent,
-            contract_error=contract_error,
+            verified=verify_minimal(graph, energies),
+            infinite_consistent=energies.count(INF) == phases[0].dropped,
             phases=tuple(phases),
         )
         guesses.append(record)
         if record.accepted:
-            assert energies is not None
             return energies, cap, tuple(guesses), None
         budget >>= 1
     result = solve_with_list(graph, full_list(cap))
@@ -351,7 +337,10 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | None = None) -> SolveRe
         its values are the rounded game's energies, lower bounds, so the
         lifted result is at most e*;
     (iii) passing :func:`verify_minimal` gives at least e*.
-    A bound below n*W would break (i), so none is taken.
+    A bound below n*W would break (i), so none is taken.  No guess can raise
+    PotentialContractError: each level's approximation is a fixed point of
+    the rounded game, which keeps the level's edges, so it meets the
+    contract of :func:`apply_potential`.
     """
     started = time.perf_counter()
     if penalty is not None and penalty < 1:

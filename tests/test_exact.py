@@ -20,6 +20,7 @@ from energygames import (
 from energygames.exact import (
     _losing_region,
     _solve_level,
+    _trap_dual,
     minimal_energy_with_penalty_bound,
     solve,
 )
@@ -310,6 +311,26 @@ class TestLosingRegion:
         report = solve(graph)
         assert report.energies == brute_force_energies(graph) == (200, 201, 100, 0, 0)
         assert report.region.rounds == 3 and report.region.size == 0
+
+    def test_trap_dual_rejects_a_set_alice_can_leave(self):
+        graph = GameGraph((ALICE, BOB, ALICE), ((0, 1, 1), (1, 0, 2), (0, 2, 0), (2, 0, 0)))
+        assert _trap_dual(graph, [0, 1]) is None
+
+    def test_trap_dual_rejects_a_bob_node_that_must_leave(self):
+        graph = GameGraph((BOB, BOB, ALICE), ((0, 1, 1), (1, 2, 2), (2, 0, 0)))
+        assert _trap_dual(graph, [0, 1]) is None
+
+    def test_trap_dual_swaps_owners_and_reweights(self):
+        # S = [1, 3]: Bob's node 1 can stay (to 3) though it can also leave
+        # (to 2); Alice's node 3 cannot leave; node 0 enters S from outside
+        graph = GameGraph(
+            (ALICE, BOB, ALICE, ALICE),
+            ((0, 1, 5), (3, 1, -2), (1, 2, 7), (1, 3, 4), (2, 3, 0), (3, 1, 6)),
+        )
+        # k = |S| + 1 = 3, each kept weight w becomes -(3w + 1)
+        assert _trap_dual(graph, [1, 3]) == GameGraph(
+            (ALICE, BOB), ((1, 0, 5), (0, 1, -13), (1, 0, -19))
+        )
 
     def test_flooded_reduction_output_still_exact(self):
         # an output whose input Alice wins: the primal's coarse list climbs its

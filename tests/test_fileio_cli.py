@@ -1,9 +1,11 @@
+import re
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from energygames import ALICE, BOB, INF, GameGraph
-from energygames.cli import main
+from energygames.cli import build_parser, main
 from energygames.fileio import (
     GameFileError,
     emit_energies,
@@ -270,6 +272,35 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             main(["solve"])  # missing game path
         assert err.value.code == 1
+
+    def test_repeated_calls_share_one_parser(self, tmp_path, capsys):
+        # one process, one parser: a usage error between calls must not change
+        # what a later call parses, prints or returns
+        game = self._write_fig1(tmp_path)
+        calls = [
+            ["solve", game],
+            ["solve", game, "--bound", "2"],
+            ["approx", game, "--error", "3"],
+            ["solve", game],
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, re.sub(r"wall_ms=\S+", "", captured.err)
+
+        first = []
+        for argv in calls:
+            build_parser.cache_clear()
+            first.append(run(argv))
+        build_parser.cache_clear()
+        assert [run(argv) for argv in calls] == first
+        assert build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in first] == [0, 1, 0, 0]
+        assert first[0] == first[3]
 
     def test_gen_roundtrip_byte_identical(self, tmp_path, capsys):
         out = str(tmp_path / "gen.eg")
