@@ -4,7 +4,11 @@ Given a lower bound D on the game's penalty and an upper bound M on its
 finite minimal energies, one round of the rounding approximation solves the
 game to within half the bound; subtracting the approximation as a potential
 yields a residual game with the same penalty and half the bound.  Iterating
-reaches a trivially small bound, where plain value iteration finishes.
+reaches a trivially small bound, where plain value iteration finishes.  The
+residual games are never built as graphs: a level is the summed potential and
+a granularity, passed to the kernel as a weight list on the graph it was
+given, and only a level that finds infinite nodes builds a smaller graph
+without them (see :func:`_solve_level`).
 
 The driver does not know the penalty: on the a-priori bound M = n*W it
 guesses decreasing lower bounds, runs the recursion and keeps a result only
@@ -29,11 +33,12 @@ from .core import (
     EnergyFn,
     GameGraph,
     PotentialContractError,
+    PotentialTransform,
     apply_potential,
     opponent,
     verify_minimal,
 )
-from .rounding import approximate_energies
+from .rounding import _rounded_weights
 from .value_iteration import ViterResult, solve_with_list
 
 
@@ -154,29 +159,54 @@ def minimal_energy_with_penalty_bound(
 def _solve_level(
     graph: GameGraph, bound: int, floor: Fraction, phases: list[PhaseRecord]
 ) -> EnergyFn:
-    """The recursion behind :func:`minimal_energy_with_penalty_bound`; appends
-    one record per level to ``phases``."""
-    n = graph.n
-    if n == 0:
-        return ()
-    if floor >= Fraction(bound, 2 * n):
-        if bound <= n:
-            result = solve_with_list(graph, full_list(n))
-            phases.append(_value_iteration_phase(n, bound, result))
-            return result.energies
-        # Halving step; the approximation rejects budgets below n, so small
-        # odd bounds are clamped up (still within n * floor).
-        budget = max(bound // 2, n)
-    else:
-        # One coarse step brings the bound down to n*D, after which the
-        # halving regime applies all the way down.
-        budget = (n * floor.numerator) // floor.denominator
-    approx = approximate_energies(graph, bound, budget)
-    transform = apply_potential(graph, approx.energies)
-    dropped = n - len(transform.kept)
-    phases.append(_value_iteration_phase(n, bound, approx.viter, approx.granularity, budget, dropped))
-    residual = _solve_level(transform.graph, budget, floor, phases)
-    return transform.lift(residual, n)
+    """The recursion behind :func:`minimal_energy_with_penalty_bound`, run as
+    a loop over the levels of one graph; appends one record per level to
+    ``phases``.
+
+    A level is a potential pi, the sum of the approximations so far, and a
+    granularity B.  Its rounded game keeps the edges of ``graph`` with the
+    weights round_up(w(u,v) + pi(u) - pi(v), B), which is the game that
+    applying pi with :func:`apply_potential` and rounding would build, so the
+    kernel reuses the graph's adjacency.  After the kernel, pi grows by its
+    result e.  Only a level that makes some node infinite applies pi, to drop
+    those nodes; the loop goes on with the kept subgraph and pi = 0.  The
+    result is pi plus the base case's energies, lifted back through the
+    recorded transforms.
+    """
+    transforms: list[tuple[PotentialTransform, int]] = []
+    potential = [0] * graph.n
+    energies: EnergyFn = ()  # an empty graph ends the loop
+    while graph.n:
+        n = graph.n
+        if floor >= Fraction(bound, 2 * n):
+            if bound <= n:
+                weights = _rounded_weights(graph, potential, 1)  # B = 1 rounds nothing
+                result = solve_with_list(graph, full_list(n), weights)
+                phases.append(_value_iteration_phase(n, bound, result))
+                energies = tuple(e + p for e, p in zip(result.energies, potential))
+                break
+            # Halving step; a budget below n would give B = 0, so small odd
+            # bounds are clamped up (still within n * floor).
+            budget = max(bound // 2, n)
+        else:
+            # One coarse step brings the bound down to n*D, after which the
+            # halving regime applies all the way down.
+            budget = (n * floor.numerator) // floor.denominator
+        granularity = budget // n
+        weights = _rounded_weights(graph, potential, granularity)
+        result = solve_with_list(graph, multiples_list(granularity, bound), weights)
+        dropped = result.energies.count(INF)
+        phases.append(_value_iteration_phase(n, bound, result, granularity, budget, dropped))
+        potential = [p + e for p, e in zip(potential, result.energies)]
+        if dropped:
+            transform = apply_potential(graph, tuple(potential))
+            transforms.append((transform, n))
+            graph = transform.graph
+            potential = [0] * graph.n
+        bound = budget
+    for transform, n in reversed(transforms):
+        energies = transform.lift(energies, n)
+    return energies
 
 
 def _trap_dual(graph: GameGraph, losing: list[int]) -> GameGraph | None:

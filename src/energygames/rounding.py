@@ -6,20 +6,29 @@ every node's penalty is at least B (every negative cycle Bob can force has
 average weight <= -B), the rounded game keeps all those cycles negative and
 the loss is at most B per edge of a simple path: the true energies exceed the
 rounded ones by at most n*B.  Solving the rounded game is cheap because its
-energies are multiples of B.
+energies are multiples of B.  The solver takes the rounded weights as a list
+on the input graph, so it reuses that graph's adjacency; only
+:func:`round_weights` builds the rounded game as a graph.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .admissible import multiples_list
-from .core import Edge, EnergyFn, GameGraph
+from .core import EnergyFn, GameGraph
 from .value_iteration import ViterResult, solve_with_list
 
 
-def _round_up(weight: int, granularity: int) -> int:
-    return -((-weight) // granularity) * granularity
+def _rounded_weights(graph: GameGraph, potential: Sequence[int], granularity: int) -> list[int]:
+    """The weights round_up(w(u,v) + pi(u) - pi(v), B) in edge-list order:
+    the rounded game of ``graph`` re-weighted by the potential pi.  B = 1
+    rounds nothing."""
+    return [
+        -((potential[dst] - potential[src] - weight) // granularity) * granularity
+        for src, dst, weight in graph.edges
+    ]
 
 
 @dataclass(frozen=True)
@@ -39,10 +48,9 @@ def round_weights(graph: GameGraph, granularity: int) -> RoundedGame:
     """
     if granularity < 1:
         raise ValueError("granularity must be positive")
-    rounded: tuple[Edge, ...] = tuple(
-        (src, dst, _round_up(weight, granularity)) for src, dst, weight in graph.edges
-    )
-    return RoundedGame(graph, granularity, GameGraph(graph.owners, rounded))
+    rounded = _rounded_weights(graph, [0] * graph.n, granularity)
+    edges = tuple((src, dst, w) for (src, dst, _), w in zip(graph.edges, rounded))
+    return RoundedGame(graph, granularity, GameGraph(graph.owners, edges))
 
 
 @dataclass(frozen=True)
@@ -72,6 +80,6 @@ def approximate_energies(graph: GameGraph, bound: int, error_budget: int) -> App
             f"error budget {error_budget} is below the node count {graph.n}"
         )
     granularity = error_budget // graph.n
-    rounded = round_weights(graph, granularity).graph
-    result = solve_with_list(rounded, multiples_list(granularity, bound))
+    rounded = _rounded_weights(graph, [0] * graph.n, granularity)
+    result = solve_with_list(graph, multiples_list(granularity, bound), rounded)
     return ApproxResult(energies=result.energies, granularity=granularity, viter=result)

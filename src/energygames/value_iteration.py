@@ -12,17 +12,20 @@ Every update strictly increases the updated node and never overshoots the
 true minimal energy as long as the list is admissible, so the final energies
 are exactly minimal.
 
-Each call makes one pass over the edge list, building per-node successor and
-predecessor lists that carry the weights and seeding the counters; the update
-loop then reads only those lists.
+The successor and predecessor lists are built once per graph (see
+``GameGraph._adjacency``) and carry edge indices, not weights: a call takes
+the weights as a list in edge-list order, so callers that re-weight one graph
+many times, as the exact solver's recursion does, pay no rebuild.  Each call
+makes one pass over that list to seed the counters.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .core import INF, Energy, EnergyFn, GameGraph
+from .core import ALICE, INF, Energy, EnergyFn, GameGraph
 from .admissible import AdmissibleList
 
 
@@ -38,34 +41,34 @@ class ViterResult:
         return sum(self.updates)
 
 
-def solve_with_list(graph: GameGraph, admissible: AdmissibleList) -> ViterResult:
+def solve_with_list(
+    graph: GameGraph, admissible: AdmissibleList, weights: Sequence[int] | None = None
+) -> ViterResult:
     """Compute the minimal energies of ``graph`` given an admissible list.
 
-    Violating nodes are processed first in, first out; the final energies do
-    not depend on the order.
+    ``weights`` replaces the edge weights, one per edge in edge-list order;
+    by default the graph's own.  Violating nodes are processed first in,
+    first out; the final energies do not depend on the order.
     """
     n = graph.n
-    succ: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    pred: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    succ, pred = graph._adjacency
+    if weights is None:
+        weights = [weight for _, _, weight in graph.edges]
+    elif len(weights) != graph.m:
+        raise ValueError(f"{len(weights)} weights for {graph.m} edges")
     # Every node starts at the smallest value, where an edge (u,v,w) satisfies
     # e(u) + w >= e(v) iff w >= 0: count[u] is the number of such edges.
     count = [0] * n
-    for src, dst, weight in graph.edges:
-        if src == dst:
-            raise ValueError("self-loops must be eliminated before value iteration")
-        succ[src].append((dst, weight))
-        pred[dst].append((src, weight))
+    for (src, _, _), weight in zip(graph.edges, weights):
         if weight >= 0:
             count[src] += 1
-    if not all(succ):
-        raise ValueError("every node needs an out-edge before value iteration")
 
     base = admissible.smallest
     index_at_least = admissible.index_at_least
     value_at = admissible.value_at
     e: list[Energy] = [base] * n
     pos = [index_at_least(base)] * n
-    is_alice = [graph.is_alice(v) for v in range(n)]
+    is_alice = [owner == ALICE for owner in graph.owners]
 
     pending: deque[int] = deque()
     queued = [False] * n
@@ -88,14 +91,14 @@ def solve_with_list(graph: GameGraph, admissible: AdmissibleList) -> ViterResult
         # Explicit loops: about 15% faster than min/max over a built list.
         if alice:
             target = INF
-            for v, w in out:
-                x = e[v] - w
+            for v, i in out:
+                x = e[v] - weights[i]
                 if x < target:
                     target = x
         else:
             target = -INF
-            for v, w in out:
-                x = e[v] - w
+            for v, i in out:
+                x = e[v] - weights[i]
                 if x > target:
                     target = x
         new_pos = index_at_least(target)
@@ -109,12 +112,12 @@ def solve_with_list(graph: GameGraph, admissible: AdmissibleList) -> ViterResult
         edge_work += len(out) + len(inc)
         if alice:
             c = 0
-            for v, w in out:
-                if new + w >= e[v]:
+            for v, i in out:
+                if new + weights[i] >= e[v]:
                     c += 1
             count[u] = c
-        for t, weight in inc:
-            held = e[t] + weight
+        for t, i in inc:
+            held = e[t] + weights[i]
             if held >= new:
                 continue
             if is_alice[t]:

@@ -7,6 +7,7 @@ from energygames import (
     BOB,
     INF,
     GameGraph,
+    approximate_energies,
     apply_potential,
     brute_force_energies,
     brute_force_penalty,
@@ -18,6 +19,7 @@ from energygames import (
     verify_minimal,
 )
 from energygames.exact import (
+    PhaseRecord,
     _losing_region,
     _solve_level,
     _trap_dual,
@@ -80,6 +82,61 @@ class TestPenaltyBoundRecursion:
             exact = brute_force_energies(graph)
             got = minimal_energy_with_penalty_bound(graph, graph.default_bound(), floor)
             assert got == exact
+
+
+def _phase(n, bound, viter, granularity=None, budget=None, dropped=0):
+    return PhaseRecord(
+        nodes=n, bound=bound, error_budget=budget, granularity=granularity,
+        updates=viter.total_updates, steps=viter.steps, edge_work=viter.edge_work,
+        dropped=dropped,
+    )
+
+
+def reference_level(graph, bound, floor, phases):
+    """The recursion as the paper states it, from public functions only:
+    approximate, apply the result as a potential, recurse, lift."""
+    n = graph.n
+    if n == 0:
+        return ()
+    if floor >= Fraction(bound, 2 * n):
+        if bound <= n:
+            result = solve_with_list(graph, full_list(n))
+            phases.append(_phase(n, bound, result))
+            return result.energies
+        budget = max(bound // 2, n)
+    else:
+        budget = n * floor.numerator // floor.denominator
+    approx = approximate_energies(graph, bound, budget)
+    transform = apply_potential(graph, approx.energies)
+    dropped = n - len(transform.kept)
+    phases.append(_phase(n, bound, approx.viter, approx.granularity, budget, dropped))
+    return transform.lift(reference_level(transform.graph, budget, floor, phases), n)
+
+
+class TestLevelLoop:
+    def test_matches_the_reference_recursion_at_every_guess(self):
+        # every budget the guess loop tries, on the graph it solves: what is
+        # left once the certified losing region is dropped
+        runs = first_drops = deeper_drops = 0
+        for seed in range(500):
+            original = graph = small_random(seed)
+            _, losing = _losing_region(graph)
+            if losing:
+                drop = [0] * graph.n
+                for v in losing:
+                    drop[v] = INF
+                graph = apply_potential(graph, tuple(drop)).graph
+            for guess in solve(original).guesses:
+                mine, theirs = [], []
+                bound = graph.default_bound()
+                energies = _solve_level(graph, bound, guess.penalty_guess, mine)
+                assert energies == reference_level(graph, bound, guess.penalty_guess, theirs)
+                assert mine == theirs and tuple(mine) == guess.phases
+                runs += 1
+                first_drops += mine[0].dropped > 0
+                deeper_drops += any(p.dropped for p in mine[1:])
+        # the apply_potential path runs, at the first level and deeper
+        assert (runs, first_drops, deeper_drops) == (205, 3, 16)
 
 
 class TestPotentialRecursionProperties:

@@ -86,14 +86,36 @@ class TestSolveWithList:
 
     def test_self_loops_rejected(self):
         graph = GameGraph((ALICE,), ((0, 0, 1),))
-        with pytest.raises(ValueError):
-            solve_with_list(graph, full_list(1))
+        for _ in range(2):  # the graph caches its adjacency, but not a failure
+            with pytest.raises(ValueError, match="self-loops"):
+                solve_with_list(graph, full_list(1))
 
     @pytest.mark.parametrize("owners", [(ALICE, BOB), (BOB, ALICE)])
     def test_sinks_rejected(self, owners):
         graph = GameGraph(owners, ((1, 0, -1),))
-        with pytest.raises(ValueError, match="out-edge"):
-            solve_with_list(graph, full_list(2))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="out-edge"):
+                solve_with_list(graph, full_list(2))
+
+    def test_weights_act_as_the_edge_weights(self):
+        # Calls on one graph share its cached adjacency, so each must equal
+        # the call on a fresh graph that carries its weights: no state from
+        # an earlier call's weights may leak into the next.
+        for seed in range(60):
+            graph = small_random(seed)
+            shifted = [3 * w - seed % 7 for _, _, w in graph.edges]
+            negated = [-w for _, _, w in graph.edges]
+            lst = full_list(graph.n * max(map(abs, shifted + negated)))
+            for weights in (shifted, None, negated, shifted):
+                own = [w for _, _, w in graph.edges] if weights is None else weights
+                fresh = GameGraph(
+                    graph.owners, tuple((s, d, w) for (s, d, _), w in zip(graph.edges, own))
+                )
+                assert solve_with_list(graph, lst, weights) == solve_with_list(fresh, lst)
+
+    def test_weights_need_one_per_edge(self, fig1):
+        with pytest.raises(ValueError, match="5 weights for 6 edges"):
+            solve_with_list(fig1, full_list(24), [0] * 5)
 
     def test_steps_account_for_list_positions(self, fig1):
         result = solve_with_list(fig1, full_list(24))
