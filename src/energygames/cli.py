@@ -144,12 +144,8 @@ def _cmd_solve(args) -> int:
         file=sys.stderr,
     )
     for guess in report.guesses:
-        status = "accepted" if guess.accepted else "rejected"
-        print(
-            f"guess c={guess.error_budget} D={guess.penalty_guess}: {status} "
-            f"(verified={guess.verified} infinite_consistent={guess.infinite_consistent})",
-            file=sys.stderr,
-        )
+        status = "accepted" if guess.accepted else f"rejected at level {len(guess.phases)}"
+        print(f"guess c={guess.error_budget} D={guess.penalty_guess}: {status}", file=sys.stderr)
     print(
         f"fallback={'yes' if report.fallback_used else 'no'} "
         f"updates={report.total_updates} list_steps={report.total_steps} "

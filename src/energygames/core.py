@@ -177,12 +177,6 @@ def eliminate_self_loops(graph: GameGraph) -> GameGraph:
     return GameGraph(tuple(owners), tuple(edges + appended))
 
 
-def _targets(graph: GameGraph, e: EnergyFn, node: int):
-    for i in graph.out_edges[node]:
-        _, dst, weight = graph.edges[i]
-        yield max(e[dst] - weight, 0)
-
-
 def verify_minimal(graph: GameGraph, e: EnergyFn) -> bool:
     """Check the local fixed-point equations of the minimal energy function.
 
@@ -190,13 +184,21 @@ def verify_minimal(graph: GameGraph, e: EnergyFn) -> bool:
     out-edges (u,v) of max(e(v) - w(u,v), 0), with infinity absorbing the
     subtraction.  The minimal energy function always satisfies the equations;
     so do some inflated functions (the all-infinite function among them), so a
-    passing check alone does not certify minimality.
+    passing check alone does not certify minimality.  Raises ValueError when a
+    node has no out-edge.
     """
-    for node in range(graph.n):
-        pick = min if graph.is_alice(node) else max
-        if e[node] != pick(_targets(graph, e, node)):
-            return False
-    return True
+    alice = [owner == ALICE for owner in graph.owners]
+    best: list[Energy | None] = [None] * graph.n
+    for src, dst, weight in graph.edges:
+        target = e[dst] - weight
+        if target < 0:
+            target = 0
+        current = best[src]
+        if current is None or (target < current if alice[src] else target > current):
+            best[src] = target
+    if None in best:
+        raise ValueError("every node needs an out-edge to check the fixed-point equations")
+    return list(e) == best
 
 
 @dataclass(frozen=True)

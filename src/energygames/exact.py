@@ -7,13 +7,13 @@ yields a residual game with the same penalty and half the bound.  Iterating
 reaches a trivially small bound, where plain value iteration finishes.  The
 residual games are never built as graphs: a level is the summed potential and
 a granularity, passed to the kernel as a weight list on the graph it was
-given, and only a level that finds infinite nodes builds a smaller graph
-without them (see :func:`_solve_level`).
+given.  Only the first level may drop infinite nodes, by building a smaller
+graph; a later level that finds one refutes D (see :func:`_solve_level`).
 
 The driver does not know the penalty: on the a-priori bound M = n*W it
-guesses decreasing lower bounds, runs the recursion and keeps a result only
-when a check that is exact on that bound passes (see :func:`solve`).  A wrong
-guess, the caller's included, costs time but never changes the answer.
+guesses decreasing lower bounds and keeps the first result that no level
+below the first refutes, a rule that is exact on that bound (see :func:`solve`).
+A wrong guess, the caller's included, costs time but never changes the answer.
 
 Losing nodes would climb to n*W in every guess, so before the guess loop
 :func:`solve` finds the losing region under small caps, certifies it by a trap
@@ -60,13 +60,8 @@ class PhaseRecord:
 class GuessRecord:
     error_budget: int  # c_k
     penalty_guess: Fraction  # D_k = c_k / n
-    verified: bool
-    infinite_consistent: bool
-    phases: tuple[PhaseRecord, ...]
-
-    @property
-    def accepted(self) -> bool:
-        return self.verified and self.infinite_consistent
+    accepted: bool  # no level below the first found an infinite node
+    phases: tuple[PhaseRecord, ...]  # a rejected guess ends at its refuting level
 
 
 @dataclass(frozen=True)
@@ -145,20 +140,25 @@ def minimal_energy_with_penalty_bound(
     """Minimal energies assuming ``penalty_floor`` <= P(G,w) and ``bound``
     caps the finite minimal energies.
 
-    When either assumption is wrong the result may be wrong and must be
-    checked by the caller (see :func:`solve`).
+    When ``bound`` caps the finite minimal energies, a returned result is
+    exact for any floor >= 1, and a floor the run refutes raises ValueError
+    (see :func:`solve`).  A ``bound`` that is too small can still give a
+    wrong answer.
     """
     floor = Fraction(penalty_floor)
     if floor < 1:
         raise ValueError("the penalty lower bound must be at least 1")
     if bound < 0:
         raise ValueError("the energy bound must be non-negative")
-    return _solve_level(graph, bound, floor, [])
+    energies = _solve_level(graph, bound, floor, [])
+    if energies is None:
+        raise ValueError("a level below the first refuted the penalty floor or the bound")
+    return energies
 
 
 def _solve_level(
     graph: GameGraph, bound: int, floor: Fraction, phases: list[PhaseRecord]
-) -> EnergyFn:
+) -> EnergyFn | None:
     """The recursion behind :func:`minimal_energy_with_penalty_bound`, run as
     a loop over the levels of one graph; appends one record per level to
     ``phases``.
@@ -168,45 +168,47 @@ def _solve_level(
     weights round_up(w(u,v) + pi(u) - pi(v), B), which is the game that
     applying pi with :func:`apply_potential` and rounding would build, so the
     kernel reuses the graph's adjacency.  After the kernel, pi grows by its
-    result e.  Only a level that makes some node infinite applies pi, to drop
-    those nodes; the loop goes on with the kept subgraph and pi = 0.  The
-    result is pi plus the base case's energies, lifted back through the
-    recorded transforms.
+    result e.  Only the first level may make nodes infinite: it applies pi to
+    drop them, and the loop goes on with the kept subgraph and pi = 0.  Any
+    later level that makes a node infinite, the base case included, refutes
+    the floor, and the loop returns None.  Otherwise the result is pi, lifted
+    back through the first level's transform if it dropped nodes.
     """
-    transforms: list[tuple[PotentialTransform, int]] = []
+    original_n = graph.n
+    transform: PotentialTransform | None = None
     potential = [0] * graph.n
-    energies: EnergyFn = ()  # an empty graph ends the loop
+    first = True
     while graph.n:
         n = graph.n
-        if floor >= Fraction(bound, 2 * n):
-            if bound <= n:
-                weights = _rounded_weights(graph, potential, 1)  # B = 1 rounds nothing
-                result = solve_with_list(graph, full_list(n), weights)
-                phases.append(_value_iteration_phase(n, bound, result))
-                energies = tuple(e + p for e, p in zip(result.energies, potential))
-                break
+        if floor < Fraction(bound, 2 * n):
+            # One coarse step brings the bound down to n*D, after which the
+            # halving regime applies all the way down.
+            budget: int | None = (n * floor.numerator) // floor.denominator
+        elif bound > n:
             # Halving step; a budget below n would give B = 0, so small odd
             # bounds are clamped up (still within n * floor).
             budget = max(bound // 2, n)
         else:
-            # One coarse step brings the bound down to n*D, after which the
-            # halving regime applies all the way down.
-            budget = (n * floor.numerator) // floor.denominator
-        granularity = budget // n
-        weights = _rounded_weights(graph, potential, granularity)
-        result = solve_with_list(graph, multiples_list(granularity, bound), weights)
+            budget = None  # the base case, over 0..n; B = 1 rounds nothing
+        granularity = None if budget is None else budget // n
+        admissible = full_list(n) if budget is None else multiples_list(granularity, bound)
+        weights = _rounded_weights(graph, potential, granularity or 1)
+        result = solve_with_list(graph, admissible, weights)
         dropped = result.energies.count(INF)
         phases.append(_value_iteration_phase(n, bound, result, granularity, budget, dropped))
+        if dropped and not first:
+            return None
         potential = [p + e for p, e in zip(potential, result.energies)]
+        if budget is None:
+            break
         if dropped:
             transform = apply_potential(graph, tuple(potential))
-            transforms.append((transform, n))
             graph = transform.graph
             potential = [0] * graph.n
         bound = budget
-    for transform, n in reversed(transforms):
-        energies = transform.lift(energies, n)
-    return energies
+        first = False
+    energies = tuple(potential)
+    return energies if transform is None else transform.lift(energies, original_n)
 
 
 def _trap_dual(graph: GameGraph, losing: list[int]) -> GameGraph | None:
@@ -309,15 +311,9 @@ def _guess_loop(
         guess = Fraction(budget, n)
         phases: list[PhaseRecord] = []
         energies = _solve_level(graph, cap, guess, phases)
-        record = GuessRecord(
-            error_budget=budget,
-            penalty_guess=guess,
-            verified=verify_minimal(graph, energies),
-            infinite_consistent=energies.count(INF) == phases[0].dropped,
-            phases=tuple(phases),
-        )
-        guesses.append(record)
-        if record.accepted:
+        guesses.append(GuessRecord(budget, guess, energies is not None, tuple(phases)))
+        if energies is not None:
+            assert verify_minimal(graph, energies), "an accepted guess is exact"
             return energies, cap, tuple(guesses), None
         budget >>= 1
     result = solve_with_list(graph, full_list(cap))
@@ -355,21 +351,20 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | None = None) -> SolveRe
     The guess loop, on the a-priori bound M = n*W of the graph it is given,
     tries error budgets c from M >> 1 down (``penalty`` only lowers the first
     to floor(n*penalty)), halving until the guess c/n would drop below 2,
-    then runs full-range value iteration.  A run is accepted iff it passes
-    the fixed-point check and has exactly as many infinite nodes as its
-    first phase dropped (lifting keeps those infinite), that is, iff no
-    deeper level found a new infinite node.  This is exact:
+    then runs full-range value iteration.  A guess is accepted iff no level
+    below the first makes a node infinite; :func:`_solve_level` stops at the
+    first level that does.  This is exact:
 
     (i) rounding up only helps Alice, and the rounded game's finite energies
         are at most n*W, so the first phase drops only truly losing nodes;
-    (ii) a deeper level's capped value iteration is the least fixed point of
-        an operator at least the true one: if it makes no new node infinite,
-        its values are the rounded game's energies, lower bounds, so the
-        lifted result is at most e*;
-    (iii) passing :func:`verify_minimal` gives at least e*.
+    (ii) a capped value iteration that makes no node infinite is the least
+        fixed point of the uncapped operator, so each later level adds the
+        exact energies of a rounded residual game, lower bounds: 0 <= pi <= e*;
+    (iii) the base case rounds nothing and adds e* of the game re-weighted by
+        pi, and e*(G) = pi + e*(G re-weighted by pi) whenever 0 <= pi <= e*.
     A bound below n*W would break (i), so none is taken.  No guess can raise
-    PotentialContractError: each level's approximation is a fixed point of
-    the rounded game, which keeps the level's edges, so it meets the
+    PotentialContractError: the first level's approximation is a fixed point
+    of the rounded game, which keeps the graph's edges, so it meets the
     contract of :func:`apply_potential`.
     """
     started = time.perf_counter()

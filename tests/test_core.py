@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from energygames import (
@@ -9,6 +11,8 @@ from energygames import (
     apply_potential,
     brute_force_energies,
     eliminate_self_loops,
+    full_list,
+    solve_with_list,
     validate,
     verify_minimal,
 )
@@ -107,6 +111,42 @@ class TestVerifyMinimal:
                     continue
                 bumped = exact[:v] + (exact[v] + 1,) + exact[v + 1 :]
                 assert not verify_minimal(graph, bumped)
+
+    def test_matches_the_per_node_definition(self):
+        # the equations read node by node, as they are stated
+        def targets(graph, e, node):
+            for i in graph.out_edges[node]:
+                _, dst, weight = graph.edges[i]
+                yield max(e[dst] - weight, 0)
+
+        def per_node(graph, e):
+            return all(
+                e[node] == (min if graph.is_alice(node) else max)(targets(graph, e, node))
+                for node in range(graph.n)
+            )
+
+        rng = random.Random(7)
+        outcomes = []
+        for seed in range(300):
+            graph = small_random(seed, max_out=4)
+            exact = solve_with_list(graph, full_list(graph.default_bound())).energies
+            candidates = [exact, (INF,) * graph.n, (0,) * graph.n]
+            for _ in range(5):
+                candidates.append(tuple(
+                    INF if rng.random() < 0.1 else e if e == INF else max(0, e + rng.randint(-1, 1))
+                    for e in exact
+                ))
+            for e in candidates:
+                got = verify_minimal(graph, e)
+                assert got == per_node(graph, e), (seed, e)
+                outcomes.append(got)
+        assert 0 < sum(outcomes) < len(outcomes)
+
+    @pytest.mark.parametrize("owner", [ALICE, BOB])
+    def test_sink_rejected(self, owner):
+        graph = GameGraph((ALICE, owner), ((0, 1, 0),))
+        with pytest.raises(ValueError, match="out-edge"):
+            verify_minimal(graph, (0, 0))
 
 
 class TestApplyPotential:

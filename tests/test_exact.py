@@ -38,6 +38,17 @@ from test_acceptance import (
 )
 
 
+# A frozen fuzz find: at floor 2 a level below the first makes node 2 infinite;
+# a run that went on past it would return (7, 0, inf, 14) for e* = (7, 0, 13, 14).
+STARVED_BY_FLOOR_2 = GameGraph(
+    (ALICE, ALICE, BOB, BOB),
+    (
+        (0, 2, -8), (1, 0, 7), (2, 0, 4), (3, 1, 4), (1, 2, -4), (0, 1, -7),
+        (2, 1, -4), (2, 3, 1), (3, 0, -7), (0, 3, 5), (1, 3, -4),
+    ),
+)
+
+
 class TestPenaltyBoundRecursion:
     def test_reference_graph_with_true_penalty(self, fig3):
         assert minimal_energy_with_penalty_bound(fig3, 18, 3) == (0, 4, 8)
@@ -51,20 +62,15 @@ class TestPenaltyBoundRecursion:
         assert phases[0].error_budget is None  # base case, no recursion
 
     def test_too_large_penalty_claim_can_fail_verification(self):
-        # frozen fuzz find: claiming a penalty of 2 starves the recursion's
-        # bound and node 2 gets pushed to infinity
-        graph = GameGraph(
-            (ALICE, ALICE, BOB, BOB),
-            (
-                (0, 2, -8), (1, 0, 7), (2, 0, 4), (3, 1, 4), (1, 2, -4), (0, 1, -7),
-                (2, 1, -4), (2, 3, 1), (3, 0, -7), (0, 3, 5), (1, 3, -4),
-            ),
-        )
-        exact = brute_force_energies(graph)
-        assert exact == (7, 0, 13, 14)
-        wrong = minimal_energy_with_penalty_bound(graph, graph.default_bound(), 2)
-        assert wrong != exact
-        assert not verify_minimal(graph, wrong)
+        # claiming a penalty of 2 starves the recursion's bound: the claim is
+        # refuted instead of answered with a wrong vector
+        graph = STARVED_BY_FLOOR_2
+        assert brute_force_energies(graph) == (7, 0, 13, 14)
+        with pytest.raises(ValueError, match="below the first"):
+            minimal_energy_with_penalty_bound(graph, graph.default_bound(), 2)
+        phases = []
+        assert _solve_level(graph, graph.default_bound(), Fraction(2), phases) is None
+        assert len(phases) >= 2 and phases[-1].dropped > 0
 
     def test_penalty_floor_below_one_rejected(self, fig3):
         with pytest.raises(ValueError):
@@ -116,8 +122,9 @@ def reference_level(graph, bound, floor, phases):
 class TestLevelLoop:
     def test_matches_the_reference_recursion_at_every_guess(self):
         # every budget the guess loop tries, on the graph it solves: what is
-        # left once the certified losing region is dropped
-        runs = first_drops = deeper_drops = 0
+        # left once the certified losing region is dropped; a rejected guess
+        # stops at its refuting level, a prefix of the reference's levels
+        runs = first_drops = rejected = saved = 0
         for seed in range(500):
             original = graph = small_random(seed)
             _, losing = _losing_region(graph)
@@ -130,13 +137,54 @@ class TestLevelLoop:
                 mine, theirs = [], []
                 bound = graph.default_bound()
                 energies = _solve_level(graph, bound, guess.penalty_guess, mine)
-                assert energies == reference_level(graph, bound, guess.penalty_guess, theirs)
-                assert mine == theirs and tuple(mine) == guess.phases
+                reference = reference_level(graph, bound, guess.penalty_guess, theirs)
+                assert tuple(mine) == guess.phases
+                assert mine == theirs[: len(mine)]
+                assert (energies is not None) == guess.accepted
+                if guess.accepted:
+                    assert energies == reference and mine == theirs
+                    assert not any(p.dropped for p in mine[1:])
+                else:
+                    # refuted by the first level below the first to drop a node
+                    assert len(mine) >= 2 and mine[-1].dropped > 0
+                    assert not any(p.dropped for p in mine[1:-1])
+                    rejected += 1
+                    saved += len(theirs) - len(mine)
                 runs += 1
                 first_drops += mine[0].dropped > 0
-                deeper_drops += any(p.dropped for p in mine[1:])
-        # the apply_potential path runs, at the first level and deeper
-        assert (runs, first_drops, deeper_drops) == (205, 3, 16)
+        # the first level drops nodes in 3 runs; 16 runs are refuted, and the
+        # reference recursion runs 4 levels past their refutations
+        assert (runs, first_drops, rejected, saved) == (205, 3, 16, 4)
+
+    def test_exact_or_refuted(self):
+        # whatever the floor, a run at n*W either returns the exact energies
+        # or is refuted by an infinite node below the first level
+        def refutations(graph):
+            n, cap = graph.n, graph.default_bound()
+            exact = full_range(graph)
+            floors = {Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(10)}
+            budget = cap >> 1
+            while budget >= 2 * n:
+                floors.add(Fraction(budget, n))
+                budget >>= 1
+            refuted = 0
+            for floor in sorted(floors):
+                energies = _solve_level(graph, cap, floor, [])
+                assert energies is None or energies == exact, floor
+                refuted += energies is None
+            return len(floors), refuted
+
+        runs = refuted = 0
+        for seed in range(500):
+            count, refuted_here = refutations(small_random(seed))
+            runs += count
+            refuted += refuted_here
+        assert (runs, refuted) == (2808, 123)
+        # run on to the end, each of those 123 runs would still give the
+        # exact energies (what a deeper level drops there is truly losing);
+        # on these two graphs it would give wrong ones
+        assert refutations(STARVED_BY_FLOOR_2) == (6, 3)
+        assert refutations(small_random(319, max_n=8, max_w=20, max_out=4)) == (7, 5)
 
 
 class TestPotentialRecursionProperties:
@@ -195,8 +243,8 @@ class TestSolveDriver:
     def test_shallow_trap_rejected_until_fallback_or_fine_guess(self):
         # Alice can pick a shallow losing cycle (average -1/2) or a winning
         # cycle with a deep dip: coarse roundings make the trap look free and
-        # the starved recursion returns all-infinite, which passes the local
-        # equations; the infinite-set guard must reject those guesses
+        # the starved recursion makes nodes infinite below the first level,
+        # which rejects those guesses
         trap = GameGraph(
             (ALICE, BOB, BOB),
             ((0, 1, -9), (0, 2, 0), (1, 0, 10), (2, 0, -1)),
@@ -207,7 +255,8 @@ class TestSolveDriver:
         assert report.energies == exact
         rejected = [g for g in report.guesses if not g.accepted]
         assert rejected, "coarse guesses must fail on the trap"
-        assert any(g.verified and not g.infinite_consistent for g in rejected)
+        # each is refuted by a level below the first that makes a node infinite
+        assert all(len(g.phases) >= 2 and g.phases[-1].dropped for g in rejected)
         # every guess with D >= 2 fails; the full-range fallback settles it
         assert rejected == list(report.guesses)
         assert report.fallback_used

@@ -141,6 +141,8 @@ class TestCli:
         assert main(["solve", str(path), "--assume-penalty", "2"]) == 0
         captured = capsys.readouterr()
         assert parse_energies(captured.out, 3) == (9, 0, 10)
+        # a level below the first makes a node infinite, which refutes D = 2
+        assert "guess c=6 D=2: rejected at level 2\n" in captured.err
         assert "fallback=yes" in captured.err
 
     @pytest.mark.parametrize("command", [["solve"], ["approx", "--error", "2"]], ids=["solve", "approx"])
