@@ -212,11 +212,7 @@ def _cmd_reduce(args) -> int:
     elif args.step == "bipartite":
         reduced, trace = to_bipartite(graph)
     else:
-        try:
-            reduced, trace = to_complete_bipartite(graph)
-        except ValueError as exc:
-            print(f"energygames reduce: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        reduced, trace = to_complete_bipartite(graph)
     _write(emit_game(reduced), args.out)
     trace_text = "\n".join(trace.lines()) + "\n"
     if args.out is None:
@@ -243,15 +239,11 @@ def _cmd_gen(args) -> int:
         center_hi=args.center_hi,
         choices=args.choices,
     )
-    try:
-        if args.family == "window":
-            graph, centers = windowed_game(spec)
-            print("centers: " + " ".join(map(str, centers)), file=sys.stderr)
-        else:
-            graph = generate(spec)
-    except ValueError as exc:
-        print(f"energygames gen: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.family == "window":
+        graph, centers = windowed_game(spec)
+        print("centers: " + " ".join(map(str, centers)), file=sys.stderr)
+    else:
+        graph = generate(spec)
     graph = eliminate_self_loops(graph)
     _write(emit_game(graph), args.out)
     return EXIT_OK

@@ -76,7 +76,7 @@ class GameGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    @property
+    @cached_property
     def max_weight(self) -> int:
         """W, the maximum absolute edge weight (0 for an edgeless graph)."""
         return max((abs(w) for _, _, w in self.edges), default=0)

@@ -133,35 +133,36 @@ def _coarse_step(graph: GameGraph, cap: int, phases: list[PhaseRecord]) -> Viter
 
 
 def minimal_energy_with_penalty_bound(
-    graph: GameGraph,
-    bound: int,
-    penalty_floor: Fraction | int,
+    graph: GameGraph, penalty_floor: Fraction | int
 ) -> EnergyFn:
-    """Minimal energies assuming ``penalty_floor`` <= P(G,w) and ``bound``
-    caps the finite minimal energies.
+    """Minimal energies assuming ``penalty_floor`` <= P(G,w), from the
+    a-priori bound n*W.
 
-    When ``bound`` caps the finite minimal energies, a returned result is
-    exact for any floor >= 1, and a floor the run refutes raises ValueError
-    (see :func:`solve`).  A ``bound`` that is too small can still give a
-    wrong answer.
+    The result is exact for any floor >= 1; a floor that a level below the
+    first refutes raises ValueError instead (see :func:`solve`).
     """
     floor = Fraction(penalty_floor)
     if floor < 1:
         raise ValueError("the penalty lower bound must be at least 1")
-    if bound < 0:
-        raise ValueError("the energy bound must be non-negative")
-    energies = _solve_level(graph, bound, floor, [])
+    energies = _solve_level(graph, floor, [])
     if energies is None:
-        raise ValueError("a level below the first refuted the penalty floor or the bound")
+        raise ValueError("a level below the first refuted the penalty floor")
     return energies
 
 
 def _solve_level(
-    graph: GameGraph, bound: int, floor: Fraction, phases: list[PhaseRecord]
+    graph: GameGraph, floor: Fraction, phases: list[PhaseRecord]
 ) -> EnergyFn | None:
     """The recursion behind :func:`minimal_energy_with_penalty_bound`, run as
-    a loop over the levels of one graph; appends one record per level to
-    ``phases``.
+    a loop over the levels of one graph from its a-priori bound n*W; appends
+    one record per level to ``phases``.
+
+    A level with bound M on n nodes is the base case, over 0..n, when M <= n;
+    otherwise its error budget, and the next level's bound, is
+    min(max(M // 2, n), floor(n*D)).  As D >= 1 gives floor(n*D) >= n, this
+    is the paper's two regimes: one coarse step down to floor(n*D) when
+    n*D < M/2 (then floor(n*D) <= M // 2), else halving, clamped up to n so
+    that the granularity B = budget // n is never 0.
 
     A level is a potential pi, the sum of the approximations so far, and a
     granularity B.  Its rounded game keeps the edges of ``graph`` with the
@@ -177,21 +178,17 @@ def _solve_level(
     original_n = graph.n
     transform: PotentialTransform | None = None
     potential = [0] * graph.n
+    bound = graph.default_bound()
     first = True
     while graph.n:
         n = graph.n
-        if floor < Fraction(bound, 2 * n):
-            # One coarse step brings the bound down to n*D, after which the
-            # halving regime applies all the way down.
-            budget: int | None = (n * floor.numerator) // floor.denominator
-        elif bound > n:
-            # Halving step; a budget below n would give B = 0, so small odd
-            # bounds are clamped up (still within n * floor).
-            budget = max(bound // 2, n)
+        if bound <= n:
+            budget = granularity = None
+            admissible = full_list(n)
         else:
-            budget = None  # the base case, over 0..n; B = 1 rounds nothing
-        granularity = None if budget is None else budget // n
-        admissible = full_list(n) if budget is None else multiples_list(granularity, bound)
+            budget = min(max(bound // 2, n), n * floor.numerator // floor.denominator)
+            granularity = budget // n
+            admissible = multiples_list(granularity, bound)
         weights = _rounded_weights(graph, potential, granularity or 1)
         result = solve_with_list(graph, admissible, weights)
         dropped = result.energies.count(INF)
@@ -271,8 +268,9 @@ def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[int] | None]:
             if dual is not None:
                 # A node's first update from 0 already reaches its one-step
                 # target, so caps below the largest target fail for certain.
+                succ, _ = dual._adjacency
                 floor = max(
-                    (min if dual.is_alice(u) else max)(-dual.edges[i][2] for i in dual.out_edges[u])
+                    (min if dual.is_alice(u) else max)(-dual.edges[i][2] for _, i in succ[u])
                     for u in range(size)
                 )
                 dual_cap = size + 1
@@ -310,7 +308,7 @@ def _guess_loop(
     while budget >= 2 * n:
         guess = Fraction(budget, n)
         phases: list[PhaseRecord] = []
-        energies = _solve_level(graph, cap, guess, phases)
+        energies = _solve_level(graph, guess, phases)
         guesses.append(GuessRecord(budget, guess, energies is not None, tuple(phases)))
         if energies is not None:
             assert verify_minimal(graph, energies), "an accepted guess is exact"
@@ -362,24 +360,26 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | None = None) -> SolveRe
         exact energies of a rounded residual game, lower bounds: 0 <= pi <= e*;
     (iii) the base case rounds nothing and adds e* of the game re-weighted by
         pi, and e*(G) = pi + e*(G re-weighted by pi) whenever 0 <= pi <= e*.
-    A bound below n*W would break (i), so none is taken.  No guess can raise
-    PotentialContractError: the first level's approximation is a fixed point
-    of the rounded game, which keeps the graph's edges, so it meets the
-    contract of :func:`apply_potential`.
+    (i) holds by construction: :func:`_solve_level` starts every run at n*W
+    of the graph it is given, and no caller can pass a smaller bound.  No
+    guess can raise PotentialContractError: the first level's approximation
+    is a fixed point of the rounded game, which keeps the graph's edges, so
+    it meets the contract of :func:`apply_potential`.
     """
     started = time.perf_counter()
     if penalty is not None and penalty < 1:
         raise ValueError("the penalty lower bound must be at least 1")
     region, losing = _losing_region(graph)
+    rest, transform = graph, None
     if losing:
         drop = [0] * graph.n
         for v in losing:
             drop[v] = INF
         transform = apply_potential(graph, tuple(drop))
-        energies, bound, guesses, fallback = _guess_loop(transform.graph, penalty)
+        rest = transform.graph
+    energies, bound, guesses, fallback = _guess_loop(rest, penalty)
+    if transform is not None:
         energies = transform.lift(energies, graph.n)
-    else:
-        energies, bound, guesses, fallback = _guess_loop(graph, penalty)
     return SolveReport(
         energies=energies,
         bound=bound,

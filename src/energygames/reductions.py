@@ -107,8 +107,9 @@ def to_complete_bipartite(graph: GameGraph) -> tuple[GameGraph, ReductionTrace]:
     :func:`to_win_everywhere`); only bipartiteness is checked here.  Missing
     Alice-to-Bob edges are added first with weight -nW, making them strictly
     losing detours for Alice; missing Bob-to-Alice edges are then added with
-    weight n^2*W', W' re-read after the first step, making them strictly
-    winning detours Bob will never take.  The everywhere-winner is preserved.
+    weight n^2*W', W' the largest absolute weight after the first step (nW
+    if it added edges), making them strictly winning detours Bob will never
+    take.  The everywhere-winner is preserved.
     """
     if not is_bipartite(graph):
         raise ValueError("the completion step requires a bipartite game")
@@ -124,8 +125,7 @@ def to_complete_bipartite(graph: GameGraph) -> tuple[GameGraph, ReductionTrace]:
         for v in bob_nodes
         if (u, v) not in present
     ]
-    interim = GameGraph(graph.owners, graph.edges + tuple(step1))
-    cap2 = interim.max_weight
+    cap2 = n * cap1 if step1 else cap1  # W after step 1
     step2: list[Edge] = [
         (u, v, n * n * cap2)
         for u in bob_nodes
@@ -143,7 +143,7 @@ def to_complete_bipartite(graph: GameGraph) -> tuple[GameGraph, ReductionTrace]:
             ("bob_fill_count", len(step2)),
         ),
     )
-    return GameGraph(graph.owners, interim.edges + tuple(step2)), trace
+    return GameGraph(graph.owners, graph.edges + tuple(step1) + tuple(step2)), trace
 
 
 def is_complete_bipartite(graph: GameGraph) -> bool:

@@ -51,13 +51,13 @@ STARVED_BY_FLOOR_2 = GameGraph(
 
 class TestPenaltyBoundRecursion:
     def test_reference_graph_with_true_penalty(self, fig3):
-        assert minimal_energy_with_penalty_bound(fig3, 18, 3) == (0, 4, 8)
+        assert minimal_energy_with_penalty_bound(fig3, 3) == (0, 4, 8)
 
     def test_small_bound_is_a_single_value_iteration(self):
         graph = GameGraph((ALICE, BOB, BOB), ((0, 1, 1), (1, 2, 0), (2, 0, 1)))
-        assert minimal_energy_with_penalty_bound(graph, 3, 1) == (0, 0, 0)
+        assert minimal_energy_with_penalty_bound(graph, 1) == (0, 0, 0)
         phases = []
-        assert _solve_level(graph, 3, Fraction(1), phases) == (0, 0, 0)
+        assert _solve_level(graph, Fraction(1), phases) == (0, 0, 0)
         assert len(phases) == 1
         assert phases[0].error_budget is None  # base case, no recursion
 
@@ -67,14 +67,14 @@ class TestPenaltyBoundRecursion:
         graph = STARVED_BY_FLOOR_2
         assert brute_force_energies(graph) == (7, 0, 13, 14)
         with pytest.raises(ValueError, match="below the first"):
-            minimal_energy_with_penalty_bound(graph, graph.default_bound(), 2)
+            minimal_energy_with_penalty_bound(graph, 2)
         phases = []
-        assert _solve_level(graph, graph.default_bound(), Fraction(2), phases) is None
+        assert _solve_level(graph, Fraction(2), phases) is None
         assert len(phases) >= 2 and phases[-1].dropped > 0
 
     def test_penalty_floor_below_one_rejected(self, fig3):
         with pytest.raises(ValueError):
-            minimal_energy_with_penalty_bound(fig3, 18, Fraction(1, 2))
+            minimal_energy_with_penalty_bound(fig3, Fraction(1, 2))
         with pytest.raises(ValueError):
             solve(fig3, penalty=Fraction(1, 2))
 
@@ -86,7 +86,7 @@ class TestPenaltyBoundRecursion:
                 continue
             floor = penalty if penalty != INF else Fraction(graph.default_bound() + 1)
             exact = brute_force_energies(graph)
-            got = minimal_energy_with_penalty_bound(graph, graph.default_bound(), floor)
+            got = minimal_energy_with_penalty_bound(graph, floor)
             assert got == exact
 
 
@@ -107,7 +107,7 @@ def reference_level(graph, bound, floor, phases):
     if floor >= Fraction(bound, 2 * n):
         if bound <= n:
             result = solve_with_list(graph, full_list(n))
-            phases.append(_phase(n, bound, result))
+            phases.append(_phase(n, bound, result, dropped=result.energies.count(INF)))
             return result.energies
         budget = max(bound // 2, n)
     else:
@@ -117,6 +117,29 @@ def reference_level(graph, bound, floor, phases):
     dropped = n - len(transform.kept)
     phases.append(_phase(n, bound, approx.viter, approx.granularity, budget, dropped))
     return transform.lift(reference_level(transform.graph, budget, floor, phases), n)
+
+
+def against_reference(graph, floor):
+    """Run the level loop and the reference recursion at ``floor`` on
+    ``graph``'s a-priori bound.  The loop's phases are the reference's up to
+    the first level below the first that drops a node, where the loop stops
+    refuted; an accepted run has every phase and the same energies."""
+    mine, theirs = [], []
+    energies = _solve_level(graph, floor, mine)
+    reference = reference_level(graph, graph.default_bound(), floor, theirs)
+    assert mine == theirs[: len(mine)]
+    if energies is not None:
+        assert energies == reference and mine == theirs
+        assert not any(p.dropped for p in mine[1:])
+    else:
+        assert len(mine) >= 2 and mine[-1].dropped > 0
+        assert not any(p.dropped for p in mine[1:-1])
+    return energies, mine, theirs
+
+
+# Small and non-integer floors: the first level's budget floor(n*D) differs
+# from every guess budget, and the coarse step runs below the first level.
+FIXED_FLOORS = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(10))
 
 
 class TestLevelLoop:
@@ -134,20 +157,10 @@ class TestLevelLoop:
                     drop[v] = INF
                 graph = apply_potential(graph, tuple(drop)).graph
             for guess in solve(original).guesses:
-                mine, theirs = [], []
-                bound = graph.default_bound()
-                energies = _solve_level(graph, bound, guess.penalty_guess, mine)
-                reference = reference_level(graph, bound, guess.penalty_guess, theirs)
+                energies, mine, theirs = against_reference(graph, guess.penalty_guess)
                 assert tuple(mine) == guess.phases
-                assert mine == theirs[: len(mine)]
                 assert (energies is not None) == guess.accepted
-                if guess.accepted:
-                    assert energies == reference and mine == theirs
-                    assert not any(p.dropped for p in mine[1:])
-                else:
-                    # refuted by the first level below the first to drop a node
-                    assert len(mine) >= 2 and mine[-1].dropped > 0
-                    assert not any(p.dropped for p in mine[1:-1])
+                if not guess.accepted:
                     rejected += 1
                     saved += len(theirs) - len(mine)
                 runs += 1
@@ -156,20 +169,40 @@ class TestLevelLoop:
         # reference recursion runs 4 levels past their refutations
         assert (runs, first_drops, rejected, saved) == (205, 3, 16, 4)
 
+    def test_matches_the_reference_recursion_at_fixed_floors(self):
+        # on whole graphs; the public entry point returns the loop's energies
+        # or raises, and its energies are the full-range ones
+        runs = first_drops = refuted = 0
+        for seed in range(500):
+            graph = small_random(seed)
+            exact = full_range(graph)
+            for floor in FIXED_FLOORS:
+                energies, mine, _ = against_reference(graph, floor)
+                assert energies is None or energies == exact, (seed, floor)
+                try:
+                    assert minimal_energy_with_penalty_bound(graph, floor) == energies == exact
+                except ValueError:
+                    assert energies is None
+                runs += 1
+                first_drops += mine[0].dropped > 0
+                refuted += energies is None
+        # the first level drops nodes in 989 runs, and 92 runs are refuted
+        assert (runs, first_drops, refuted) == (2500, 989, 92)
+
     def test_exact_or_refuted(self):
         # whatever the floor, a run at n*W either returns the exact energies
         # or is refuted by an infinite node below the first level
         def refutations(graph):
             n, cap = graph.n, graph.default_bound()
             exact = full_range(graph)
-            floors = {Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(10)}
+            floors = set(FIXED_FLOORS)
             budget = cap >> 1
             while budget >= 2 * n:
                 floors.add(Fraction(budget, n))
                 budget >>= 1
             refuted = 0
             for floor in sorted(floors):
-                energies = _solve_level(graph, cap, floor, [])
+                energies = _solve_level(graph, floor, [])
                 assert energies is None or energies == exact, floor
                 refuted += energies is None
             return len(floors), refuted

@@ -324,6 +324,8 @@ class TestCli:
     def test_gen_infeasible_exit_code(self, tmp_path, capsys):
         argv = ["gen", "--family", "random", "--seed", "1", "--nodes", "1", "--edges", "1"]
         assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "energygames: need at least two nodes (self-loops are not allowed)\n"
 
     def test_reduce_pipeline_via_files(self, tmp_path, capsys):
         game = self._write_fig1(tmp_path)
@@ -349,6 +351,9 @@ class TestCli:
     def test_reduce_complete_rejects_non_bipartite(self, tmp_path, capsys):
         game = self._write_fig1(tmp_path)
         assert main(["reduce", "complete", game, "--out", str(tmp_path / "x.eg")]) == 1
+        err = capsys.readouterr().err
+        assert err == "energygames: the completion step requires a bipartite game\n"
+        assert not (tmp_path / "x.eg").exists()
 
     def test_approx_band(self, tmp_path, capsys):
         path = tmp_path / "fig3.eg"

@@ -110,14 +110,18 @@ class TestCompleteBipartite:
         assert params["alice_fill_count"] == 1
         assert params["bob_fill_count"] == 2
         assert params["alice_fill_weight"] == -4 * 1
+        # W' = 4 after the Alice fill, so Bob's fill weighs n^2*W' = 16*4
+        assert params["bob_fill_weight"] == 64
         assert is_complete_bipartite(reduced)
 
     def test_complete_input_is_identity(self):
         graph = GameGraph(
             (ALICE, BOB), ((0, 1, 2), (1, 0, -2))
         )
-        reduced, _ = to_complete_bipartite(graph)
+        reduced, trace = to_complete_bipartite(graph)
         assert reduced == graph
+        # no Alice fill, so W' stays W = 2: n^2*W' = 4*2
+        assert dict(trace.params)["bob_fill_weight"] == 8
 
     def test_non_bipartite_rejected(self, fig1):
         with pytest.raises(ValueError):
