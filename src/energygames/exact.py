@@ -11,8 +11,8 @@ given.  Only the first level may drop infinite nodes, by building a smaller
 graph; a later level that finds one refutes D (see :func:`_solve_level`).
 
 The driver does not know the penalty: on the a-priori bound M = n*W it
-guesses decreasing lower bounds and keeps the first result that no level
-below the first refutes, a rule that is exact on that bound (see :func:`solve`).
+halves a guessed lower bound until no level below the first refutes it, which
+is exact and ends by a guess below 2, plain value iteration (see :func:`solve`).
 A wrong guess, the caller's included, costs time but never changes the answer.
 
 Losing nodes would climb to n*W in every guess, so before the guess loop
@@ -77,22 +77,19 @@ class RegionRecord:
 @dataclass(frozen=True)
 class SolveReport:
     energies: EnergyFn
-    bound: int  # the guess loop's a-priori bound, on the nodes it solved
     region: RegionRecord
     guesses: tuple[GuessRecord, ...]
-    fallback: PhaseRecord | None  # the full-range value iteration, if it ran
     wall_ms: float
 
     def _phases(self) -> Iterator[PhaseRecord]:
         yield from self.region.phases
         for guess in self.guesses:
             yield from guess.phases
-        if self.fallback is not None:
-            yield self.fallback
 
     @property
     def fallback_used(self) -> bool:
-        return self.fallback is not None
+        """Whether the accepted guess is below 2: full-range value iteration."""
+        return bool(self.guesses) and self.guesses[-1].penalty_guess < 2
 
     @property
     def total_updates(self) -> int:
@@ -108,7 +105,7 @@ class SolveReport:
 
 
 def _value_iteration_phase(
-    n: int, bound: int, result: ViterResult, granularity: int | None = None,
+    n: int, bound: int, result: ViterResult, granularity: int | None,
     error_budget: int | None = None, dropped: int = 0,
 ) -> PhaseRecord:
     return PhaseRecord(
@@ -133,14 +130,16 @@ def _coarse_step(graph: GameGraph, cap: int, phases: list[PhaseRecord]) -> Viter
 
 
 def minimal_energy_with_penalty_bound(
-    graph: GameGraph, penalty_floor: Fraction | int
+    graph: GameGraph, penalty_floor: Fraction | int | float
 ) -> EnergyFn:
     """Minimal energies assuming ``penalty_floor`` <= P(G,w), from the
     a-priori bound n*W.
 
-    The result is exact for any floor >= 1; a floor that a level below the
-    first refutes raises ValueError instead (see :func:`solve`).
+    The result is exact for any floor >= 1, ``INF`` included; a floor that a
+    level below the first refutes raises ValueError instead (see :func:`solve`).
     """
+    if penalty_floor == INF:  # caps nothing: every floor above n*W halves each level
+        penalty_floor = graph.default_bound() + 1
     floor = Fraction(penalty_floor)
     if floor < 1:
         raise ValueError("the penalty lower bound must be at least 1")
@@ -292,34 +291,33 @@ def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[int] | None]:
 
 
 def _guess_loop(
-    graph: GameGraph, penalty: Fraction | int | None
-) -> tuple[EnergyFn, int, tuple[GuessRecord, ...], PhaseRecord | None]:
+    graph: GameGraph, penalty: Fraction | int | float | None
+) -> tuple[EnergyFn, tuple[GuessRecord, ...]]:
     """The penalty-guess loop on the a-priori bound n*W of ``graph``; returns
-    the energies, that bound, the guesses and the fallback, if it ran."""
+    the energies and the guesses, the accepted one last (see :func:`solve`)."""
     n = graph.n
-    cap = graph.default_bound()
     if n == 0:
-        return (), cap, (), None
-    budget = cap >> 1
-    if penalty is not None:
+        return (), ()
+    budget = graph.default_bound() >> 1
+    if penalty is not None and penalty != INF:
         budget = min(budget, n * Fraction(penalty) // 1)
+    budget = max(budget, n)
 
     guesses: list[GuessRecord] = []
-    while budget >= 2 * n:
+    while True:
         guess = Fraction(budget, n)
         phases: list[PhaseRecord] = []
         energies = _solve_level(graph, guess, phases)
         guesses.append(GuessRecord(budget, guess, energies is not None, tuple(phases)))
         if energies is not None:
-            assert verify_minimal(graph, energies), "an accepted guess is exact"
-            return energies, cap, tuple(guesses), None
+            break
+        assert budget >= 2 * n, "a guess below 2 is never rejected"
         budget >>= 1
-    result = solve_with_list(graph, full_list(cap))
-    assert verify_minimal(graph, result.energies), "full-range value iteration is exact"
-    return result.energies, cap, tuple(guesses), _value_iteration_phase(n, cap, result)
+    assert verify_minimal(graph, energies), "an accepted guess is exact"
+    return energies, tuple(guesses)
 
 
-def solve(graph: GameGraph, *, penalty: Fraction | int | None = None) -> SolveReport:
+def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) -> SolveReport:
     """Compute verified minimal energies without knowing the penalty.
 
     First the losing region.  Starting at M = max(W, 1) and doubling M, value
@@ -347,11 +345,11 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | None = None) -> SolveRe
     work passes the primal's; the guess loop then runs on the whole graph.
 
     The guess loop, on the a-priori bound M = n*W of the graph it is given,
-    tries error budgets c from M >> 1 down (``penalty`` only lowers the first
-    to floor(n*penalty)), halving until the guess c/n would drop below 2,
-    then runs full-range value iteration.  A guess is accepted iff no level
-    below the first makes a node infinite; :func:`_solve_level` stops at the
-    first level that does.  This is exact:
+    tries error budgets c from max(M >> 1, n) down (a finite ``penalty`` only
+    lowers the first to floor(n*penalty), never below n), halving until a
+    guess is accepted.  A guess is accepted iff no level below the first
+    makes a node infinite; :func:`_solve_level` stops at the first level that
+    does.  This is exact and ends:
 
     (i) rounding up only helps Alice, and the rounded game's finite energies
         are at most n*W, so the first phase drops only truly losing nodes;
@@ -359,7 +357,10 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | None = None) -> SolveRe
         fixed point of the uncapped operator, so each later level adds the
         exact energies of a rounded residual game, lower bounds: 0 <= pi <= e*;
     (iii) the base case rounds nothing and adds e* of the game re-weighted by
-        pi, and e*(G) = pi + e*(G re-weighted by pi) whenever 0 <= pi <= e*.
+        pi, and e*(G) = pi + e*(G re-weighted by pi) whenever 0 <= pi <= e*;
+    (iv) a guess below 2 rounds nothing, so its first level is full-range value
+        iteration, exact by (ii), and the rest re-weighted by e* has energy 0
+        everywhere: it is accepted, and halving from c >= 2n reaches it.
     (i) holds by construction: :func:`_solve_level` starts every run at n*W
     of the graph it is given, and no caller can pass a smaller bound.  No
     guess can raise PotentialContractError: the first level's approximation
@@ -377,14 +378,12 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | None = None) -> SolveRe
             drop[v] = INF
         transform = apply_potential(graph, tuple(drop))
         rest = transform.graph
-    energies, bound, guesses, fallback = _guess_loop(rest, penalty)
+    energies, guesses = _guess_loop(rest, penalty)
     if transform is not None:
         energies = transform.lift(energies, graph.n)
     return SolveReport(
         energies=energies,
-        bound=bound,
         region=region,
         guesses=guesses,
-        fallback=fallback,
         wall_ms=(time.perf_counter() - started) * 1000.0,
     )

@@ -19,6 +19,7 @@ to reimplement.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from .core import ALICE, BOB, Edge, GameGraph
@@ -88,24 +89,30 @@ def _random_structure(
     owners = tuple(
         ALICE if rng.randint(0, 99) < alice_pct else BOB for _ in range(n)
     )
-    used: set[tuple[int, int]] = set()
     pairs: list[tuple[int, int]] = []
-    out_count = [0] * n
+    # each source's taken targets, sorted: itself and the targets it has
+    taken: list[list[int]] = []
     for src in range(n):
         dst = rng.randint(0, n - 2)
         if dst >= src:
             dst += 1
         pairs.append((src, dst))
-        used.add((src, dst))
-        out_count[src] += 1
+        taken.append(sorted((src, dst)))
+    # the draws index into the unsaturated sources and the source's free
+    # targets, both ascending; with a cap of 1, m == n and none follows
+    eligible = list(range(n))
     while len(pairs) < m:
-        eligible = [v for v in range(n) if out_count[v] < per_node_cap]
-        src = rng.choice(eligible)
-        free = [v for v in range(n) if v != src and (src, v) not in used]
-        dst = rng.choice(free)
+        i = rng.randint(0, len(eligible) - 1)
+        src = eligible[i]
+        dst = rng.randint(0, n - len(taken[src]) - 1)  # the dst-th free target
+        for v in taken[src]:
+            if v > dst:
+                break
+            dst += 1
+        bisect.insort(taken[src], dst)
         pairs.append((src, dst))
-        used.add((src, dst))
-        out_count[src] += 1
+        if len(taken[src]) > per_node_cap:
+            del eligible[i]
     return owners, pairs
 
 

@@ -84,10 +84,23 @@ class TestPenaltyBoundRecursion:
             penalty = brute_force_penalty(graph).graph_penalty
             if penalty < 1:
                 continue
-            floor = penalty if penalty != INF else Fraction(graph.default_bound() + 1)
             exact = brute_force_energies(graph)
-            got = minimal_energy_with_penalty_bound(graph, floor)
-            assert got == exact
+            assert minimal_energy_with_penalty_bound(graph, penalty) == exact
+
+    def test_infinite_floor_caps_nothing(self):
+        # Bob forces no negative cycle here, so the oracle's penalty is INF:
+        # every level halves, as at any floor above n*W
+        graph = GameGraph((ALICE, BOB, BOB), ((0, 1, -2), (1, 2, 1), (2, 0, 3)))
+        assert brute_force_penalty(graph).graph_penalty == INF
+        exact = brute_force_energies(graph)
+        assert minimal_energy_with_penalty_bound(graph, INF) == exact
+        assert minimal_energy_with_penalty_bound(graph, graph.default_bound() + 1) == exact
+        assert solve(graph, penalty=INF).energies == exact
+        for seed in range(120):
+            graph = small_random(seed)
+            report, capped = solve(graph), solve(graph, penalty=INF)
+            assert capped.energies == report.energies
+            assert (capped.region, capped.guesses) == (report.region, report.guesses)
 
 
 def _phase(n, bound, viter, granularity=None, budget=None, dropped=0):
@@ -142,20 +155,27 @@ def against_reference(graph, floor):
 FIXED_FLOORS = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(10))
 
 
+def guessed_graph(graph):
+    """The graph ``solve``'s guess loop runs on: what is left once the
+    certified losing region is dropped."""
+    _, losing = _losing_region(graph)
+    if not losing:
+        return graph
+    drop = [0] * graph.n
+    for v in losing:
+        drop[v] = INF
+    return apply_potential(graph, tuple(drop)).graph
+
+
 class TestLevelLoop:
     def test_matches_the_reference_recursion_at_every_guess(self):
-        # every budget the guess loop tries, on the graph it solves: what is
-        # left once the certified losing region is dropped; a rejected guess
-        # stops at its refuting level, a prefix of the reference's levels
+        # every budget the guess loop tries, on the graph it solves; a
+        # rejected guess stops at its refuting level, a prefix of the
+        # reference's levels
         runs = first_drops = rejected = saved = 0
         for seed in range(500):
-            original = graph = small_random(seed)
-            _, losing = _losing_region(graph)
-            if losing:
-                drop = [0] * graph.n
-                for v in losing:
-                    drop[v] = INF
-                graph = apply_potential(graph, tuple(drop)).graph
+            original = small_random(seed)
+            graph = guessed_graph(original)
             for guess in solve(original).guesses:
                 energies, mine, theirs = against_reference(graph, guess.penalty_guess)
                 assert tuple(mine) == guess.phases
@@ -165,9 +185,9 @@ class TestLevelLoop:
                     saved += len(theirs) - len(mine)
                 runs += 1
                 first_drops += mine[0].dropped > 0
-        # the first level drops nodes in 3 runs; 16 runs are refuted, and the
+        # the first level drops nodes in 18 runs; 16 runs are refuted, and the
         # reference recursion runs 4 levels past their refutations
-        assert (runs, first_drops, rejected, saved) == (205, 3, 16, 4)
+        assert (runs, first_drops, rejected, saved) == (334, 18, 16, 4)
 
     def test_matches_the_reference_recursion_at_fixed_floors(self):
         # on whole graphs; the public entry point returns the loop's energies
@@ -264,7 +284,7 @@ class TestSolveDriver:
     def test_reference_graph_default_bound(self, fig1):
         report = solve(fig1)
         assert report.energies == (0, 4, 8)
-        assert report.bound == 24
+        assert report.guesses[0].phases[0].bound == fig1.default_bound() == 24
 
     def test_all_non_negative_accepts_first_guess(self):
         graph = GameGraph((ALICE, BOB, BOB), ((0, 1, 2), (1, 2, 0), (2, 0, 5)))
@@ -290,8 +310,11 @@ class TestSolveDriver:
         assert rejected, "coarse guesses must fail on the trap"
         # each is refuted by a level below the first that makes a node infinite
         assert all(len(g.phases) >= 2 and g.phases[-1].dropped for g in rejected)
-        # every guess with D >= 2 fails; the full-range fallback settles it
-        assert rejected == list(report.guesses)
+        # every guess with D >= 2 fails; the last, below 2, is full-range
+        # value iteration and settles it
+        *coarse, last = report.guesses
+        assert rejected == coarse
+        assert last.accepted and last.penalty_guess < 2
         assert report.fallback_used
 
     def test_worst_case_penalty_is_certified_losing(self, neg_two_cycle):
@@ -311,15 +334,33 @@ class TestSolveDriver:
         assert report.region.phases[0].bound == 32
         assert not report.guesses and not report.fallback_used
 
-    def test_no_guess_rounds_at_granularity_one(self):
-        # a granularity-1 rounding rounds nothing, so it would repeat the
-        # fallback's full-range value iteration; the driver stops before it
+    def test_only_the_last_guess_rounds_at_granularity_one(self):
+        # a granularity-1 rounding rounds nothing: a guess below 2 is
+        # full-range value iteration on the graph the loop solves, and no
+        # later level can refute it, so only the last guess is one
+        full_range_guesses = 0
         for seed in range(120):
             graph = small_random(seed)
             report = solve(graph)
-            for guess in report.guesses:
+            if not report.guesses:
+                continue
+            *coarse, last = report.guesses
+            for guess in coarse:
                 assert guess.penalty_guess >= 2
                 assert guess.phases[0].granularity >= 2
+            assert last.accepted and report.fallback_used == (last.penalty_guess < 2)
+            if last.penalty_guess >= 2:
+                continue
+            full_range_guesses += 1
+            rest = guessed_graph(graph)
+            viter = solve_with_list(rest, full_list(rest.default_bound()))
+            first = last.phases[0]
+            assert (first.updates, first.steps, first.edge_work) == (
+                viter.total_updates, viter.steps, viter.edge_work
+            )
+            assert all(p.updates == 0 for p in last.phases[1:])
+        # 28 of the 120 end at a guess below 2
+        assert full_range_guesses == 28
 
     def test_report_totals_sum_the_phases(self):
         saw_dual = False
@@ -328,8 +369,6 @@ class TestSolveDriver:
             phases = list(report.region.phases)
             saw_dual |= len(phases) > report.region.rounds
             phases += [p for g in report.guesses for p in g.phases]
-            if report.fallback is not None:
-                phases.append(report.fallback)
             assert report.total_updates == sum(p.updates for p in phases)
             assert report.total_steps == sum(p.steps for p in phases)
             assert report.total_edge_work == sum(p.edge_work for p in phases)
@@ -371,12 +410,13 @@ class TestSolveDriver:
             assert len(accepted) == 1
             # guesses halve, so the accepted one is within a factor two of
             # the largest workable guess (or the true penalty caps it)
-            assert accepted[0].penalty_guess >= min(penalty, Fraction(report.bound, 2 * solved)) / 2
+            bound = report.guesses[0].phases[0].bound
+            assert accepted[0].penalty_guess >= min(penalty, Fraction(bound, 2 * solved)) / 2
 
     def test_penalty_hint_sets_the_first_guess(self, fig3):
         report = solve(fig3, penalty=3)
         assert report.energies == (0, 4, 8)
-        assert report.bound == 24
+        assert report.guesses[0].phases[0].bound == fig3.default_bound() == 24
         assert [(g.penalty_guess, g.accepted) for g in report.guesses] == [(3, True)]
 
     def test_penalty_hint_never_changes_the_answer(self):

@@ -1,11 +1,14 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from energygames import GameGraph, validate
+from energygames import ALICE, BOB, GameGraph, validate
 from energygames.generators import (
     GenSpec,
     SplitMix64,
+    _random_structure,
     generate,
     high_penalty_family,
     multiples_game,
@@ -75,6 +78,66 @@ class TestRandomGame:
         graph = random_game(GenSpec("random", n=5, m=15, max_weight=4, seed=9))
         pairs = [(s, d) for s, d, _ in graph.edges]
         assert len(set(pairs)) == len(pairs)
+
+
+def reference_structure(rng, n, m, alice_pct, max_out):
+    """The structure draw as first written: rebuild the eligible sources and
+    the chosen source's free targets for every edge after the first n."""
+    if n < 2:
+        raise ValueError("need at least two nodes (self-loops are not allowed)")
+    if m < n:
+        raise ValueError("need m >= n to give every node an outgoing edge")
+    per_node_cap = min(max_out, n - 1) if max_out is not None else n - 1
+    if m > n * per_node_cap:
+        raise ValueError(f"m={m} does not fit: at most {n * per_node_cap} distinct edges")
+    owners = tuple(ALICE if rng.randint(0, 99) < alice_pct else BOB for _ in range(n))
+    used = set()
+    pairs = []
+    out_count = [0] * n
+    for src in range(n):
+        dst = rng.randint(0, n - 2)
+        if dst >= src:
+            dst += 1
+        pairs.append((src, dst))
+        used.add((src, dst))
+        out_count[src] += 1
+    while len(pairs) < m:
+        eligible = [v for v in range(n) if out_count[v] < per_node_cap]
+        src = rng.choice(eligible)
+        free = [v for v in range(n) if v != src and (src, v) not in used]
+        dst = rng.choice(free)
+        pairs.append((src, dst))
+        used.add((src, dst))
+        out_count[src] += 1
+    return owners, pairs
+
+
+class TestRandomStructure:
+    # (n, m, max_out): sparse, dense, saturated, capped and tiny shapes
+    SHAPES = (
+        (96, 384, None), (64, 256, None), (30, 800, None), (30, 870, None),
+        (20, 60, 3), (50, 500, 12), (5, 20, None), (7, 30, 5), (10, 10, 1), (2, 2, None),
+    )
+
+    @pytest.mark.parametrize("n, m, max_out", SHAPES)
+    def test_matches_the_reference_draw(self, n, m, max_out):
+        for seed in range(20):
+            alice_pct = 5 * seed
+            expected = reference_structure(SplitMix64(seed), n, m, alice_pct, max_out)
+            assert _random_structure(SplitMix64(seed), n, m, alice_pct, max_out) == expected
+
+    def test_matches_the_reference_draw_at_n_1000(self):
+        expected = reference_structure(SplitMix64(1), 1000, 4000, 50, None)
+        assert _random_structure(SplitMix64(1), 1000, 4000, 50, None) == expected
+
+    @pytest.mark.parametrize(
+        "n, m, max_out", [(1, 1, None), (4, 3, None), (3, 7, None), (5, 11, 2)]
+    )
+    def test_rejects_what_the_reference_rejects(self, n, m, max_out):
+        with pytest.raises(ValueError) as expected:
+            reference_structure(SplitMix64(0), n, m, 50, max_out)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            _random_structure(SplitMix64(0), n, m, 50, max_out)
 
 
 class TestHighPenaltyFamily:
