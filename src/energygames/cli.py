@@ -57,7 +57,9 @@ def _write(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _fraction(text: str) -> Fraction:
+def _penalty(text: str) -> Fraction | float:
+    if text == "inf":  # as `penalty` prints it
+        return INF
     try:
         return Fraction(text)
     except ValueError as exc:
@@ -78,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", help="energy file path (default stdout)")
     p_solve.add_argument(
         "--assume-penalty",
-        type=_fraction,
+        type=_penalty,
         metavar="D",
         help="first penalty guess; a wrong one costs time, not the answer",
     )

@@ -4,7 +4,7 @@ Given a lower bound D on the game's penalty and an upper bound M on its
 finite minimal energies, one round of the rounding approximation solves the
 game to within half the bound; subtracting the approximation as a potential
 yields a residual game with the same penalty and half the bound.  Iterating
-reaches a trivially small bound, where plain value iteration finishes.  The
+ends at a level of granularity 1, which rounds nothing and is exact.  The
 residual games are never built as graphs: a level is the summed potential and
 a granularity, passed to the kernel as a weight list on the graph it was
 given.  Only the first level may drop infinite nodes, by building a smaller
@@ -27,7 +27,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .admissible import full_list, multiples_list
+from .admissible import multiples_list
 from .core import (
     INF,
     EnergyFn,
@@ -48,8 +48,8 @@ class PhaseRecord:
 
     nodes: int
     bound: int
-    error_budget: int | None  # None for a base-case value iteration
-    granularity: int | None
+    error_budget: int | None  # None for the region pre-pass's coarse steps
+    granularity: int  # B; in a guess, a level of granularity 1 is the last
     updates: int
     steps: int
     edge_work: int
@@ -105,7 +105,7 @@ class SolveReport:
 
 
 def _value_iteration_phase(
-    n: int, bound: int, result: ViterResult, granularity: int | None,
+    n: int, bound: int, result: ViterResult, granularity: int,
     error_budget: int | None = None, dropped: int = 0,
 ) -> PhaseRecord:
     return PhaseRecord(
@@ -156,12 +156,12 @@ def _solve_level(
     a loop over the levels of one graph from its a-priori bound n*W; appends
     one record per level to ``phases``.
 
-    A level with bound M on n nodes is the base case, over 0..n, when M <= n;
-    otherwise its error budget, and the next level's bound, is
+    A level with bound M on n nodes runs over the multiples of B = budget // n
+    up to M, where its error budget, the next level's bound, is
     min(max(M // 2, n), floor(n*D)).  As D >= 1 gives floor(n*D) >= n, this
     is the paper's two regimes: one coarse step down to floor(n*D) when
     n*D < M/2 (then floor(n*D) <= M // 2), else halving, clamped up to n so
-    that the granularity B = budget // n is never 0.
+    that B is never 0.  A level of granularity 1 rounds nothing and is last.
 
     A level is a potential pi, the sum of the approximations so far, and a
     granularity B.  Its rounded game keeps the edges of ``graph`` with the
@@ -170,9 +170,10 @@ def _solve_level(
     kernel reuses the graph's adjacency.  After the kernel, pi grows by its
     result e.  Only the first level may make nodes infinite: it applies pi to
     drop them, and the loop goes on with the kept subgraph and pi = 0.  Any
-    later level that makes a node infinite, the base case included, refutes
-    the floor, and the loop returns None.  Otherwise the result is pi, lifted
-    back through the first level's transform if it dropped nodes.
+    later level that makes a node infinite refutes the floor (the loop
+    returns None); the first level of granularity 1 ends the loop, before
+    any transform.  The result is pi, lifted back through the first level's
+    transform if it dropped nodes.
     """
     original_n = graph.n
     transform: PotentialTransform | None = None
@@ -181,21 +182,16 @@ def _solve_level(
     first = True
     while graph.n:
         n = graph.n
-        if bound <= n:
-            budget = granularity = None
-            admissible = full_list(n)
-        else:
-            budget = min(max(bound // 2, n), n * floor.numerator // floor.denominator)
-            granularity = budget // n
-            admissible = multiples_list(granularity, bound)
-        weights = _rounded_weights(graph, potential, granularity or 1)
-        result = solve_with_list(graph, admissible, weights)
+        budget = min(max(bound // 2, n), n * floor.numerator // floor.denominator)
+        granularity = budget // n
+        weights = _rounded_weights(graph, potential, granularity)
+        result = solve_with_list(graph, multiples_list(granularity, bound), weights)
         dropped = result.energies.count(INF)
         phases.append(_value_iteration_phase(n, bound, result, granularity, budget, dropped))
         if dropped and not first:
             return None
         potential = [p + e for p, e in zip(potential, result.energies)]
-        if budget is None:
+        if granularity == 1:
             break
         if dropped:
             transform = apply_potential(graph, tuple(potential))
@@ -349,18 +345,19 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
     lowers the first to floor(n*penalty), never below n), halving until a
     guess is accepted.  A guess is accepted iff no level below the first
     makes a node infinite; :func:`_solve_level` stops at the first level that
-    does.  This is exact and ends:
+    does, or after its first level of granularity 1.  This is exact and ends:
 
     (i) rounding up only helps Alice, and the rounded game's finite energies
         are at most n*W, so the first phase drops only truly losing nodes;
     (ii) a capped value iteration that makes no node infinite is the least
         fixed point of the uncapped operator, so each later level adds the
         exact energies of a rounded residual game, lower bounds: 0 <= pi <= e*;
-    (iii) the base case rounds nothing and adds e* of the game re-weighted by
-        pi, and e*(G) = pi + e*(G re-weighted by pi) whenever 0 <= pi <= e*;
-    (iv) a guess below 2 rounds nothing, so its first level is full-range value
-        iteration, exact by (ii), and the rest re-weighted by e* has energy 0
-        everywhere: it is accepted, and halving from c >= 2n reaches it.
+    (iii) a level of granularity 1 rounds nothing, so by (i) and (ii) it adds
+        e* of the game re-weighted by pi, and e*(G) = pi + e*(G re-weighted
+        by pi) whenever 0 <= pi <= e*: pi is e*, and a later level could
+        neither add to it nor refute the guess, so the guess ends there;
+    (iv) a guess below 2 has granularity 1 at its first level, full-range
+        value iteration: it is accepted, and halving from c >= 2n reaches it.
     (i) holds by construction: :func:`_solve_level` starts every run at n*W
     of the graph it is given, and no caller can pass a smaller bound.  No
     guess can raise PotentialContractError: the first level's approximation

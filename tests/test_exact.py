@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -59,7 +60,7 @@ class TestPenaltyBoundRecursion:
         phases = []
         assert _solve_level(graph, Fraction(1), phases) == (0, 0, 0)
         assert len(phases) == 1
-        assert phases[0].error_budget is None  # base case, no recursion
+        assert phases[0].granularity == 1  # rounds nothing, so the only level
 
     def test_too_large_penalty_claim_can_fail_verification(self):
         # claiming a penalty of 2 starves the recursion's bound: the claim is
@@ -134,16 +135,27 @@ def reference_level(graph, bound, floor, phases):
 
 def against_reference(graph, floor):
     """Run the level loop and the reference recursion at ``floor`` on
-    ``graph``'s a-priori bound.  The loop's phases are the reference's up to
-    the first level below the first that drops a node, where the loop stops
-    refuted; an accepted run has every phase and the same energies."""
+    ``graph``'s a-priori bound; a reference base case reads as a level of
+    granularity 1 with budget n.  The loop's phases are a prefix of the
+    reference's: a refuted run stops at the first level below the first that
+    drops a node; an accepted one stops after its first level of granularity
+    1, or once its first level drops every node, with the same energies, and
+    every reference level past it does nothing."""
     mine, theirs = [], []
     energies = _solve_level(graph, floor, mine)
     reference = reference_level(graph, graph.default_bound(), floor, theirs)
+    theirs = [
+        p if p.granularity else replace(p, error_budget=p.nodes, granularity=1)
+        for p in theirs
+    ]
     assert mine == theirs[: len(mine)]
+    assert all(p.granularity >= 2 for p in mine[:-1])
     if energies is not None:
-        assert energies == reference and mine == theirs
+        assert energies == reference
         assert not any(p.dropped for p in mine[1:])
+        assert mine[-1].granularity == 1 or mine[0].dropped == graph.n
+        for p in theirs[len(mine) :]:
+            assert (p.updates, p.steps, p.edge_work, p.dropped) == (0, 0, 0, 0)
     else:
         assert len(mine) >= 2 and mine[-1].dropped > 0
         assert not any(p.dropped for p in mine[1:-1])
@@ -170,9 +182,9 @@ def guessed_graph(graph):
 class TestLevelLoop:
     def test_matches_the_reference_recursion_at_every_guess(self):
         # every budget the guess loop tries, on the graph it solves; a
-        # rejected guess stops at its refuting level, a prefix of the
-        # reference's levels
-        runs = first_drops = rejected = saved = 0
+        # rejected guess stops at its refuting level, an accepted one at its
+        # first level of granularity 1, each a prefix of the reference's levels
+        runs = first_drops = emptied = rejected = refuted_at_one = saved = idle = 0
         for seed in range(500):
             original = small_random(seed)
             graph = guessed_graph(original)
@@ -180,14 +192,23 @@ class TestLevelLoop:
                 energies, mine, theirs = against_reference(graph, guess.penalty_guess)
                 assert tuple(mine) == guess.phases
                 assert (energies is not None) == guess.accepted
-                if not guess.accepted:
+                if guess.accepted:
+                    emptied += mine[-1].granularity >= 2
+                    idle += len(theirs) - len(mine)
+                else:
                     rejected += 1
+                    refuted_at_one += mine[-1].granularity == 1
                     saved += len(theirs) - len(mine)
                 runs += 1
                 first_drops += mine[0].dropped > 0
-        # the first level drops nodes in 18 runs; 16 runs are refuted, and the
-        # reference recursion runs 4 levels past their refutations
-        assert (runs, first_drops, rejected, saved) == (334, 18, 16, 4)
+        # the first level drops nodes in 18 runs and every node in 3 accepted
+        # ones, which end coarser than granularity 1; 16 runs are refuted, 15
+        # of them at a level of granularity 1, and the reference recursion
+        # runs 4 levels past the refutations and 391 levels that do nothing
+        # past the accepted runs' last
+        assert (runs, first_drops, emptied, rejected, refuted_at_one, saved, idle) == (
+            334, 18, 3, 16, 15, 4, 391
+        )
 
     def test_matches_the_reference_recursion_at_fixed_floors(self):
         # on whole graphs; the public entry point returns the loop's energies
@@ -335,9 +356,9 @@ class TestSolveDriver:
         assert not report.guesses and not report.fallback_used
 
     def test_only_the_last_guess_rounds_at_granularity_one(self):
-        # a granularity-1 rounding rounds nothing: a guess below 2 is
-        # full-range value iteration on the graph the loop solves, and no
-        # later level can refute it, so only the last guess is one
+        # a granularity-1 rounding rounds nothing: a guess below 2 is one
+        # level, full-range value iteration on the graph the loop solves, and
+        # nothing can refute it, so only the last guess is one
         full_range_guesses = 0
         for seed in range(120):
             graph = small_random(seed)
@@ -358,7 +379,7 @@ class TestSolveDriver:
             assert (first.updates, first.steps, first.edge_work) == (
                 viter.total_updates, viter.steps, viter.edge_work
             )
-            assert all(p.updates == 0 for p in last.phases[1:])
+            assert len(last.phases) == 1
         # 28 of the 120 end at a guess below 2
         assert full_range_guesses == 28
 

@@ -148,6 +148,22 @@ class TestCli:
         assert lines[-2] == "guess c=3 D=1: accepted"
         assert lines[-1].startswith("fallback=yes ")
 
+    def test_assume_penalty_takes_the_penalty_commands_inf(self, tmp_path, capsys):
+        # Bob forces no negative cycle on this non-negative cycle, so its
+        # penalty is inf, and solve takes that back as a hint that caps nothing
+        game = tmp_path / "cycle.eg"
+        game.write_text("p eg 3 3\nv 0 A\nv 1 B\nv 2 B\ne 0 1 -2\ne 1 2 1\ne 2 0 3\n")
+        assert main(["penalty", str(game)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "graph inf"
+        runs = []
+        for hint in ([], ["--assume-penalty", "inf"]):
+            out = tmp_path / f"cycle{len(runs)}.energy"
+            assert main(["solve", str(game), "--out", str(out)] + hint) == 0
+            guesses = [line for line in capsys.readouterr().err.splitlines() if line.startswith("guess ")]
+            runs.append((out.read_text(), guesses))
+        assert runs[0] == runs[1]
+        assert parse_energies(runs[0][0], 3) == (2, 0, 0)
+
     @pytest.mark.parametrize("command", [["solve"], ["approx", "--error", "2"]], ids=["solve", "approx"])
     def test_bound_option_removed(self, tmp_path, capsys, command):
         # e* = (5, 0) exceeds 2, so a bound of 2 would make both nodes infinite
