@@ -64,6 +64,8 @@ def _penalty(text: str) -> Fraction | float:
         return Fraction(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
 
 
 def _penalty_str(value) -> str:

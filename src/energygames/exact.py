@@ -4,9 +4,11 @@ Given a lower bound D on the game's penalty and an upper bound M on its
 finite minimal energies, one round of the rounding approximation solves the
 game to within half the bound; subtracting the approximation as a potential
 yields a residual game with the same penalty and half the bound.  Iterating
-ends at a level of granularity 1, which rounds nothing and is exact.  The
-residual games are never built as graphs: a level is the summed potential and
-a granularity, passed to the kernel as a weight list on the graph it was
+ends at the first level whose granularity divides every residual weight: it
+rounds nothing and is exact.  Granularity 1 always does; on weights with a
+common divisor, such as clustered ones, an earlier level can.  The residual
+games are never built as graphs: a level is the summed potential and a
+granularity, passed to the kernel as a weight list on the graph it was
 given.  Only the first level may drop infinite nodes, by building a smaller
 graph; a later level that finds one refutes D (see :func:`_solve_level`).
 
@@ -26,6 +28,7 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .admissible import multiples_list
 from .core import (
@@ -49,7 +52,7 @@ class PhaseRecord:
     nodes: int
     bound: int
     error_budget: int | None  # None for the region pre-pass's coarse steps
-    granularity: int  # B; in a guess, a level of granularity 1 is the last
+    granularity: int  # B; in a guess, the first level that rounds nothing is the last
     updates: int
     steps: int
     edge_work: int
@@ -149,6 +152,11 @@ def minimal_energy_with_penalty_bound(
     return energies
 
 
+def _weight_gcd(graph: GameGraph) -> int:
+    """The gcd of the edge weights (0 when every weight is 0)."""
+    return gcd(*(weight for _, _, weight in graph.edges))
+
+
 def _solve_level(
     graph: GameGraph, floor: Fraction, phases: list[PhaseRecord]
 ) -> EnergyFn | None:
@@ -161,7 +169,8 @@ def _solve_level(
     min(max(M // 2, n), floor(n*D)).  As D >= 1 gives floor(n*D) >= n, this
     is the paper's two regimes: one coarse step down to floor(n*D) when
     n*D < M/2 (then floor(n*D) <= M // 2), else halving, clamped up to n so
-    that B is never 0.  A level of granularity 1 rounds nothing and is last.
+    that B is never 0.  A level whose B divides every residual weight
+    rounds nothing and is last; B = 1 always does.
 
     A level is a potential pi, the sum of the approximations so far, and a
     granularity B.  Its rounded game keeps the edges of ``graph`` with the
@@ -171,14 +180,23 @@ def _solve_level(
     result e.  Only the first level may make nodes infinite: it applies pi to
     drop them, and the loop goes on with the kept subgraph and pi = 0.  Any
     later level that makes a node infinite refutes the floor (the loop
-    returns None); the first level of granularity 1 ends the loop, before
+    returns None); the first level that rounds nothing ends the loop, before
     any transform.  The result is pi, lifted back through the first level's
     transform if it dropped nodes.
+
+    Whether a level rounds nothing is an O(1) test.  ``common`` is the gcd of
+    the weights of the graph the loop runs on, folded with the granularity
+    of every level run on it since: pi is a sum of level results, each a
+    multiple of its level's B, so every residual weight is a multiple of
+    ``common``, and a level with ``common % B == 0`` rounds nothing.  The
+    weight gcd is taken once per graph: at the start, and again when the
+    first level's transform replaces the graph.
     """
     original_n = graph.n
     transform: PotentialTransform | None = None
     potential = [0] * graph.n
     bound = graph.default_bound()
+    common = _weight_gcd(graph)
     first = True
     while graph.n:
         n = graph.n
@@ -191,12 +209,14 @@ def _solve_level(
         if dropped and not first:
             return None
         potential = [p + e for p, e in zip(potential, result.energies)]
-        if granularity == 1:
+        if common % granularity == 0:
             break
+        common = gcd(common, granularity)
         if dropped:
             transform = apply_potential(graph, tuple(potential))
             graph = transform.graph
             potential = [0] * graph.n
+            common = _weight_gcd(graph)
         bound = budget
         first = False
     energies = tuple(potential)
@@ -345,19 +365,25 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
     lowers the first to floor(n*penalty), never below n), halving until a
     guess is accepted.  A guess is accepted iff no level below the first
     makes a node infinite; :func:`_solve_level` stops at the first level that
-    does, or after its first level of granularity 1.  This is exact and ends:
+    does, or after its first level that rounds nothing.  This is exact and
+    ends:
 
     (i) rounding up only helps Alice, and the rounded game's finite energies
         are at most n*W, so the first phase drops only truly losing nodes;
     (ii) a capped value iteration that makes no node infinite is the least
         fixed point of the uncapped operator, so each later level adds the
         exact energies of a rounded residual game, lower bounds: 0 <= pi <= e*;
-    (iii) a level of granularity 1 rounds nothing, so by (i) and (ii) it adds
-        e* of the game re-weighted by pi, and e*(G) = pi + e*(G re-weighted
-        by pi) whenever 0 <= pi <= e*: pi is e*, and a later level could
-        neither add to it nor refute the guess, so the guess ends there;
-    (iv) a guess below 2 has granularity 1 at its first level, full-range
-        value iteration: it is accepted, and halving from c >= 2n reaches it.
+    (iii) a level whose granularity B divides every residual weight
+        w(u,v) + pi(u) - pi(v) rounds nothing: every value the kernel
+        reaches is then a multiple of B, so its run over the multiples of B
+        makes the updates a run over the full list would.  By (i) and (ii)
+        it adds e* of the game re-weighted by pi, and e*(G) = pi + e*(G
+        re-weighted by pi) whenever 0 <= pi <= e*: pi is e*, and a later
+        level could neither add to it nor refute the guess, so the guess
+        ends there;
+    (iv) a guess below 2 has granularity 1 at its first level, which rounds
+        nothing: full-range value iteration.  It is accepted, and halving
+        from c >= 2n reaches it.
     (i) holds by construction: :func:`_solve_level` starts every run at n*W
     of the graph it is given, and no caller can pass a smaller bound.  No
     guess can raise PotentialContractError: the first level's approximation

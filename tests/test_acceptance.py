@@ -33,7 +33,7 @@ from energygames import (
 from energygames.exact import solve
 from energygames.generators import GenSpec, high_penalty_family, random_game, windowed_game
 
-from conftest import induced_subgraph, simple_cycles
+from game_helpers import induced_subgraph, simple_cycles
 
 SMALL_W = 10
 

@@ -17,7 +17,7 @@ from energygames import (
     verify_minimal,
 )
 
-from conftest import induced_subgraph, simple_cycles, small_random
+from game_helpers import induced_subgraph, simple_cycles, small_random
 
 
 class TestValidate:

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -27,9 +28,9 @@ from energygames.exact import (
     minimal_energy_with_penalty_bound,
     solve,
 )
-from energygames.generators import GenSpec, random_game
+from energygames.generators import GenSpec, high_penalty_family, multiples_game, random_game
 
-from conftest import induced_subgraph, small_random, zero_cycle_game
+from game_helpers import induced_subgraph, small_random, zero_cycle_game
 from test_acceptance import (
     FIG3,
     SHALLOW_TRAP,
@@ -112,12 +113,14 @@ def _phase(n, bound, viter, granularity=None, budget=None, dropped=0):
     )
 
 
-def reference_level(graph, bound, floor, phases):
+def reference_level(graph, bound, floor, phases, games):
     """The recursion as the paper states it, from public functions only:
-    approximate, apply the result as a potential, recurse, lift."""
+    approximate, apply the result as a potential, recurse, lift.  Appends
+    each level's residual game to ``games``."""
     n = graph.n
     if n == 0:
         return ()
+    games.append(graph)
     if floor >= Fraction(bound, 2 * n):
         if bound <= n:
             result = solve_with_list(graph, full_list(n))
@@ -130,7 +133,7 @@ def reference_level(graph, bound, floor, phases):
     transform = apply_potential(graph, approx.energies)
     dropped = n - len(transform.kept)
     phases.append(_phase(n, bound, approx.viter, approx.granularity, budget, dropped))
-    return transform.lift(reference_level(transform.graph, budget, floor, phases), n)
+    return transform.lift(reference_level(transform.graph, budget, floor, phases, games), n)
 
 
 def against_reference(graph, floor):
@@ -138,12 +141,13 @@ def against_reference(graph, floor):
     ``graph``'s a-priori bound; a reference base case reads as a level of
     granularity 1 with budget n.  The loop's phases are a prefix of the
     reference's: a refuted run stops at the first level below the first that
-    drops a node; an accepted one stops after its first level of granularity
-    1, or once its first level drops every node, with the same energies, and
-    every reference level past it does nothing."""
-    mine, theirs = [], []
+    drops a node; an accepted one stops after its first level whose
+    granularity divides the gcd of its residual weights, so that it rounds
+    nothing, or once its first level drops every node, with the same
+    energies, and every reference level past it does nothing."""
+    mine, theirs, games = [], [], []
     energies = _solve_level(graph, floor, mine)
-    reference = reference_level(graph, graph.default_bound(), floor, theirs)
+    reference = reference_level(graph, graph.default_bound(), floor, theirs, games)
     theirs = [
         p if p.granularity else replace(p, error_budget=p.nodes, granularity=1)
         for p in theirs
@@ -153,7 +157,10 @@ def against_reference(graph, floor):
     if energies is not None:
         assert energies == reference
         assert not any(p.dropped for p in mine[1:])
-        assert mine[-1].granularity == 1 or mine[0].dropped == graph.n
+        last = len(mine) - 1
+        assert mine[0].dropped == graph.n or (
+            gcd(*(w for _, _, w in games[last].edges)) % mine[last].granularity == 0
+        )
         for p in theirs[len(mine) :]:
             assert (p.updates, p.steps, p.edge_work, p.dropped) == (0, 0, 0, 0)
     else:
@@ -183,8 +190,9 @@ class TestLevelLoop:
     def test_matches_the_reference_recursion_at_every_guess(self):
         # every budget the guess loop tries, on the graph it solves; a
         # rejected guess stops at its refuting level, an accepted one at its
-        # first level of granularity 1, each a prefix of the reference's levels
-        runs = first_drops = emptied = rejected = refuted_at_one = saved = idle = 0
+        # first level that rounds nothing, each a prefix of the reference's
+        # levels
+        runs = first_drops = coarse = rejected = refuted_at_one = saved = idle = 0
         for seed in range(500):
             original = small_random(seed)
             graph = guessed_graph(original)
@@ -193,7 +201,7 @@ class TestLevelLoop:
                 assert tuple(mine) == guess.phases
                 assert (energies is not None) == guess.accepted
                 if guess.accepted:
-                    emptied += mine[-1].granularity >= 2
+                    coarse += mine[-1].granularity >= 2
                     idle += len(theirs) - len(mine)
                 else:
                     rejected += 1
@@ -201,24 +209,26 @@ class TestLevelLoop:
                     saved += len(theirs) - len(mine)
                 runs += 1
                 first_drops += mine[0].dropped > 0
-        # the first level drops nodes in 18 runs and every node in 3 accepted
-        # ones, which end coarser than granularity 1; 16 runs are refuted, 15
-        # of them at a level of granularity 1, and the reference recursion
-        # runs 4 levels past the refutations and 391 levels that do nothing
-        # past the accepted runs' last
-        assert (runs, first_drops, emptied, rejected, refuted_at_one, saved, idle) == (
-            334, 18, 3, 16, 15, 4, 391
+        # the first level drops nodes in 18 runs; 14 accepted runs end
+        # coarser than granularity 1, 3 of them because the first level drops
+        # every node and 11 at a level whose granularity divides every
+        # residual weight; 16 runs are refuted, 15 of them at a level of
+        # granularity 1, and the reference recursion runs 4 levels past the
+        # refutations and 402 levels that do nothing past the accepted runs'
+        # last
+        assert (runs, first_drops, coarse, rejected, refuted_at_one, saved, idle) == (
+            334, 18, 14, 16, 15, 4, 402
         )
 
     def test_matches_the_reference_recursion_at_fixed_floors(self):
         # on whole graphs; the public entry point returns the loop's energies
         # or raises, and its energies are the full-range ones
-        runs = first_drops = refuted = 0
+        runs = first_drops = refuted = coarse = idle = 0
         for seed in range(500):
             graph = small_random(seed)
             exact = full_range(graph)
             for floor in FIXED_FLOORS:
-                energies, mine, _ = against_reference(graph, floor)
+                energies, mine, theirs = against_reference(graph, floor)
                 assert energies is None or energies == exact, (seed, floor)
                 try:
                     assert minimal_energy_with_penalty_bound(graph, floor) == energies == exact
@@ -227,8 +237,14 @@ class TestLevelLoop:
                 runs += 1
                 first_drops += mine[0].dropped > 0
                 refuted += energies is None
-        # the first level drops nodes in 989 runs, and 92 runs are refuted
-        assert (runs, first_drops, refuted) == (2500, 989, 92)
+                if energies is not None:
+                    coarse += mine[-1].granularity >= 2
+                    idle += len(theirs) - len(mine)
+        # the first level drops nodes in 989 runs, 92 runs are refuted, 367
+        # accepted runs end coarser than granularity 1, and the reference
+        # recursion runs 1,939 levels that do nothing past the accepted runs'
+        # last
+        assert (runs, first_drops, refuted, coarse, idle) == (2500, 989, 92, 367, 1939)
 
     def test_exact_or_refuted(self):
         # whatever the floor, a run at n*W either returns the exact energies
@@ -260,6 +276,56 @@ class TestLevelLoop:
         assert refutations(STARVED_BY_FLOOR_2) == (6, 3)
         assert refutations(small_random(319, max_n=8, max_w=20, max_out=4)) == (7, 5)
 
+    def test_hub_guess_stops_at_the_weights_divisor(self):
+        # every hub weight is a multiple of W/8 = 8192, so the accepted guess
+        # stops at the first level of that granularity, after 3 levels where
+        # the reference recursion runs 17, with the same work in all
+        for seed in (1, 2, 3):
+            graph = high_penalty_family(2000, 2**16, seed)
+            report = solve(graph)
+            assert report.region.size == 0 and len(report.guesses) == 1
+            phases = report.guesses[0].phases
+            assert [p.granularity for p in phases] == [32768, 16384, 8192]
+            theirs = []
+            reference = reference_level(
+                graph, graph.default_bound(), report.guesses[0].penalty_guess, theirs, []
+            )
+            assert report.energies == reference
+            assert len(theirs) == 17
+            for field in ("updates", "steps", "edge_work"):
+                assert sum(getattr(p, field) for p in phases) == sum(
+                    getattr(p, field) for p in theirs
+                )
+
+    def test_multiples_guess_stops_at_the_granularity(self):
+        # weights are multiples of 64; seeds 0-3 keep n*W a power-of-two
+        # multiple of 64 after the losing region is dropped, so the halving
+        # reaches granularity 64 at the fourth level and stops there
+        for seed in range(4):
+            graph = multiples_game(GenSpec("multiples", 30, 120, 1024, seed, granularity=64))
+            report = solve(graph)
+            assert report.energies == full_range(graph)
+            phases = report.guesses[-1].phases
+            assert [p.granularity for p in phases] == [512, 256, 128, 64]
+        # seed 4's residual has W = 960, so the granularities run 480, 240,
+        # 120, 60, ..., and no level above granularity 1 has one that divides
+        # every residual weight
+        graph = multiples_game(GenSpec("multiples", 30, 120, 1024, 4, granularity=64))
+        assert guessed_graph(graph).max_weight == 960
+        report = solve(graph)
+        assert report.energies == full_range(graph)
+        assert report.guesses[-1].phases[-1].granularity == 1
+
+    def test_scaled_weights_scale_the_energies(self):
+        # a common factor k of the weights is a divisor the loop may stop at;
+        # the energies must still be exactly k times the unscaled ones
+        for seed in range(200):
+            graph = small_random(seed)
+            energies = solve(graph).energies
+            for k in (2, 3, 8):
+                scaled = GameGraph(graph.owners, tuple((u, v, k * w) for u, v, w in graph.edges))
+                assert solve(scaled).energies == tuple(k * e for e in energies), (seed, k)
+
 
 class TestPotentialRecursionProperties:
     def test_penalty_never_drops_under_potential_transform(self):
@@ -279,7 +345,7 @@ class TestPotentialRecursionProperties:
             assert all(a >= b for a, b in zip(after, before))
 
     def test_cycle_averages_preserved_under_potential_transform(self):
-        from conftest import simple_cycles
+        from game_helpers import simple_cycles
 
         for seed in range(30):
             graph = small_random(seed, max_n=4)

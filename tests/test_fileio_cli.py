@@ -14,7 +14,7 @@ from energygames.fileio import (
     parse_game,
 )
 
-from conftest import small_random
+from game_helpers import small_random
 
 
 @st.composite
@@ -288,6 +288,16 @@ class TestCli:
         path.write_text("p eg 2 1\nv 0 A\nv 1 B\ne 0 9 1\n")
         assert main(["solve", str(path)]) == 2
         assert "line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hint", ["nan", "1/0"])
+    def test_bad_penalty_hint_is_a_usage_error(self, tmp_path, capsys, hint):
+        game = self._write_fig1(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main(["solve", game, "--assume-penalty", hint])
+        assert err.value.code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-1].startswith("energygames solve: error: argument --assume-penalty: ")
+        assert not any("Traceback" in line for line in lines)
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -17,7 +17,7 @@ from energygames.generators import (
 )
 from energygames.oracle import brute_force_penalty
 
-from conftest import simple_cycles
+from game_helpers import simple_cycles
 
 
 class TestSplitMix64:

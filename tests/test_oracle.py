@@ -15,7 +15,7 @@ from energygames import (
 )
 from energygames.oracle import BudgetExceeded, OracleBudget, _lasso_walk, pair_count
 
-from conftest import all_edge_choices, dfs_path_minimum, small_random
+from game_helpers import all_edge_choices, dfs_path_minimum, small_random
 
 
 class TestEvalPair:

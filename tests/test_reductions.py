@@ -16,7 +16,7 @@ from energygames import (
 )
 from energygames.exact import solve
 
-from conftest import small_random
+from game_helpers import small_random
 
 
 def winners(graph: GameGraph) -> tuple[bool, ...]:

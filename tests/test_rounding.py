@@ -17,7 +17,7 @@ from energygames import (
 from energygames.generators import high_penalty_family
 from energygames.oracle import _lasso_walk
 
-from conftest import all_edge_choices, simple_cycles, small_random
+from game_helpers import all_edge_choices, simple_cycles, small_random
 
 
 class TestRoundWeights:

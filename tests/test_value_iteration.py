@@ -14,7 +14,7 @@ from energygames import (
 )
 from energygames.generators import GenSpec, windowed_game
 
-from conftest import small_random
+from game_helpers import small_random
 
 
 def _universal(graph):
