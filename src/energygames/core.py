@@ -90,25 +90,32 @@ class GameGraph:
         return tuple(tuple(ids) for ids in out)
 
     @cached_property
-    def _adjacency(self) -> tuple[Adjacency, Adjacency]:
-        """The successor and predecessor lists of every node: the
-        value-iteration kernel's adjacency, built once per graph.
+    def _adjacency(self) -> tuple[Adjacency, Adjacency, list[int], list[bool], list[int]]:
+        """The value-iteration kernel's view of the graph, built once per
+        graph: the successor and predecessor lists of every node, the source
+        of every edge in edge-list order, every node's Alice flag, and every
+        node's edge work (out- plus in-degree).
 
-        Raises ValueError on a self-loop or a sink; a raising cached property
-        stores nothing, so every access raises again.  The lists are shared by
-        every call and never mutated; they stay lists because converting them
-        to tuples costs a one-call solve about a tenth of its time.
+        None of it depends on the weights, which a call may replace.  Raises
+        ValueError on a self-loop or a sink; a raising cached property stores
+        nothing, so every access raises again.  The lists are shared by every
+        call and never mutated; they stay lists because converting them to
+        tuples costs a one-call solve about a tenth of its time.
         """
         succ: Adjacency = [[] for _ in range(self.n)]
         pred: Adjacency = [[] for _ in range(self.n)]
+        sources: list[int] = []
         for i, (src, dst, _) in enumerate(self.edges):
             if src == dst:
                 raise ValueError("self-loops must be eliminated before value iteration")
             succ[src].append((dst, i))
             pred[dst].append((src, i))
+            sources.append(src)
         if not all(succ):
             raise ValueError("every node needs an out-edge before value iteration")
-        return succ, pred
+        alice = [owner == ALICE for owner in self.owners]
+        work = [len(out) + len(inc) for out, inc in zip(succ, pred)]
+        return succ, pred, sources, alice, work
 
     def out_degree(self, node: int) -> int:
         return len(self.out_edges[node])
@@ -137,13 +144,18 @@ def validate(graph: GameGraph) -> ValidationReport:
     self-loops remain (see :func:`eliminate_self_loops`), and weights leave
     enough signed 64-bit headroom for the n^2*W values reductions can create.
     """
-    problems: list[str] = []
-    for node in range(graph.n):
-        if graph.out_degree(node) == 0:
-            problems.append(f"node {node}: sink node (out-degree 0)")
+    out_degree = [0] * graph.n
+    loops: list[str] = []
     for i, (src, dst, _) in enumerate(graph.edges):
+        out_degree[src] += 1
         if src == dst:
-            problems.append(f"edge {i} ({src}->{dst}): self-loop (normalize first)")
+            loops.append(f"edge {i} ({src}->{dst}): self-loop (normalize first)")
+    problems = [
+        f"node {node}: sink node (out-degree 0)"
+        for node, degree in enumerate(out_degree)
+        if degree == 0
+    ]
+    problems += loops
     headroom = graph.n * graph.n * graph.max_weight
     if headroom > INT64_MAX:
         problems.append(

@@ -283,9 +283,9 @@ def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[int] | None]:
             if dual is not None:
                 # A node's first update from 0 already reaches its one-step
                 # target, so caps below the largest target fail for certain.
-                succ, _ = dual._adjacency
+                succ, _, _, alice, _ = dual._adjacency
                 floor = max(
-                    (min if dual.is_alice(u) else max)(-dual.edges[i][2] for _, i in succ[u])
+                    (min if alice[u] else max)(-dual.edges[i][2] for _, i in succ[u])
                     for u in range(size)
                 )
                 dual_cap = size + 1

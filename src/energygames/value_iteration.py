@@ -12,20 +12,22 @@ Every update strictly increases the updated node and never overshoots the
 true minimal energy as long as the list is admissible, so the final energies
 are exactly minimal.
 
-The successor and predecessor lists are built once per graph (see
-``GameGraph._adjacency``) and carry edge indices, not weights: a call takes
-the weights as a list in edge-list order, so callers that re-weight one graph
-many times, as the exact solver's recursion does, pay no rebuild.  Each call
-makes one pass over that list to seed the counters.
+The successor and predecessor lists carry edge indices, not weights: a call
+takes the weights as a list in edge-list order, so callers that re-weight one
+graph many times, as the exact solver's recursion does, pay no rebuild.  The
+per-graph constants (adjacency, edge sources, owners, per-node edge work) are
+built once (see ``GameGraph._adjacency``); the rounding to a list member is
+inline.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .core import ALICE, INF, Energy, EnergyFn, GameGraph
+from .core import INF, Energy, EnergyFn, GameGraph
 from .admissible import AdmissibleList
 
 
@@ -51,7 +53,7 @@ def solve_with_list(
     first out; the final energies do not depend on the order.
     """
     n = graph.n
-    succ, pred = graph._adjacency
+    succ, pred, sources, is_alice, work = graph._adjacency
     if weights is None:
         weights = [weight for _, _, weight in graph.edges]
     elif len(weights) != graph.m:
@@ -59,16 +61,23 @@ def solve_with_list(
     # Every node starts at the smallest value, where an edge (u,v,w) satisfies
     # e(u) + w >= e(v) iff w >= 0: count[u] is the number of such edges.
     count = [0] * n
-    for (src, _, _), weight in zip(graph.edges, weights):
+    for src, weight in zip(sources, weights):
         if weight >= 0:
             count[src] += 1
 
-    base = admissible.smallest
-    index_at_least = admissible.index_at_least
-    value_at = admissible.value_at
-    e: list[Energy] = [base] * n
-    pos = [index_at_least(base)] * n
-    is_alice = [owner == ALICE for owner in graph.owners]
+    # Rounding up to a list member is inline.  A node is popped only while
+    # violated, so its target exceeds its value, which is at least the first
+    # member: no clamp at the bottom is needed, and the assert below guards
+    # that invariant.  Anything above the top member rounds to INF.
+    finite = admissible.finite
+    length = len(finite)
+    top = finite[-1]
+    arithmetic = isinstance(finite, range)
+    start = finite.start if arithmetic else 0
+    step = finite.step if arithmetic else 1
+    ceil_shift = step - 1 - start  # (x + ceil_shift) // step = ceil((x - start) / step)
+    e: list[Energy] = [finite[0]] * n
+    pos = [0] * n
 
     pending: deque[int] = deque()
     queued = [False] * n
@@ -101,22 +110,28 @@ def solve_with_list(
                 x = e[v] - weights[i]
                 if x > target:
                     target = x
-        new_pos = index_at_least(target)
-        new = value_at(new_pos)
+        if target > top:
+            new_pos = length
+            new = INF
+        elif arithmetic:
+            new_pos = (target + ceil_shift) // step
+            new = start + new_pos * step
+        else:
+            new_pos = bisect_left(finite, target)
+            new = finite[new_pos]
         assert new > old, f"update at node {u} must strictly increase ({old} -> {new})"
         e[u] = new
         updates[u] += 1
         steps += new_pos - pos[u]
         pos[u] = new_pos
-        inc = pred[u]
-        edge_work += len(out) + len(inc)
+        edge_work += work[u]
         if alice:
             c = 0
             for v, i in out:
                 if new + weights[i] >= e[v]:
                     c += 1
             count[u] = c
-        for t, i in inc:
+        for t, i in pred[u]:
             held = e[t] + weights[i]
             if held >= new:
                 continue

@@ -42,6 +42,20 @@ class TestValidate:
         report = validate(graph)
         assert any("headroom" in p for p in report.problems)
 
+    def test_problems_listed_sinks_then_self_loops_then_headroom(self):
+        huge = 2**62
+        graph = GameGraph(
+            (ALICE, BOB, ALICE, BOB),
+            ((2, 2, huge), (0, 0, 1), (0, 2, -huge), (2, 0, 1)),
+        )
+        assert validate(graph).problems == (
+            "node 1: sink node (out-degree 0)",
+            "node 3: sink node (out-degree 0)",
+            "edge 0 (2->2): self-loop (normalize first)",
+            "edge 1 (0->0): self-loop (normalize first)",
+            f"weights: n^2*W = {16 * huge} exceeds the 64-bit headroom {2**63 - 1}",
+        )
+
     def test_bad_owner_rejected_at_construction(self):
         with pytest.raises(ValueError):
             GameGraph(("X",), ())

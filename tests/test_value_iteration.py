@@ -1,3 +1,6 @@
+import copy
+from collections import deque
+
 import pytest
 
 from energygames import (
@@ -12,13 +15,108 @@ from energygames import (
     verify_minimal,
     window_list,
 )
-from energygames.generators import GenSpec, windowed_game
+from energygames.admissible import AdmissibleList
+from energygames.generators import GenSpec, high_penalty_family, windowed_game
+from energygames.value_iteration import ViterResult
 
 from game_helpers import small_random
 
 
 def _universal(graph):
     return full_list(graph.default_bound())
+
+
+def reference_solve_with_list(graph, admissible, weights=None):
+    """The kernel before rounding went inline and the per-graph constants
+    were cached: it builds its own adjacency, owner flags and counters on
+    every call and rounds through the list's methods.  The kernel must match
+    it field for field."""
+    n = graph.n
+    succ = [[] for _ in range(n)]
+    pred = [[] for _ in range(n)]
+    for i, (src, dst, _) in enumerate(graph.edges):
+        succ[src].append((dst, i))
+        pred[dst].append((src, i))
+    if weights is None:
+        weights = [weight for _, _, weight in graph.edges]
+    count = [0] * n
+    for (src, _, _), weight in zip(graph.edges, weights):
+        if weight >= 0:
+            count[src] += 1
+    base = admissible.smallest
+    e = [base] * n
+    pos = [admissible.index_at_least(base)] * n
+    is_alice = [owner == ALICE for owner in graph.owners]
+    pending = deque()
+    queued = [False] * n
+    for u in range(n):
+        violated = count[u] == 0 if is_alice[u] else count[u] < len(succ[u])
+        if violated:
+            pending.append(u)
+            queued[u] = True
+    updates = [0] * n
+    steps = 0
+    edge_work = 0
+    while pending:
+        u = pending.popleft()
+        queued[u] = False
+        old = e[u]
+        out = succ[u]
+        alice = is_alice[u]
+        candidates = [e[v] - weights[i] for v, i in out]
+        target = min(candidates) if alice else max(candidates)
+        new_pos = admissible.index_at_least(target)
+        new = admissible.value_at(new_pos)
+        assert new > old
+        e[u] = new
+        updates[u] += 1
+        steps += new_pos - pos[u]
+        pos[u] = new_pos
+        inc = pred[u]
+        edge_work += len(out) + len(inc)
+        if alice:
+            count[u] = sum(1 for v, i in out if new + weights[i] >= e[v])
+        for t, i in inc:
+            held = e[t] + weights[i]
+            if held >= new:
+                continue
+            if is_alice[t]:
+                if held >= old:
+                    count[t] -= 1
+                if count[t] <= 0 and not queued[t]:
+                    pending.append(t)
+                    queued[t] = True
+            elif not queued[t]:
+                pending.append(t)
+                queued[t] = True
+    return ViterResult(tuple(e), tuple(updates), steps, edge_work)
+
+
+def _windowed(seed):
+    spec = GenSpec(
+        family="window",
+        n=5,
+        m=9,
+        max_weight=10,
+        seed=seed,
+        d=2,
+        delta=1,
+        center_lo=-6,
+        center_hi=6,
+    )
+    graph, centers = windowed_game(spec)
+    return graph, window_list(list(centers), spec.delta, graph.n, graph.default_bound())
+
+
+def _list_shapes(graph):
+    """A full, a multiples and two hand-built lists that start above 0."""
+    bound = graph.default_bound()
+    return (
+        full_list(bound),
+        multiples_list(3, bound),
+        AdmissibleList(range(3, 400, 7)),
+        AdmissibleList((2, 5, 6, 11, 17, 40, 41, 100)),
+    )
 
 
 class TestSolveWithList:
@@ -98,11 +196,13 @@ class TestSolveWithList:
                 solve_with_list(graph, full_list(2))
 
     def test_weights_act_as_the_edge_weights(self):
-        # Calls on one graph share its cached adjacency, so each must equal
-        # the call on a fresh graph that carries its weights: no state from
-        # an earlier call's weights may leak into the next.
+        # Calls on one graph share its cached per-graph constants, so each
+        # must equal the call on a fresh graph that carries its weights, and
+        # leave the constants as it found them: no state from an earlier
+        # call's weights may leak into the next.
         for seed in range(60):
             graph = small_random(seed)
+            cached = copy.deepcopy(graph._adjacency)
             shifted = [3 * w - seed % 7 for _, _, w in graph.edges]
             negated = [-w for _, _, w in graph.edges]
             lst = full_list(graph.n * max(map(abs, shifted + negated)))
@@ -112,6 +212,7 @@ class TestSolveWithList:
                     graph.owners, tuple((s, d, w) for (s, d, _), w in zip(graph.edges, own))
                 )
                 assert solve_with_list(graph, lst, weights) == solve_with_list(fresh, lst)
+            assert graph._adjacency == cached
 
     def test_weights_need_one_per_edge(self, fig1):
         with pytest.raises(ValueError, match="5 weights for 6 edges"):
@@ -122,3 +223,46 @@ class TestSolveWithList:
         # with a unit-spaced list, positions advanced equal the energy climbed
         assert result.steps == sum(result.energies)
         assert result.edge_work > 0
+
+    def test_steps_account_for_list_positions_on_coarse_lists(self):
+        # Every node starts at index 0 and only moves up, so the positions
+        # advanced add up to the final positions.
+        cases = [(small_random(seed), 1 + seed % 4) for seed in range(40)]
+        cases = [(g, multiples_list(b, g.default_bound())) for g, b in cases]
+        cases += [_windowed(seed) for seed in range(25)]
+        for graph, lst in cases:
+            result = solve_with_list(graph, lst)
+            assert result.steps == sum(lst.index_at_least(x) for x in result.energies)
+
+
+class TestReferenceKernel:
+    """The kernel equals the reference kernel above on every output and
+    counter: energies, per-node updates, list steps and edge work."""
+
+    def test_small_random_on_every_list_shape(self):
+        for seed in range(120):
+            graph = small_random(seed)
+            for lst in _list_shapes(graph):
+                assert solve_with_list(graph, lst) == reference_solve_with_list(graph, lst)
+
+    def test_window_lists(self):
+        for seed in range(25):
+            graph, lst = _windowed(seed)
+            assert solve_with_list(graph, lst) == reference_solve_with_list(graph, lst)
+
+    def test_weights_override(self):
+        for seed in range(60):
+            graph = small_random(seed)
+            weights = [3 * w - seed % 7 for _, _, w in graph.edges]
+            lst = full_list(graph.n * max(map(abs, weights)))
+            for shape in (lst, multiples_list(2, lst.finite[-1]), AdmissibleList(range(3, 400, 7))):
+                expected = reference_solve_with_list(graph, shape, weights)
+                assert solve_with_list(graph, shape, weights) == expected
+
+    def test_penalty_hubs(self):
+        for seed in (1, 2):
+            graph = high_penalty_family(40, 1024, seed)
+            for lst in (_universal(graph), multiples_list(64, graph.default_bound())):
+                result = solve_with_list(graph, lst)
+                assert result == reference_solve_with_list(graph, lst)
+                assert result.total_updates > 0
