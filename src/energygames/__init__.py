@@ -28,7 +28,6 @@ from .generators import (
 )
 from .oracle import (
     BudgetExceeded,
-    OracleBudget,
     PenaltyReport,
     StrategyPair,
     brute_force_energies,
@@ -44,7 +43,7 @@ from .reductions import (
     to_complete_bipartite,
     to_win_everywhere,
 )
-from .rounding import ApproxResult, RoundedGame, approximate_energies, round_weights
+from .rounding import ApproxResult, approximate_energies, round_weights
 from .value_iteration import ViterResult, solve_with_list
 
 __version__ = "0.1.0"
@@ -61,11 +60,9 @@ __all__ = [
     "GameFileError",
     "GameGraph",
     "GenSpec",
-    "OracleBudget",
     "PenaltyReport",
     "PotentialContractError",
     "ReductionTrace",
-    "RoundedGame",
     "SolveReport",
     "SplitMix64",
     "StrategyPair",

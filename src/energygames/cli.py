@@ -11,17 +11,11 @@ import functools
 import sys
 from fractions import Fraction
 
-from .core import GameGraph, INF, eliminate_self_loops, validate
+from .core import GameGraph, INF, validate
 from .exact import solve
 from .fileio import GameFileError, emit_energies, emit_game, parse_energies, parse_game
 from .generators import GenSpec, generate, windowed_game
-from .oracle import (
-    DEFAULT_BUDGET,
-    BudgetExceeded,
-    OracleBudget,
-    brute_force_energies,
-    brute_force_penalty,
-)
+from .oracle import DEFAULT_MAX_PAIRS, BudgetExceeded, brute_force_energies, brute_force_penalty
 from .reductions import to_bipartite, to_complete_bipartite, to_win_everywhere
 from .rounding import approximate_energies
 
@@ -103,11 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="brute-force minimal energies (small n)")
     p_oracle.add_argument("game")
     p_oracle.add_argument("--out")
-    p_oracle.add_argument("--max-pairs", type=int, default=DEFAULT_BUDGET.max_pairs)
+    p_oracle.add_argument("--max-pairs", type=int, default=DEFAULT_MAX_PAIRS)
 
     p_penalty = sub.add_parser("penalty", help="brute-force per-node penalties (small n)")
     p_penalty.add_argument("game")
-    p_penalty.add_argument("--max-pairs", type=int, default=DEFAULT_BUDGET.max_pairs)
+    p_penalty.add_argument("--max-pairs", type=int, default=DEFAULT_MAX_PAIRS)
 
     p_reduce = sub.add_parser("reduce", help="apply a game reduction")
     reduce_sub = p_reduce.add_subparsers(dest="step", required=True, parser_class=_Parser)
@@ -191,16 +185,14 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     graph = _load_game(args.game)
-    budget = OracleBudget(max_pairs=args.max_pairs)
-    energies = brute_force_energies(graph, budget)
+    energies = brute_force_energies(graph, args.max_pairs)
     _write(emit_energies(energies), args.out)
     return EXIT_OK
 
 
 def _cmd_penalty(args) -> int:
     graph = _load_game(args.game)
-    budget = OracleBudget(max_pairs=args.max_pairs)
-    report = brute_force_penalty(graph, budget)
+    report = brute_force_penalty(graph, args.max_pairs)
     lines = [f"v {v} {_penalty_str(p)}" for v, p in enumerate(report.per_node)]
     lines.append(f"graph {_penalty_str(report.graph_penalty)}")
     sys.stdout.write("\n".join(lines) + "\n")
@@ -248,7 +240,6 @@ def _cmd_gen(args) -> int:
         print("centers: " + " ".join(map(str, centers)), file=sys.stderr)
     else:
         graph = generate(spec)
-    graph = eliminate_self_loops(graph)
     _write(emit_game(graph), args.out)
     return EXIT_OK
 

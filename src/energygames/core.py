@@ -219,18 +219,20 @@ class PotentialTransform:
 
     ``graph`` is the subgraph induced by the finite-potential nodes with
     weights w'(u,v) = w(u,v) + e(u) - e(v); ``kept`` maps each new node index
-    to its original index, and ``offsets`` records the potential at each kept
-    node so energies of the transformed game can be lifted back.
+    to its original index, ``offsets`` records the potential at each kept
+    node, and ``source_n`` is the original node count, so energies of the
+    transformed game can be lifted back.
     """
 
     graph: GameGraph
     kept: tuple[int, ...]
     offsets: tuple[int, ...]
+    source_n: int
 
-    def lift(self, sub_energies: EnergyFn, original_n: int) -> EnergyFn:
+    def lift(self, sub_energies: EnergyFn) -> EnergyFn:
         """Map energies of the transformed game back to the original node set,
         adding the recorded offsets; dropped nodes are infinite."""
-        total: list[Energy] = [INF] * original_n
+        total: list[Energy] = [INF] * self.source_n
         for new_index, old_index in enumerate(self.kept):
             value = sub_energies[new_index]
             total[old_index] = value if value == INF else value + self.offsets[new_index]
@@ -270,4 +272,4 @@ def apply_potential(graph: GameGraph, e: EnergyFn) -> PotentialTransform:
                 f"Alice node {old} has finite energy but no finite-energy successor"
             )
     sub = GameGraph(tuple(graph.owners[v] for v in kept), tuple(edges))
-    return PotentialTransform(sub, tuple(kept), tuple(e[v] for v in kept))
+    return PotentialTransform(sub, tuple(kept), tuple(e[v] for v in kept), graph.n)

@@ -192,7 +192,6 @@ def _solve_level(
     weight gcd is taken once per graph: at the start, and again when the
     first level's transform replaces the graph.
     """
-    original_n = graph.n
     transform: PotentialTransform | None = None
     potential = [0] * graph.n
     bound = graph.default_bound()
@@ -220,7 +219,7 @@ def _solve_level(
         bound = budget
         first = False
     energies = tuple(potential)
-    return energies if transform is None else transform.lift(energies, original_n)
+    return energies if transform is None else transform.lift(energies)
 
 
 def _trap_dual(graph: GameGraph, losing: list[int]) -> GameGraph | None:
@@ -403,7 +402,7 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
         rest = transform.graph
     energies, guesses = _guess_loop(rest, penalty)
     if transform is not None:
-        energies = transform.lift(energies, graph.n)
+        energies = transform.lift(energies)
     return SolveReport(
         energies=energies,
         region=region,

@@ -22,13 +22,8 @@ class BudgetExceeded(Exception):
     """The instance is too large for exhaustive enumeration."""
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    max_pairs: int = 1_000_000
-    max_nodes: int = 10
-
-
-DEFAULT_BUDGET = OracleBudget()
+DEFAULT_MAX_PAIRS = 1_000_000
+_MAX_PARTITION_NODES = 10
 
 
 @dataclass(frozen=True)
@@ -78,11 +73,10 @@ def pair_count(graph: GameGraph) -> int:
     return count
 
 
-def _check_pair_budget(graph: GameGraph, budget: OracleBudget) -> None:
-    if pair_count(graph) > budget.max_pairs:
-        raise BudgetExceeded(
-            f"{pair_count(graph)} strategy pairs exceed the budget {budget.max_pairs}"
-        )
+def _check_pair_budget(graph: GameGraph, max_pairs: int) -> None:
+    pairs = pair_count(graph)
+    if pairs > max_pairs:
+        raise BudgetExceeded(f"{pairs} strategy pairs exceed the budget {max_pairs}")
 
 
 def eval_pair(graph: GameGraph, pair: StrategyPair, start: int) -> Energy:
@@ -144,11 +138,10 @@ def _choice_space(graph: GameGraph, owner: str) -> tuple[list[int], list[tuple[i
     return nodes, [graph.out_edges[v] for v in nodes]
 
 
-def brute_force_energies(
-    graph: GameGraph, budget: OracleBudget = DEFAULT_BUDGET
-) -> EnergyFn:
-    """Minimal energies by full min-max enumeration over strategy pairs."""
-    _check_pair_budget(graph, budget)
+def brute_force_energies(graph: GameGraph, max_pairs: int = DEFAULT_MAX_PAIRS) -> EnergyFn:
+    """Minimal energies by full min-max enumeration over strategy pairs;
+    raises BudgetExceeded above ``max_pairs`` pairs."""
+    _check_pair_budget(graph, max_pairs)
     alice_nodes, alice_opts = _choice_space(graph, ALICE)
     bob_nodes, bob_opts = _choice_space(graph, BOB)
     base = [-1] * graph.n
@@ -188,17 +181,16 @@ class PenaltyReport:
         return min(self.per_node, default=INF)
 
 
-def brute_force_penalty(
-    graph: GameGraph, budget: OracleBudget = DEFAULT_BUDGET
-) -> PenaltyReport:
-    """Exact per-node penalties by enumerating Bob's strategies.
+def brute_force_penalty(graph: GameGraph, max_pairs: int = DEFAULT_MAX_PAIRS) -> PenaltyReport:
+    """Exact per-node penalties by enumerating Bob's strategies; raises
+    BudgetExceeded above ``max_pairs`` strategy pairs.
 
     For a fixed Bob strategy tau and start s, the defended bound D(tau, s) is
     the minimum of -total/length over the negative cycles Alice can steer s
     into (infinite when she cannot reach any).  The penalty at s maximizes
     D(tau, s) over the strategies tau that are optimal at s.
     """
-    _check_pair_budget(graph, budget)
+    _check_pair_budget(graph, max_pairs)
     alice_nodes, alice_opts = _choice_space(graph, ALICE)
     bob_nodes, bob_opts = _choice_space(graph, BOB)
     n = graph.n
@@ -238,18 +230,17 @@ def brute_force_penalty(
     return PenaltyReport(tuple(per_node), tuple(per_node_global))
 
 
-def find_ergodic_partition(
-    graph: GameGraph, budget: OracleBudget = DEFAULT_BUDGET
-) -> tuple[frozenset[int], frozenset[int]] | None:
+def find_ergodic_partition(graph: GameGraph) -> tuple[frozenset[int], frozenset[int]] | None:
     """Search all non-trivial node bipartitions for an ergodic one.
 
     A partition (S_A, S_B) is ergodic when Alice can keep play inside S_A and
     Bob cannot leave it, and symmetrically for S_B.  Returns the first match
-    in ascending bitmask order, or None when the graph is ergodic.
+    in ascending bitmask order, or None when the graph is ergodic.  Raises
+    BudgetExceeded above 10 nodes.
     """
     n = graph.n
-    if n > budget.max_nodes:
-        raise BudgetExceeded(f"{n} nodes exceed the partition budget {budget.max_nodes}")
+    if n > _MAX_PARTITION_NODES:
+        raise BudgetExceeded(f"{n} nodes exceed the partition budget {_MAX_PARTITION_NODES}")
     succ_mask = [0] * n
     for src, dst, _ in graph.edges:
         succ_mask[src] |= 1 << dst

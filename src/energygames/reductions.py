@@ -19,11 +19,10 @@ from .core import ALICE, BOB, Edge, GameGraph, opponent
 
 @dataclass(frozen=True)
 class ReductionTrace:
-    """Provenance of a reduction output: per output node, where it came from."""
+    """Provenance of a reduction output: per output node, where it came from.
+    :meth:`lines` is the text of the CLI's ``.trace`` sidecar."""
 
-    step: str
     node_origin: tuple[str, ...]
-    params: tuple[tuple[str, int], ...]
 
     def lines(self) -> list[str]:
         return [f"{i} <- {origin}" for i, origin in enumerate(self.node_origin)]
@@ -64,12 +63,7 @@ def to_win_everywhere(
                 (v, start, n * cap),
             ]
         )
-    trace = ReductionTrace(
-        step="winall",
-        node_origin=tuple(origin),
-        params=(("n", n), ("W", cap), ("alice_bailout", -n * cap), ("bob_bailout", n * cap)),
-    )
-    return GameGraph(tuple(owners), tuple(edges)), start, trace
+    return GameGraph(tuple(owners), tuple(edges)), start, ReductionTrace(tuple(origin))
 
 
 def is_bipartite(graph: GameGraph) -> bool:
@@ -96,8 +90,7 @@ def to_bipartite(graph: GameGraph) -> tuple[GameGraph, ReductionTrace]:
         origin.append(f"edge {i} relay")
         edges.append((src, relay, weight))
         appended.append((relay, dst, 0))
-    trace = ReductionTrace("bipartite", tuple(origin), params=())
-    return GameGraph(tuple(owners), tuple(edges + appended)), trace
+    return GameGraph(tuple(owners), tuple(edges + appended)), ReductionTrace(tuple(origin))
 
 
 def to_complete_bipartite(graph: GameGraph) -> tuple[GameGraph, ReductionTrace]:
@@ -132,17 +125,7 @@ def to_complete_bipartite(graph: GameGraph) -> tuple[GameGraph, ReductionTrace]:
         for v in alice_nodes
         if (u, v) not in present
     ]
-    trace = ReductionTrace(
-        step="complete",
-        node_origin=tuple(f"node {v}" for v in range(n)),
-        params=(
-            ("n", n),
-            ("alice_fill_weight", -n * cap1),
-            ("bob_fill_weight", n * n * cap2),
-            ("alice_fill_count", len(step1)),
-            ("bob_fill_count", len(step2)),
-        ),
-    )
+    trace = ReductionTrace(tuple(f"node {v}" for v in range(n)))
     return GameGraph(graph.owners, graph.edges + tuple(step1) + tuple(step2)), trace
 
 

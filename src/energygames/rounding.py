@@ -31,26 +31,18 @@ def _rounded_weights(graph: GameGraph, potential: Sequence[int], granularity: in
     ]
 
 
-@dataclass(frozen=True)
-class RoundedGame:
-    """A game with every weight rounded up to a multiple of ``granularity``."""
+def round_weights(graph: GameGraph, granularity: int) -> GameGraph:
+    """The game with every edge weight rounded up to the nearest multiple of
+    ``granularity``.
 
-    base: GameGraph
-    granularity: int
-    graph: GameGraph
-
-
-def round_weights(graph: GameGraph, granularity: int) -> RoundedGame:
-    """Round every edge weight up to the nearest multiple of ``granularity``.
-
-    Each rounded weight w_B satisfies w <= w_B < w + B; the input graph is
-    untouched.
+    Each rounded weight w_B satisfies w <= w_B < w + B; the owners and the
+    edge order are the input's, and the input graph is untouched.
     """
     if granularity < 1:
         raise ValueError("granularity must be positive")
     rounded = _rounded_weights(graph, [0] * graph.n, granularity)
     edges = tuple((src, dst, w) for (src, dst, _), w in zip(graph.edges, rounded))
-    return RoundedGame(graph, granularity, GameGraph(graph.owners, edges))
+    return GameGraph(graph.owners, edges)
 
 
 @dataclass(frozen=True)

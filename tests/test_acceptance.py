@@ -267,7 +267,7 @@ def test_criterion_8_structural_cycle_guarantees():
     for seed in range(60):
         graph = random_small(seed)
         for granularity in (1, 2, 3, 5):
-            rounded = round_weights(graph, granularity).graph
+            rounded = round_weights(graph, granularity)
             before = list(simple_cycles(graph))
             after = list(simple_cycles(rounded))
             assert len(before) == len(after)

@@ -212,10 +212,19 @@ class TestApplyPotential:
         graph = eliminate_self_loops(graph)
         energies = brute_force_energies(graph)
         result = apply_potential(graph, energies)
-        lifted = result.lift((0,) * result.graph.n, graph.n)
+        lifted = result.lift((0,) * result.graph.n)
+        assert len(lifted) == graph.n
         for v in range(graph.n):
             if energies[v] == INF:
                 assert lifted[v] == INF
             else:
                 assert lifted[v] == energies[v]
+        # dropping no node lifts to the potential plus the sub-energies;
+        # dropping every node lifts an empty vector to all-infinite
+        potential = tuple(range(graph.n))
+        kept_all = apply_potential(graph, potential)
+        assert kept_all.lift((1,) * graph.n) == tuple(p + 1 for p in potential)
+        dropped_all = apply_potential(graph, (INF,) * graph.n)
+        assert dropped_all.graph.n == 0
+        assert dropped_all.lift(()) == (INF,) * graph.n
 

@@ -133,7 +133,7 @@ def reference_level(graph, bound, floor, phases, games):
     transform = apply_potential(graph, approx.energies)
     dropped = n - len(transform.kept)
     phases.append(_phase(n, bound, approx.viter, approx.granularity, budget, dropped))
-    return transform.lift(reference_level(transform.graph, budget, floor, phases, games), n)
+    return transform.lift(reference_level(transform.graph, budget, floor, phases, games))
 
 
 def against_reference(graph, floor):
@@ -363,7 +363,7 @@ class TestPotentialRecursionProperties:
             lower = tuple(0 if v == INF else v // 2 for v in exact)
             transform = apply_potential(graph, lower)
             residual = brute_force_energies(transform.graph)
-            lifted = transform.lift(residual, graph.n)
+            lifted = transform.lift(residual)
             assert lifted == exact
 
 

@@ -357,6 +357,9 @@ class TestCli:
         assert err == "energygames: need at least two nodes (self-loops are not allowed)\n"
 
     def test_reduce_pipeline_via_files(self, tmp_path, capsys):
+        def node_lines(n):
+            return "".join(f"{v} <- node {v}\n" for v in range(n))
+
         game = self._write_fig1(tmp_path)
         we = str(tmp_path / "we.eg")
         assert main(["reduce", "winall", game, "--node", "0", "--out", we]) == 0
@@ -364,13 +367,25 @@ class TestCli:
             reduced = parse_game(handle.read())
         assert reduced.n == 15 and reduced.m == 30
         with open(we + ".trace") as handle:
-            trace = handle.read().splitlines()
+            text = handle.read()
+        trace = text.splitlines()
         assert len(trace) == 15
         assert trace[0] == "0 <- node 0"
+        assert text == node_lines(3) + "".join(
+            f"{3 + 2 * i} <- edge {i} alice-relay\n{4 + 2 * i} <- edge {i} bob-relay\n"
+            for i in range(6)
+        )
         bip = str(tmp_path / "bip.eg")
         assert main(["reduce", "bipartite", we, "--out", bip]) == 0
+        with open(bip + ".trace") as handle:
+            assert handle.read() == node_lines(15) + "".join(
+                f"{15 + k} <- edge {i} relay\n"
+                for k, i in enumerate((0, 2, 3, 5, 7, 8, 12, 13, 18, 22, 23, 28))
+            )
         comp = str(tmp_path / "comp.eg")
         assert main(["reduce", "complete", bip, "--out", comp]) == 0
+        with open(comp + ".trace") as handle:
+            assert handle.read() == node_lines(27)
         from energygames import is_complete_bipartite
 
         with open(comp) as handle:

@@ -232,15 +232,20 @@ class TestMultiplesGame:
 
 class TestDispatch:
     def test_families_roundtrip(self):
+        # Every family is loop-free and valid as generated, so `gen` writes
+        # its games without normalizing self-loops away.
         for family, extra in (
             ("random", {}),
             ("multiples", {"granularity": 2}),
             ("window", {"d": 1, "delta": 1, "center_lo": -3, "center_hi": 3}),
             ("penalty", {"choices": 3}),
         ):
-            spec = GenSpec(family, n=4, m=8, max_weight=6, seed=11, **extra)
-            graph = generate(spec)
-            assert isinstance(graph, GameGraph)
+            for seed in range(100):
+                spec = GenSpec(family, n=4, m=8, max_weight=6, seed=seed, **extra)
+                graph = generate(spec)
+                assert isinstance(graph, GameGraph)
+                assert validate(graph).ok
+                assert all(src != dst for src, dst, _ in graph.edges)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):

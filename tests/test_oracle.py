@@ -13,7 +13,7 @@ from energygames import (
     eval_pair,
     find_ergodic_partition,
 )
-from energygames.oracle import BudgetExceeded, OracleBudget, _lasso_walk, pair_count
+from energygames.oracle import BudgetExceeded, _lasso_walk, pair_count
 
 from game_helpers import all_edge_choices, dfs_path_minimum, small_random
 
@@ -70,7 +70,7 @@ class TestBruteForceEnergies:
 
     def test_budget_guard(self, fig1):
         with pytest.raises(BudgetExceeded):
-            brute_force_energies(fig1, OracleBudget(max_pairs=3))
+            brute_force_energies(fig1, 3)
         assert pair_count(fig1) == 8
 
     def test_monotone_under_weight_increase(self):
@@ -143,9 +143,11 @@ class TestErgodicPartition:
         assert find_ergodic_partition(graph) is None
 
     def test_node_budget(self):
-        graph = GameGraph((ALICE, BOB), ((0, 1, 0), (1, 0, 0)))
-        with pytest.raises(BudgetExceeded):
-            find_ergodic_partition(graph, OracleBudget(max_nodes=1))
+        # An 11-node cycle is one node above the partition search's cap.
+        owners = (ALICE, BOB) * 5 + (ALICE,)
+        graph = GameGraph(owners, tuple((v, (v + 1) % 11, 0) for v in range(11)))
+        with pytest.raises(BudgetExceeded, match="11 nodes exceed the partition budget 10"):
+            find_ergodic_partition(graph)
 
     def test_returned_partition_satisfies_conditions(self):
         for seed in range(60):

@@ -103,25 +103,32 @@ class TestCompleteBipartite:
             (ALICE, ALICE, BOB, BOB),
             ((0, 2, 1), (0, 3, 1), (1, 2, 1), (2, 0, 1), (3, 1, 1)),
         )
-        reduced, trace = to_complete_bipartite(graph)
+        reduced, _ = to_complete_bipartite(graph)
         added = reduced.m - graph.m
         assert added == 3
-        params = dict(trace.params)
-        assert params["alice_fill_count"] == 1
-        assert params["bob_fill_count"] == 2
-        assert params["alice_fill_weight"] == -4 * 1
-        # W' = 4 after the Alice fill, so Bob's fill weighs n^2*W' = 16*4
-        assert params["bob_fill_weight"] == 64
+        assert reduced.edges[: graph.m] == graph.edges
+        # one Alice fill edge of weight -n*W = -4*1; W' = 4 after it, so the
+        # two Bob fill edges weigh n^2*W' = 16*4
+        assert reduced.edges[graph.m :] == ((1, 3, -4), (2, 1, 64), (3, 0, 64))
         assert is_complete_bipartite(reduced)
 
     def test_complete_input_is_identity(self):
         graph = GameGraph(
             (ALICE, BOB), ((0, 1, 2), (1, 0, -2))
         )
-        reduced, trace = to_complete_bipartite(graph)
+        reduced, _ = to_complete_bipartite(graph)
         assert reduced == graph
-        # no Alice fill, so W' stays W = 2: n^2*W' = 4*2
-        assert dict(trace.params)["bob_fill_weight"] == 8
+
+    def test_bob_fill_without_alice_fill_weighs_n_squared_w(self):
+        # every Alice->Bob pair is present, so the Alice fill adds nothing and
+        # W' stays W = 3: the Bob fill edges weigh n^2*W = 16*3
+        graph = GameGraph(
+            (ALICE, ALICE, BOB, BOB),
+            ((0, 2, 3), (0, 3, 1), (1, 2, -2), (1, 3, 0), (2, 0, 1)),
+        )
+        reduced, _ = to_complete_bipartite(graph)
+        assert reduced.edges[graph.m :] == ((2, 1, 48), (3, 0, 48), (3, 1, 48))
+        assert is_complete_bipartite(reduced)
 
     def test_non_bipartite_rejected(self, fig1):
         with pytest.raises(ValueError):

@@ -26,16 +26,16 @@ class TestRoundWeights:
             (ALICE, BOB, BOB), ((0, 1, 7), (0, 2, 2), (1, 2, 4), (2, 0, -8))
         )
         rounded = round_weights(graph, 3)
-        assert tuple(w for _, _, w in rounded.graph.edges) == (9, 3, 6, -6)
+        assert tuple(w for _, _, w in rounded.edges) == (9, 3, 6, -6)
         assert graph.edges[3][2] == -8  # input untouched
 
     def test_unit_granularity_is_identity(self, fig1):
-        assert round_weights(fig1, 1).graph.edges == fig1.edges
+        assert round_weights(fig1, 1).edges == fig1.edges
 
     @given(st.integers(min_value=-10_000, max_value=10_000), st.integers(min_value=1, max_value=97))
     def test_rounding_bounds(self, weight, granularity):
         graph = GameGraph((ALICE, BOB), ((0, 1, weight), (1, 0, 0)))
-        rounded = round_weights(graph, granularity).graph.edges[0][2]
+        rounded = round_weights(graph, granularity).edges[0][2]
         assert weight <= rounded < weight + granularity
         assert rounded % granularity == 0
 
@@ -101,7 +101,7 @@ class TestPerPairRounding:
         for seed in range(25):
             graph = small_random(seed, max_n=4)
             granularity = 1 + seed % 4
-            rounded = round_weights(graph, granularity).graph
+            rounded = round_weights(graph, granularity)
             slack = graph.n * granularity
             for choice in all_edge_choices(graph):
                 true_vals, _ = _lasso_walk(graph, choice)
@@ -118,7 +118,7 @@ class TestNegativeCycleSurvival:
         for seed in range(40):
             graph = small_random(seed, max_n=5)
             granularity = 1 + seed % 5
-            rounded = round_weights(graph, granularity).graph
+            rounded = round_weights(graph, granularity)
             before = list(simple_cycles(graph))
             after = list(simple_cycles(rounded))
             # identical topology: the enumerations align cycle for cycle
@@ -133,7 +133,7 @@ class TestNegativeCycleSurvival:
         # weights can only lower minimal energies
         for seed in range(30):
             graph = small_random(seed, max_n=5)
-            rounded = round_weights(graph, 1 + seed % 4).graph
+            rounded = round_weights(graph, 1 + seed % 4)
             true_e = brute_force_energies(graph)
             rounded_e = brute_force_energies(rounded)
             assert all(r <= t for r, t in zip(rounded_e, true_e))
