@@ -9,13 +9,13 @@ weight divisor B, and the windowed list for games whose weights cluster
 around d center values within a jitter of delta.
 
 The full and multiples lists are arithmetic progressions, so they are stored
-as ``range`` objects: O(1) memory, and O(1) rounding up to the next member.
-Only windowed lists are materialized as tuples, searched by bisection.
+as ``range`` objects: O(1) memory whatever the bound.  Only windowed lists
+are materialized as tuples.  Rounding a value up to a member is the kernel's
+(see :func:`energygames.value_iteration.solve_with_list`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import INF, Energy
@@ -48,25 +48,7 @@ class AdmissibleList:
         return len(self.finite) + 1  # the terminal INF counts
 
     def __contains__(self, value: Energy) -> bool:
-        return self.value_at(self.index_at_least(value)) == value
-
-    @property
-    def smallest(self) -> int:
-        return self.finite[0]
-
-    def index_at_least(self, value: Energy) -> int:
-        """Index of the smallest member >= value; len(finite) encodes INF."""
-        finite = self.finite
-        if value > finite[-1]:
-            return len(finite)
-        if isinstance(finite, range):
-            # ceil((value - start) / step), clamped at the first member;
-            # bisect_left on a range is about 4x slower than on a tuple.
-            return max(0, -((finite.start - value) // finite.step))
-        return bisect_left(finite, value)
-
-    def value_at(self, index: int) -> Energy:
-        return INF if index >= len(self.finite) else self.finite[index]
+        return value == INF or value in self.finite
 
 
 def full_list(bound: int) -> AdmissibleList:

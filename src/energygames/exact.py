@@ -1,25 +1,15 @@
 """Exact minimal energies via repeated approximation.
 
-Given a lower bound D on the game's penalty and an upper bound M on its
-finite minimal energies, one round of the rounding approximation solves the
-game to within half the bound; subtracting the approximation as a potential
-yields a residual game with the same penalty and half the bound.  Iterating
-ends at the first level whose granularity divides every residual weight: it
-rounds nothing and is exact.  Granularity 1 always does; on weights with a
-common divisor, such as clustered ones, an earlier level can.  The residual
-games are never built as graphs: a level is the summed potential and a
-granularity, passed to the kernel as a weight list on the graph it was
-given.  Only the first level may drop infinite nodes, by building a smaller
-graph; a later level that finds one refutes D (see :func:`_solve_level`).
-
-The driver does not know the penalty: on the a-priori bound M = n*W it
-halves a guessed lower bound until no level below the first refutes it, which
-is exact and ends by a guess below 2, plain value iteration (see :func:`solve`).
-A wrong guess, the caller's included, costs time but never changes the answer.
-
-Losing nodes would climb to n*W in every guess, so before the guess loop
-:func:`solve` finds the losing region under small caps, certifies it by a trap
-check and a dual game, and drops it; the guess loop then runs on the rest.
+:func:`solve` first finds the losing region under small caps, certifies it
+and drops it (:func:`_losing_region`), since losing nodes would otherwise
+climb to the a-priori bound n*W in every guess.  On the rest it guesses a
+lower bound D on the game's penalty, halving it until a guess is accepted
+(:func:`_guess_loop`).  A guess runs levels on one graph
+(:func:`_solve_level`): each level solves the game re-weighted by the
+potential so far, its weights rounded up to a multiple of the level's
+granularity, and adds the result to the potential.  Why the region is exact
+is parts (a)-(c) of :func:`solve`'s docstring; why an accepted guess is
+exact and the loop ends is parts (i)-(iv).
 """
 
 from __future__ import annotations
@@ -132,24 +122,48 @@ def _coarse_step(graph: GameGraph, cap: int, phases: list[PhaseRecord]) -> Viter
     return result
 
 
+def _penalty_floor(penalty: Fraction | int | float | None) -> Fraction | None:
+    """A penalty lower bound as a Fraction, or None when it caps nothing
+    (None or ``INF``); a bound below 1, NaN or -inf raises ValueError.  The
+    one check of both exact entry points."""
+    if penalty is None or penalty == INF:
+        return None
+    if not penalty >= 1:  # NaN fails every comparison
+        raise ValueError("the penalty lower bound must be at least 1")
+    return Fraction(penalty)
+
+
 def minimal_energy_with_penalty_bound(
     graph: GameGraph, penalty_floor: Fraction | int | float
 ) -> EnergyFn:
     """Minimal energies assuming ``penalty_floor`` <= P(G,w), from the
-    a-priori bound n*W.
+    a-priori bound n*W: one guess of :func:`solve`'s loop at that floor.
 
     The result is exact for any floor >= 1, ``INF`` included; a floor that a
-    level below the first refutes raises ValueError instead (see :func:`solve`).
+    level below the first refutes raises ValueError instead (parts (i)-(iv)
+    of :func:`solve`).
     """
-    if penalty_floor == INF:  # caps nothing: every floor above n*W halves each level
-        penalty_floor = graph.default_bound() + 1
-    floor = Fraction(penalty_floor)
-    if floor < 1:
-        raise ValueError("the penalty lower bound must be at least 1")
-    energies = _solve_level(graph, floor, [])
+    energies = _solve_level(graph, _penalty_floor(penalty_floor), [])
     if energies is None:
         raise ValueError("a level below the first refuted the penalty floor")
     return energies
+
+
+def _error_budget(bound: int, n: int, floor: Fraction | None) -> int:
+    """The error budget min(max(M // 2, n), floor(n*D)) of a level with
+    bound M on n nodes, which is the next level's bound, under the penalty
+    floor D; a floor of None caps nothing.  The guess loop starts at its
+    first level's budget under the caller's hint.
+
+    As D >= 1 gives floor(n*D) >= n, this is the paper's two regimes: one
+    coarse step down to floor(n*D) when n*D < M/2 (then floor(n*D) <= M // 2),
+    else halving, clamped up to n so that the granularity budget // n is
+    never 0.
+    """
+    budget = max(bound // 2, n)
+    if floor is not None:
+        budget = min(budget, n * floor.numerator // floor.denominator)
+    return budget
 
 
 def _weight_gcd(graph: GameGraph) -> int:
@@ -158,31 +172,28 @@ def _weight_gcd(graph: GameGraph) -> int:
 
 
 def _solve_level(
-    graph: GameGraph, floor: Fraction, phases: list[PhaseRecord]
+    graph: GameGraph, floor: Fraction | None, phases: list[PhaseRecord]
 ) -> EnergyFn | None:
-    """The recursion behind :func:`minimal_energy_with_penalty_bound`, run as
-    a loop over the levels of one graph from its a-priori bound n*W; appends
-    one record per level to ``phases``.
+    """The levels of one penalty guess D on ``graph``, from its a-priori
+    bound n*W; appends one record per level to ``phases``.  ``floor`` is D,
+    or None when it caps nothing.  Returns the energies, or None when a
+    level below the first refutes D.
 
     A level with bound M on n nodes runs over the multiples of B = budget // n
-    up to M, where its error budget, the next level's bound, is
-    min(max(M // 2, n), floor(n*D)).  As D >= 1 gives floor(n*D) >= n, this
-    is the paper's two regimes: one coarse step down to floor(n*D) when
-    n*D < M/2 (then floor(n*D) <= M // 2), else halving, clamped up to n so
-    that B is never 0.  A level whose B divides every residual weight
-    rounds nothing and is last; B = 1 always does.
+    up to M, where budget is its :func:`_error_budget`, the next level's
+    bound.
 
-    A level is a potential pi, the sum of the approximations so far, and a
+    A level is a potential pi, the sum of the results so far, and a
     granularity B.  Its rounded game keeps the edges of ``graph`` with the
     weights round_up(w(u,v) + pi(u) - pi(v), B), which is the game that
     applying pi with :func:`apply_potential` and rounding would build, so the
     kernel reuses the graph's adjacency.  After the kernel, pi grows by its
     result e.  Only the first level may make nodes infinite: it applies pi to
     drop them, and the loop goes on with the kept subgraph and pi = 0.  Any
-    later level that makes a node infinite refutes the floor (the loop
-    returns None); the first level that rounds nothing ends the loop, before
-    any transform.  The result is pi, lifted back through the first level's
-    transform if it dropped nodes.
+    later level that makes a node infinite refutes D.  The first level that
+    rounds nothing, as part (iii) of :func:`solve` defines it, is the last
+    and runs no transform.  The result is pi, lifted back through the first
+    level's transform if it dropped nodes.
 
     Whether a level rounds nothing is an O(1) test.  ``common`` is the gcd of
     the weights of the graph the loop runs on, folded with the granularity
@@ -199,7 +210,7 @@ def _solve_level(
     first = True
     while graph.n:
         n = graph.n
-        budget = min(max(bound // 2, n), n * floor.numerator // floor.denominator)
+        budget = _error_budget(bound, n, floor)
         granularity = budget // n
         weights = _rounded_weights(graph, potential, granularity)
         result = solve_with_list(graph, multiples_list(granularity, bound), weights)
@@ -224,19 +235,17 @@ def _solve_level(
 
 def _trap_dual(graph: GameGraph, losing: list[int]) -> GameGraph | None:
     """The dual of the subgame on ``losing``, or None unless that set is a
-    trap for Alice.
+    trap for Alice; part (a) of :func:`solve` reads a dual that is finite
+    everywhere.
 
     The dual swaps the owners and re-weights each edge to -(k*w + 1) with
-    k = |S| + 1.  A finite dual energy everywhere is a Bob strategy inside S
-    under which every cycle has k*T + L <= 0 for its total T and length
-    1 <= L <= |S|, that is T < 0.
-
-    The trap test is :func:`apply_potential`'s contract on the owner-swapped
-    game with potential 0 on S and infinity elsewhere: with the owners
-    swapped, "no finite Bob node has an edge out of S" says that Alice cannot
-    leave S, and "every finite Alice node keeps a successor in S" says that
-    every Bob node of S can stay.  The kept subgame, in ascending node order
-    with its weights unchanged by the zero potential, is the dual.
+    k = |S| + 1.  The trap test is :func:`apply_potential`'s contract on the
+    owner-swapped game with potential 0 on S and infinity elsewhere: with the
+    owners swapped, "no finite Bob node has an edge out of S" says that
+    Alice cannot leave S, and "every finite Alice node keeps a successor in
+    S" says that every Bob node of S can stay.  The kept subgame, in
+    ascending node order with its weights unchanged by the zero potential,
+    is the dual.
     """
     k = len(losing) + 1
     swapped = GameGraph(
@@ -254,7 +263,19 @@ def _trap_dual(graph: GameGraph, losing: list[int]) -> GameGraph | None:
 
 def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[int] | None]:
     """Find the losing region and certify it; the node list is None unless
-    certified.  The argument is in :func:`solve`."""
+    certified.  Why a certified S is the losing region is parts (a)-(c) of
+    :func:`solve`.
+
+    Round by round, M doubles from max(W, 1) and value iteration on the
+    true weights over the multiples of max(1, M // 2n) up to M gives S, its
+    infinite set.  The dual of S (:func:`_trap_dual`) is solved over caps
+    D = k, 2k, ... up to k*M, k = |S| + 1, each over the multiples of
+    max(1, D // 2|S|).  Caps below the dual's largest one-step target are
+    skipped, because a node's first update already reaches its target, and
+    so are caps an earlier round already tried on the same S.  The rounds
+    end with no S once M reaches n*W, or once the dual's cumulative edge
+    work passes the primal's.
+    """
     n = graph.n
     if n == 0:
         return RegionRecord(0, True, 0, ()), []
@@ -306,17 +327,14 @@ def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[int] | None]:
 
 
 def _guess_loop(
-    graph: GameGraph, penalty: Fraction | int | float | None
+    graph: GameGraph, floor: Fraction | None
 ) -> tuple[EnergyFn, tuple[GuessRecord, ...]]:
     """The penalty-guess loop on the a-priori bound n*W of ``graph``; returns
     the energies and the guesses, the accepted one last (see :func:`solve`)."""
     n = graph.n
     if n == 0:
         return (), ()
-    budget = graph.default_bound() >> 1
-    if penalty is not None and penalty != INF:
-        budget = min(budget, n * Fraction(penalty) // 1)
-    budget = max(budget, n)
+    budget = _error_budget(graph.default_bound(), n, floor)
 
     guesses: list[GuessRecord] = []
     while True:
@@ -335,19 +353,22 @@ def _guess_loop(
 def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) -> SolveReport:
     """Compute verified minimal energies without knowing the penalty.
 
-    First the losing region.  Starting at M = max(W, 1) and doubling M, value
-    iteration on the true weights over the multiples of max(1, M // 2n) up
-    to M gives p; S is its infinite set.  S is certified when it is a trap
-    for Alice (her nodes in S have every successor in S, Bob's at least one)
-    and a dual game on S is finite everywhere (see :func:`_trap_dual`).  The
-    dual is solved over caps D = k, 2k, ... up to k*M, k = |S| + 1, each over
-    the multiples of max(1, D // 2|S|); caps below the largest one-step
-    target of the dual are skipped, because a node's first update reaches
-    its target, and so are caps an earlier round already tried on the same
-    S.  Then S is exactly the losing region:
+    A ``penalty`` hint, a lower bound on the game's penalty, only sets the
+    first guess below; it must be at least 1, and ``INF`` caps nothing.  By
+    (i)-(iv) a wrong hint costs time but never changes the answer.
 
-    (a) the trap and the dual give Bob a strategy that keeps every play in S
-        and makes every cycle negative, so S holds only losing nodes;
+    First the losing region (:func:`_losing_region`).  Value iteration on
+    the true weights under a small cap gives p; S is its infinite set.  S is
+    certified when it is a trap for Alice (her nodes in S have every
+    successor in S, Bob's at least one) and the dual game on S, with the
+    owners swapped and each weight w re-weighted to -(k*w + 1), k = |S| + 1,
+    is finite everywhere (:func:`_trap_dual`).  Then S is exactly the losing
+    region:
+
+    (a) the trap lets Bob keep every play in S, and a finite dual energy
+        everywhere is a Bob strategy inside S under which every cycle, of
+        total T and length 1 <= L <= |S|, has k*T + L <= 0, that is T < 0:
+        S holds only losing nodes;
     (b) p's finite values are a progress measure (Alice keeps them by moving
         along an edge that holds, Bob cannot break them), so every node
         outside S is winning and S holds every losing node;
@@ -356,16 +377,15 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
         it: dropping S with :func:`apply_potential` cannot raise, and since
         Bob cannot enter S and Alice loses there, the rest is a subgame
         whose energies are the true ones.
-    No S is certified when M reaches n*W, or when the dual's cumulative edge
-    work passes the primal's; the guess loop then runs on the whole graph.
+    Without a certified S the guess loop runs on the whole graph.
 
-    The guess loop, on the a-priori bound M = n*W of the graph it is given,
-    tries error budgets c from max(M >> 1, n) down (a finite ``penalty`` only
-    lowers the first to floor(n*penalty), never below n), halving until a
-    guess is accepted.  A guess is accepted iff no level below the first
-    makes a node infinite; :func:`_solve_level` stops at the first level that
-    does, or after its first level that rounds nothing.  This is exact and
-    ends:
+    The guess loop (:func:`_guess_loop`), on the a-priori bound M = n*W of
+    the graph it is given, tries error budgets c from max(M // 2, n) down (a
+    hint only lowers the first to floor(n*penalty), never below n; see
+    :func:`_error_budget`), halving until a guess is accepted.  A guess is
+    accepted iff no level below the first makes a node infinite;
+    :func:`_solve_level` stops at the first level that does, or after its
+    first level that rounds nothing.  This is exact and ends:
 
     (i) rounding up only helps Alice, and the rounded game's finite energies
         are at most n*W, so the first phase drops only truly losing nodes;
@@ -390,8 +410,7 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
     it meets the contract of :func:`apply_potential`.
     """
     started = time.perf_counter()
-    if penalty is not None and penalty < 1:
-        raise ValueError("the penalty lower bound must be at least 1")
+    floor = _penalty_floor(penalty)
     region, losing = _losing_region(graph)
     rest, transform = graph, None
     if losing:
@@ -400,7 +419,7 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
             drop[v] = INF
         transform = apply_potential(graph, tuple(drop))
         rest = transform.graph
-    energies, guesses = _guess_loop(rest, penalty)
+    energies, guesses = _guess_loop(rest, floor)
     if transform is not None:
         energies = transform.lift(energies)
     return SolveReport(

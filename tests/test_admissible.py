@@ -9,6 +9,8 @@ from energygames.admissible import AdmissibleList
 from energygames.generators import GenSpec, multiples_game, windowed_game
 from energygames.oracle import brute_force_energies
 
+from game_helpers import small_random
+
 
 class TestFullList:
     def test_degenerate_bound(self):
@@ -51,27 +53,31 @@ class TestMultiplesList:
 
 
 class TestImplicitLists:
+    @settings(max_examples=200)
     @given(
+        st.integers(min_value=0, max_value=199),
         st.integers(min_value=1, max_value=50),
         st.integers(min_value=0, max_value=500),
-        st.lists(st.integers(min_value=-100, max_value=700) | st.just(INF), max_size=20),
+        st.integers(min_value=0, max_value=20),
     )
-    def test_range_agrees_with_tuple(self, granularity, bound, values):
-        implicit = multiples_list(granularity, bound)
+    def test_range_agrees_with_tuple(self, seed, granularity, bound, start):
+        # The kernel rounds by arithmetic on a range and by bisection on a
+        # tuple: the same values must give the same run, counters included.
+        graph = small_random(seed)
+        implicit = AdmissibleList(range(start, start + bound + 1, granularity))
         explicit = AdmissibleList(tuple(implicit.finite))
-        assert isinstance(implicit.finite, range)
         assert len(implicit) == len(explicit)
-        for value in values:
-            index = implicit.index_at_least(value)
-            assert index == explicit.index_at_least(value)
-            assert implicit.value_at(index) == explicit.value_at(index)
+        assert solve_with_list(graph, implicit) == solve_with_list(graph, explicit)
+        for value in (-1, start, start + granularity - 1, start + bound, start + bound + 1, INF):
             assert (value in implicit) == (value in explicit)
 
-    def test_full_list_is_not_materialized(self):
+    def test_full_list_is_not_materialized(self, fig1):
         lst = full_list(10**18)
         assert len(lst) == 10**18 + 2
-        assert lst.index_at_least(5 * 10**17) == 5 * 10**17
-        assert lst.value_at(lst.index_at_least(10**18 + 1)) == INF
+        assert 5 * 10**17 in lst and 10**18 + 1 not in lst and INF in lst
+        result = solve_with_list(fig1, lst)
+        assert result.energies == (0, 4, 8)
+        assert result.steps == 12
 
 
 class TestWindowList:
@@ -155,10 +161,11 @@ class TestMultiplesAdmissibility:
 
 
 class TestLookup:
-    def test_next_at_least(self):
-        lst = multiples_list(3, 10)
-        for value, expected in ((-7, 0), (0, 0), (1, 3), (12, 12), (13, INF), (INF, INF)):
-            assert lst.value_at(lst.index_at_least(value)) == expected
+    def test_membership(self):
+        for lst in (multiples_list(3, 10), AdmissibleList((0, 3, 6, 9, 12))):
+            members = [value for value in range(-7, 16) if value in lst]
+            assert members == [0, 3, 6, 9, 12]
+            assert INF in lst
 
     def test_malformed_lists_rejected(self):
         with pytest.raises(ValueError):

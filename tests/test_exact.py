@@ -1,6 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, nan
 
 import pytest
 
@@ -75,10 +75,23 @@ class TestPenaltyBoundRecursion:
         assert len(phases) >= 2 and phases[-1].dropped > 0
 
     def test_penalty_floor_below_one_rejected(self, fig3):
-        with pytest.raises(ValueError):
-            minimal_energy_with_penalty_bound(fig3, Fraction(1, 2))
-        with pytest.raises(ValueError):
-            solve(fig3, penalty=Fraction(1, 2))
+        # Both entry points share one check: NaN and -inf are refused with
+        # the same message as 0 and 1/2, not by Fraction or int conversion.
+        for floor in (nan, -INF, 0, Fraction(1, 2)):
+            for call in (
+                lambda: minimal_energy_with_penalty_bound(fig3, floor),
+                lambda: solve(fig3, penalty=floor),
+            ):
+                with pytest.raises(ValueError, match="^the penalty lower bound must be at least 1$"):
+                    call()
+
+    def test_floors_from_one_give_the_full_range_energies(self, fig1, fig3):
+        # INF caps nothing; 1 and 3/2 give granularity 1 at the first level.
+        for graph in (fig1, fig3, high_penalty_family(40, 1024, 1)):
+            expected = solve_with_list(graph, full_list(graph.default_bound())).energies
+            for floor in (INF, 1, Fraction(3, 2)):
+                assert minimal_energy_with_penalty_bound(graph, floor) == expected
+                assert solve(graph, penalty=floor).energies == expected
 
     def test_valid_floors_always_exact(self):
         for seed in range(40):

@@ -1,4 +1,5 @@
 import copy
+from bisect import bisect_left
 from collections import deque
 
 import pytest
@@ -26,11 +27,18 @@ def _universal(graph):
     return full_list(graph.default_bound())
 
 
+def _position(admissible, value):
+    """Position of the smallest member >= value, by bisection on the finite
+    values; ``len(finite)`` stands for INF."""
+    finite = admissible.finite
+    return len(finite) if value > finite[-1] else bisect_left(finite, value)
+
+
 def reference_solve_with_list(graph, admissible, weights=None):
     """The kernel before rounding went inline and the per-graph constants
     were cached: it builds its own adjacency, owner flags and counters on
-    every call and rounds through the list's methods.  The kernel must match
-    it field for field."""
+    every call and rounds by :func:`_position`, a bisection even on a range.
+    The kernel must match it field for field."""
     n = graph.n
     succ = [[] for _ in range(n)]
     pred = [[] for _ in range(n)]
@@ -43,9 +51,9 @@ def reference_solve_with_list(graph, admissible, weights=None):
     for (src, _, _), weight in zip(graph.edges, weights):
         if weight >= 0:
             count[src] += 1
-    base = admissible.smallest
-    e = [base] * n
-    pos = [admissible.index_at_least(base)] * n
+    finite = admissible.finite
+    e = [finite[0]] * n
+    pos = [0] * n
     is_alice = [owner == ALICE for owner in graph.owners]
     pending = deque()
     queued = [False] * n
@@ -65,8 +73,8 @@ def reference_solve_with_list(graph, admissible, weights=None):
         alice = is_alice[u]
         candidates = [e[v] - weights[i] for v, i in out]
         target = min(candidates) if alice else max(candidates)
-        new_pos = admissible.index_at_least(target)
-        new = admissible.value_at(new_pos)
+        new_pos = _position(admissible, target)
+        new = INF if new_pos == len(finite) else finite[new_pos]
         assert new > old
         e[u] = new
         updates[u] += 1
@@ -232,7 +240,7 @@ class TestSolveWithList:
         cases += [_windowed(seed) for seed in range(25)]
         for graph, lst in cases:
             result = solve_with_list(graph, lst)
-            assert result.steps == sum(lst.index_at_least(x) for x in result.energies)
+            assert result.steps == sum(_position(lst, x) for x in result.energies)
 
 
 class TestReferenceKernel:
