@@ -29,7 +29,6 @@ from .generators import (
 from .oracle import (
     BudgetExceeded,
     PenaltyReport,
-    StrategyPair,
     brute_force_energies,
     brute_force_penalty,
     eval_pair,
@@ -43,7 +42,7 @@ from .reductions import (
     to_complete_bipartite,
     to_win_everywhere,
 )
-from .rounding import ApproxResult, approximate_energies, round_weights
+from .rounding import approximate_energies, round_weights
 from .value_iteration import ViterResult, solve_with_list
 
 __version__ = "0.1.0"
@@ -53,7 +52,6 @@ __all__ = [
     "BOB",
     "INF",
     "AdmissibleList",
-    "ApproxResult",
     "BudgetExceeded",
     "Energy",
     "EnergyFn",
@@ -65,7 +63,6 @@ __all__ = [
     "ReductionTrace",
     "SolveReport",
     "SplitMix64",
-    "StrategyPair",
     "ValidationReport",
     "ViterResult",
     "apply_potential",

@@ -157,10 +157,8 @@ def _cmd_approx(args) -> int:
     graph = _load_game(args.game)
     result = approximate_energies(graph, graph.default_bound(), args.error)
     _write(emit_energies(result.energies), args.out)
-    print(
-        f"granularity B={result.granularity} (band width n*B={graph.n * result.granularity})",
-        file=sys.stderr,
-    )
+    B = args.error // graph.n
+    print(f"granularity B={B} (band width n*B={graph.n * B})", file=sys.stderr)
     return EXIT_OK
 
 

@@ -10,6 +10,7 @@ handled exactly.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,46 +27,6 @@ DEFAULT_MAX_PAIRS = 1_000_000
 _MAX_PARTITION_NODES = 10
 
 
-@dataclass(frozen=True)
-class StrategyPair:
-    """A positional strategy pair: a chosen out-edge index per owned node.
-
-    Edges rather than successors so that parallel edges stay distinguishable;
-    :meth:`from_successors` covers the common simple-graph case.
-    """
-
-    sigma: dict[int, int]  # Alice node -> edge index
-    tau: dict[int, int]  # Bob node -> edge index
-
-    @classmethod
-    def from_successors(
-        cls, graph: GameGraph, sigma: dict[int, int], tau: dict[int, int]
-    ) -> "StrategyPair":
-        """Build a pair from successor choices (first matching edge wins)."""
-
-        def edge_of(node: int, successor: int) -> int:
-            for i in graph.out_edges[node]:
-                if graph.edges[i][1] == successor:
-                    return i
-            raise ValueError(f"no edge from {node} to {successor}")
-
-        return cls(
-            sigma={u: edge_of(u, v) for u, v in sigma.items()},
-            tau={u: edge_of(u, v) for u, v in tau.items()},
-        )
-
-    def edge_choice(self, graph: GameGraph) -> tuple[int, ...]:
-        choice = [-1] * graph.n
-        for node, edge in itertools.chain(self.sigma.items(), self.tau.items()):
-            src = graph.edges[edge][0]
-            if src != node:
-                raise ValueError(f"edge {edge} does not leave node {node}")
-            choice[node] = edge
-        if any(c < 0 for c in choice):
-            raise ValueError("strategy pair does not cover every node")
-        return tuple(choice)
-
-
 def pair_count(graph: GameGraph) -> int:
     count = 1
     for node in range(graph.n):
@@ -79,14 +40,23 @@ def _check_pair_budget(graph: GameGraph, max_pairs: int) -> None:
         raise BudgetExceeded(f"{pairs} strategy pairs exceed the budget {max_pairs}")
 
 
-def eval_pair(graph: GameGraph, pair: StrategyPair, start: int) -> Energy:
-    """Minimal energy at ``start`` when both players follow ``pair``.
+def eval_pair(graph: GameGraph, choice: Sequence[int], start: int) -> Energy:
+    """Minimal energy at ``start`` when both players follow ``choice``, the
+    out-edge index chosen at each node.
 
     Walks the unique path until a node repeats.  If the reached cycle has
     negative total weight the energy is infinite; otherwise it is
-    max(0, -min prefix sum) over the simple prefixes of the walk.
+    max(0, -min prefix sum) over the simple prefixes of the walk.  Raises
+    ValueError unless ``choice`` names, for each of the n nodes, an edge
+    index in 0..m-1 that leaves that node.
     """
-    values, _ = _lasso_walk(graph, pair.edge_choice(graph))
+    if len(choice) != graph.n:
+        raise ValueError(f"expected {graph.n} edge choices, got {len(choice)}")
+    for node, edge in enumerate(choice):
+        # checked before indexing: edges[-6] would silently alias an edge
+        if not 0 <= edge < graph.m or graph.edges[edge][0] != node:
+            raise ValueError(f"edge {edge} does not leave node {node}")
+    values, _ = _lasso_walk(graph, tuple(choice))
     return values[start]
 
 

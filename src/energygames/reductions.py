@@ -93,6 +93,20 @@ def to_bipartite(graph: GameGraph) -> tuple[GameGraph, ReductionTrace]:
     return GameGraph(tuple(owners), tuple(edges + appended)), ReductionTrace(tuple(origin))
 
 
+def _missing_cross_pairs(
+    graph: GameGraph,
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The Alice-to-Bob pairs, then the Bob-to-Alice pairs, with no edge,
+    each in ascending (source, target) order."""
+    alice_nodes = [v for v in range(graph.n) if graph.is_alice(v)]
+    bob_nodes = [v for v in range(graph.n) if not graph.is_alice(v)]
+    present = {(src, dst) for src, dst, _ in graph.edges}
+    return (
+        [(u, v) for u in alice_nodes for v in bob_nodes if (u, v) not in present],
+        [(u, v) for u in bob_nodes for v in alice_nodes if (u, v) not in present],
+    )
+
+
 def to_complete_bipartite(graph: GameGraph) -> tuple[GameGraph, ReductionTrace]:
     """Add every missing cross edge of a bipartite game.
 
@@ -107,35 +121,15 @@ def to_complete_bipartite(graph: GameGraph) -> tuple[GameGraph, ReductionTrace]:
     if not is_bipartite(graph):
         raise ValueError("the completion step requires a bipartite game")
     n = graph.n
-    alice_nodes = [v for v in range(n) if graph.is_alice(v)]
-    bob_nodes = [v for v in range(n) if not graph.is_alice(v)]
-    present = {(src, dst) for src, dst, _ in graph.edges}
-
+    to_bob, to_alice = _missing_cross_pairs(graph)
     cap1 = graph.max_weight
-    step1: list[Edge] = [
-        (u, v, -n * cap1)
-        for u in alice_nodes
-        for v in bob_nodes
-        if (u, v) not in present
-    ]
-    cap2 = n * cap1 if step1 else cap1  # W after step 1
-    step2: list[Edge] = [
-        (u, v, n * n * cap2)
-        for u in bob_nodes
-        for v in alice_nodes
-        if (u, v) not in present
-    ]
+    cap2 = n * cap1 if to_bob else cap1  # W after step 1
+    fill = [(u, v, -n * cap1) for u, v in to_bob]
+    fill += [(u, v, n * n * cap2) for u, v in to_alice]
     trace = ReductionTrace(tuple(f"node {v}" for v in range(n)))
-    return GameGraph(graph.owners, graph.edges + tuple(step1) + tuple(step2)), trace
+    return GameGraph(graph.owners, graph.edges + tuple(fill)), trace
 
 
 def is_complete_bipartite(graph: GameGraph) -> bool:
     """True iff no same-owner edge exists and every cross pair has an edge."""
-    if not is_bipartite(graph):
-        return False
-    present = {(src, dst) for src, dst, _ in graph.edges}
-    alice_nodes = [v for v in range(graph.n) if graph.is_alice(v)]
-    bob_nodes = [v for v in range(graph.n) if not graph.is_alice(v)]
-    return all(
-        (u, v) in present for u in alice_nodes for v in bob_nodes
-    ) and all((u, v) in present for u in bob_nodes for v in alice_nodes)
+    return is_bipartite(graph) and _missing_cross_pairs(graph) == ([], [])

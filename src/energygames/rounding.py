@@ -14,10 +14,9 @@ on the input graph, so it reuses that graph's adjacency; only
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .admissible import multiples_list
-from .core import EnergyFn, GameGraph
+from .core import GameGraph
 from .value_iteration import ViterResult, solve_with_list
 
 
@@ -45,21 +44,15 @@ def round_weights(graph: GameGraph, granularity: int) -> GameGraph:
     return GameGraph(graph.owners, edges)
 
 
-@dataclass(frozen=True)
-class ApproxResult:
-    energies: EnergyFn
-    granularity: int  # B = floor(error_budget / n)
-    viter: ViterResult
-
-
-def approximate_energies(graph: GameGraph, bound: int, error_budget: int) -> ApproxResult:
+def approximate_energies(graph: GameGraph, bound: int, error_budget: int) -> ViterResult:
     """Solve the rounded game exactly, yielding a lower bound on the true
     minimal energies.
 
     ``bound`` must cap the finite minimal energies of the input game (it then
-    also caps the rounded game's, which can only be smaller).  The returned
-    energies e satisfy e <= e* unconditionally; when every node's penalty is
-    at least B = floor(error_budget/n) they additionally satisfy
+    also caps the rounded game's, which can only be smaller).  Returns the
+    kernel's result on the rounded game; its energies e satisfy e <= e*
+    unconditionally; when every node's penalty is at least
+    B = floor(error_budget/n) they additionally satisfy
     e* <= e + n*B <= e + error_budget with identical infinite sets.
     Rejects the empty game and error budgets below the node count (B = 0).
     """
@@ -73,5 +66,4 @@ def approximate_energies(graph: GameGraph, bound: int, error_budget: int) -> App
         )
     granularity = error_budget // graph.n
     rounded = _rounded_weights(graph, [0] * graph.n, granularity)
-    result = solve_with_list(graph, multiples_list(granularity, bound), rounded)
-    return ApproxResult(energies=result.energies, granularity=granularity, viter=result)
+    return solve_with_list(graph, multiples_list(granularity, bound), rounded)

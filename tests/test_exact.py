@@ -145,7 +145,7 @@ def reference_level(graph, bound, floor, phases, games):
     approx = approximate_energies(graph, bound, budget)
     transform = apply_potential(graph, approx.energies)
     dropped = n - len(transform.kept)
-    phases.append(_phase(n, bound, approx.viter, approx.granularity, budget, dropped))
+    phases.append(_phase(n, bound, approx, budget // n, budget, dropped))
     return transform.lift(reference_level(transform.graph, budget, floor, phases, games))
 
 

@@ -74,6 +74,16 @@ class TestGameFiles:
             ("p eg 2 1\nv 0 A\ne 0 1 1\n", "missing node declarations"),
             ("p eg 1000000000000000000 0\n", "promised 1000000000000000000 nodes"),
             ("p eg 1 1000000000000000000\nv 0 A\n", "promised 1000000000000000000 edges, found 1 records"),
+            ("# nothing but a comment\n\n", "empty file"),
+            ("p eg two 1\n", "non-integer counts in header"),
+            ("p eg -1 0\n", "invalid counts in header"),
+            ("p eg 2 1\nv 0\nv 1 B\ne 0 1 1\n", "expected 'v <id> <A|B>'"),
+            ("p eg 2 1\nv x A\nv 1 B\ne 0 1 1\n", "non-integer node id"),
+            ("p eg 2 1\nv 2 A\nv 1 B\ne 0 1 1\n", "node id 2 out of range 0..1"),
+            ("p eg 2 1\nv 0 A\nv 1 B\ne 0 1\n", "expected 'e <src> <dst> <w>'"),
+            ("p eg 2 1\nv 0 A\nv 1 B\ne 0 1 x\n", "non-integer field"),
+            ("p eg 2 1\nv 0 A\nv 1 B\ne 5 1 1\n", "edge source 5 out of range 0..1"),
+            ("p eg 2 1\nv 0 A\nv 1 B\n", "header promised 1 edges, found 0"),
         ],
     )
     def test_malformed_inputs_rejected(self, mutation, fragment):
@@ -113,6 +123,22 @@ class TestEnergyFiles:
     def test_negative_rejected(self):
         with pytest.raises(GameFileError):
             parse_energies("v 0 -3\n", 1)
+
+    @pytest.mark.parametrize(
+        "text, n, fragment",
+        [
+            ("v 0\n", 1, "expected 'v <id> <value|inf>'"),
+            ("x 0 1\n", 1, "expected 'v <id> <value|inf>'"),
+            ("v x 0\n", 1, "non-integer node id"),
+            ("v 1 0\n", 1, "node id 1 out of range 0..0"),
+            ("v 0 ten\n", 1, "energy must be a non-negative integer or 'inf'"),
+            ("v 0 0\n", 2, "expected 2 energy lines, found 1"),
+        ],
+    )
+    def test_malformed_inputs_rejected(self, text, n, fragment):
+        with pytest.raises(GameFileError) as err:
+            parse_energies(text, n)
+        assert fragment in str(err.value)
 
 
 class TestCli:
@@ -288,6 +314,30 @@ class TestCli:
         path.write_text("p eg 2 1\nv 0 A\nv 1 B\ne 0 9 1\n")
         assert main(["solve", str(path)]) == 2
         assert "line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            (
+                "p eg 2 3\nv 0 A\nv 1 B\ne 0 1 1\ne 1 1 -1\ne 1 0 -1\n",
+                "edge 1 (1->1): self-loop (normalize first)",
+            ),
+            ("p eg 2 1\nv 0 A\nv 1 B\ne 0 1 1\n", "node 1: sink node (out-degree 0)"),
+        ],
+        ids=["self-loop", "sink"],
+    )
+    def test_invalid_game_exit_code(self, tmp_path, capsys, text, problem):
+        path = tmp_path / "invalid.eg"
+        path.write_text(text)
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err == f"energygames: line 0: {problem}\n"
+
+    def test_missing_game_file_exit_code(self, tmp_path, capsys):
+        missing = tmp_path / "missing.eg"
+        assert main(["solve", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert str(missing) in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("hint", ["nan", "1/0"])
     def test_bad_penalty_hint_is_a_usage_error(self, tmp_path, capsys, hint):

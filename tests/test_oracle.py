@@ -7,7 +7,6 @@ from energygames import (
     BOB,
     INF,
     GameGraph,
-    StrategyPair,
     brute_force_energies,
     brute_force_penalty,
     eval_pair,
@@ -19,31 +18,36 @@ from game_helpers import all_edge_choices, dfs_path_minimum, small_random
 
 
 class TestEvalPair:
+    # fig1's edges: 0: 0->1, 1: 0->2, 2: 1->2, 3: 1->0, 4: 2->1, 5: 2->0
     def test_bob_forces_the_negative_cycle(self, fig1):
-        # sigma: 0->2 (edge 1); tau: 1->0 (edge 3), 2->0 (edge 5)
-        pair = StrategyPair(sigma={0: 1}, tau={1: 3, 2: 5})
-        assert eval_pair(fig1, pair, 0) == INF
+        # 0->2 (edge 1); Bob: 1->0 (edge 3), 2->0 (edge 5)
+        assert eval_pair(fig1, (1, 3, 5), 0) == INF
 
     def test_positive_cycle_needs_nothing(self, fig1):
-        # sigma: 0->1 (edge 0); tau: 1->0 (edge 3), 2->1 (edge 4)
-        pair = StrategyPair(sigma={0: 0}, tau={1: 3, 2: 4})
-        assert eval_pair(fig1, pair, 0) == 0
+        # 0->1 (edge 0); Bob: 1->0 (edge 3), 2->1 (edge 4)
+        assert eval_pair(fig1, (0, 3, 4), 0) == 0
 
     def test_non_negative_cycle_of_non_negative_edges(self):
         graph = GameGraph((ALICE, ALICE, ALICE), ((0, 1, 2), (1, 2, 0), (2, 0, 5)))
-        pair = StrategyPair(sigma={0: 0, 1: 1, 2: 2}, tau={})
         for start in range(3):
-            assert eval_pair(graph, pair, start) == 0
+            assert eval_pair(graph, (0, 1, 2), start) == 0
 
     def test_wrong_edge_assignment_rejected(self, fig1):
-        with pytest.raises(ValueError):
-            eval_pair(fig1, StrategyPair(sigma={0: 2}, tau={1: 3, 2: 5}), 0)
+        with pytest.raises(ValueError, match="edge 2 does not leave node 0"):
+            eval_pair(fig1, (2, 3, 5), 0)
 
-    def test_successor_construction(self, fig1):
-        pair = StrategyPair.from_successors(fig1, sigma={0: 2}, tau={1: 0, 2: 0})
-        assert eval_pair(fig1, pair, 0) == INF
-        with pytest.raises(ValueError):
-            StrategyPair.from_successors(fig1, sigma={0: 0}, tau={})  # self-successor
+    @pytest.mark.parametrize(
+        "choice, fragment",
+        [
+            ((1, 3), "expected 3 edge choices, got 2"),
+            ((1, 3, 5, 0), "expected 3 edge choices, got 4"),
+            ((1, 3, 6), "edge 6 does not leave node 2"),
+            ((-6, 3, 5), "edge -6 does not leave node 0"),  # would alias edge 0
+        ],
+    )
+    def test_malformed_choice_rejected(self, fig1, choice, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            eval_pair(fig1, choice, 0)
 
     def test_matches_simple_path_enumeration(self):
         for seed in range(60):

@@ -43,7 +43,7 @@ class TestRoundWeights:
 class TestApproximateEnergies:
     def test_reference_approximation(self, fig3):
         result = approximate_energies(fig3, bound=18, error_budget=9)
-        assert result.granularity == 3
+        assert all(e % 3 == 0 for e in result.energies if e != INF)  # B = 9 // 3
         assert result.energies == (0, 0, 6)
         exact = brute_force_energies(fig3)  # (0, 4, 8)
         for low, true in zip(result.energies, exact):
@@ -57,7 +57,6 @@ class TestApproximateEnergies:
         for seed in range(25):
             graph = small_random(seed, max_n=5)
             result = approximate_energies(graph, graph.default_bound(), graph.n)
-            assert result.granularity == 1
             assert result.energies == brute_force_energies(graph)
 
     def test_unconditional_lower_bound(self):
