@@ -200,8 +200,6 @@ def _cmd_penalty(args) -> int:
 def _cmd_reduce(args) -> int:
     graph = _load_game(args.game)
     if args.step == "winall":
-        if not 0 <= args.node < graph.n:
-            raise ValueError(f"node {args.node} out of range 0..{graph.n - 1}")
         reduced, _, trace = to_win_everywhere(graph, args.node)
     elif args.step == "bipartite":
         reduced, trace = to_bipartite(graph)

@@ -116,31 +116,28 @@ def _random_structure(
     return owners, pairs
 
 
-def random_game(spec: GenSpec) -> GameGraph:
-    """Uniform owners, distinct random edges, weights in [-W, W]."""
-    if spec.max_weight < 1:
-        raise ValueError("max_weight must be at least 1")
+def _uniform_game(spec: GenSpec, granularity: int) -> GameGraph:
+    """The structure draw, then each edge's weight uniform among the
+    multiples of ``granularity`` in [-W, W]."""
+    if spec.max_weight < granularity:
+        raise ValueError(f"max_weight must be at least {granularity}")
     rng = SplitMix64(spec.seed)
     owners, pairs = _random_structure(rng, spec.n, spec.m, spec.alice_pct, spec.max_out)
-    edges = tuple(
-        (src, dst, rng.randint(-spec.max_weight, spec.max_weight)) for src, dst in pairs
-    )
+    reach = spec.max_weight // granularity
+    edges = tuple((src, dst, granularity * rng.randint(-reach, reach)) for src, dst in pairs)
     return GameGraph(owners, edges)
+
+
+def random_game(spec: GenSpec) -> GameGraph:
+    """Uniform owners, distinct random edges, weights in [-W, W]."""
+    return _uniform_game(spec, 1)
 
 
 def multiples_game(spec: GenSpec) -> GameGraph:
     """Like random_game but every weight is a multiple of ``granularity``."""
     if spec.granularity is None or spec.granularity < 1:
         raise ValueError("the multiples family needs a positive granularity")
-    if spec.max_weight < spec.granularity:
-        raise ValueError("max_weight must be at least the granularity")
-    rng = SplitMix64(spec.seed)
-    owners, pairs = _random_structure(rng, spec.n, spec.m, spec.alice_pct, spec.max_out)
-    reach = spec.max_weight // spec.granularity
-    edges = tuple(
-        (src, dst, spec.granularity * rng.randint(-reach, reach)) for src, dst in pairs
-    )
-    return GameGraph(owners, edges)
+    return _uniform_game(spec, spec.granularity)
 
 
 def windowed_game(spec: GenSpec) -> tuple[GameGraph, tuple[int, ...]]:

@@ -10,6 +10,7 @@ handled exactly.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,15 +28,8 @@ DEFAULT_MAX_PAIRS = 1_000_000
 _MAX_PARTITION_NODES = 10
 
 
-def pair_count(graph: GameGraph) -> int:
-    count = 1
-    for node in range(graph.n):
-        count *= graph.out_degree(node)
-    return count
-
-
 def _check_pair_budget(graph: GameGraph, max_pairs: int) -> None:
-    pairs = pair_count(graph)
+    pairs = math.prod(graph.out_degree(node) for node in range(graph.n))
     if pairs > max_pairs:
         raise BudgetExceeded(f"{pairs} strategy pairs exceed the budget {max_pairs}")
 
@@ -47,9 +41,11 @@ def eval_pair(graph: GameGraph, choice: Sequence[int], start: int) -> Energy:
     Walks the unique path until a node repeats.  If the reached cycle has
     negative total weight the energy is infinite; otherwise it is
     max(0, -min prefix sum) over the simple prefixes of the walk.  Raises
-    ValueError unless ``choice`` names, for each of the n nodes, an edge
-    index in 0..m-1 that leaves that node.
+    ValueError unless ``start`` is a node in 0..n-1 and ``choice`` names, for
+    each of the n nodes, an edge index in 0..m-1 that leaves that node.
     """
+    if not 0 <= start < graph.n:  # values[-1] would alias node n-1
+        raise ValueError(f"node {start} out of range 0..{graph.n - 1}")
     if len(choice) != graph.n:
         raise ValueError(f"expected {graph.n} edge choices, got {len(choice)}")
     for node, edge in enumerate(choice):
@@ -135,16 +131,10 @@ def brute_force_energies(graph: GameGraph, max_pairs: int = DEFAULT_MAX_PAIRS) -
 
 @dataclass(frozen=True)
 class PenaltyReport:
-    """Per-node penalties under both readings of strategy optimality.
-
-    ``per_node`` takes Bob's strategy to be optimal at the probed node only;
-    ``per_node_global`` restricts to strategies optimal at every node
-    simultaneously, which can only lower the value.  The graph penalty is the
-    minimum of ``per_node``.
-    """
+    """Per-node penalties, Bob's strategy taken to be optimal at the probed
+    node only; the graph penalty is their minimum (INF on the empty game)."""
 
     per_node: tuple[Penalty, ...]
-    per_node_global: tuple[Penalty, ...]
 
     @property
     def graph_penalty(self) -> Penalty:
@@ -158,7 +148,8 @@ def brute_force_penalty(graph: GameGraph, max_pairs: int = DEFAULT_MAX_PAIRS) ->
     For a fixed Bob strategy tau and start s, the defended bound D(tau, s) is
     the minimum of -total/length over the negative cycles Alice can steer s
     into (infinite when she cannot reach any).  The penalty at s maximizes
-    D(tau, s) over the strategies tau that are optimal at s.
+    D(tau, s) over the strategies tau that are optimal at s, whatever they
+    do elsewhere.
     """
     _check_pair_budget(graph, max_pairs)
     alice_nodes, alice_opts = _choice_space(graph, ALICE)
@@ -188,16 +179,11 @@ def brute_force_penalty(graph: GameGraph, max_pairs: int = DEFAULT_MAX_PAIRS) ->
 
     minimal: list[Energy] = [max(vals[s] for vals in tau_value) for s in range(n)]
     per_node: list[Penalty] = [Fraction(0)] * n
-    per_node_global: list[Penalty] = [Fraction(0)] * n
     for value, bound in zip(tau_value, tau_bound):
-        optimal = [value[s] == minimal[s] for s in range(n)]
         for s in range(n):
-            if optimal[s]:
+            if value[s] == minimal[s]:
                 per_node[s] = max(per_node[s], bound[s])
-        if all(optimal):
-            for s in range(n):
-                per_node_global[s] = max(per_node_global[s], bound[s])
-    return PenaltyReport(tuple(per_node), tuple(per_node_global))
+    return PenaltyReport(tuple(per_node))
 
 
 def find_ergodic_partition(graph: GameGraph) -> tuple[frozenset[int], frozenset[int]] | None:
@@ -216,26 +202,18 @@ def find_ergodic_partition(graph: GameGraph) -> tuple[frozenset[int], frozenset[
         succ_mask[src] |= 1 << dst
     alice = [graph.is_alice(v) for v in range(n)]
     full = (1 << n) - 1
+
+    def holds(side: int, keeper_is_alice: bool) -> bool:
+        """The keeper's nodes in ``side`` can stay in it; the other
+        player's nodes in it cannot leave it."""
+        return all(
+            succ_mask[v] & side if alice[v] == keeper_is_alice else not succ_mask[v] & ~side
+            for v in range(n)
+            if (side >> v) & 1
+        )
+
     for mask in range(1, full):
-        comp = full ^ mask
-        ok = True
-        for v in range(n):
-            if (mask >> v) & 1:
-                if alice[v]:
-                    if not succ_mask[v] & mask:  # Alice must be able to stay
-                        ok = False
-                        break
-                elif succ_mask[v] & comp:  # Bob must be unable to leave
-                    ok = False
-                    break
-            elif alice[v]:
-                if succ_mask[v] & mask:  # Alice must be unable to escape S_B
-                    ok = False
-                    break
-            elif not succ_mask[v] & comp:  # Bob must be able to stay
-                ok = False
-                break
-        if ok:
+        if holds(mask, True) and holds(full ^ mask, False):
             side_a = frozenset(v for v in range(n) if (mask >> v) & 1)
             side_b = frozenset(v for v in range(n) if not (mask >> v) & 1)
             return side_a, side_b

@@ -41,7 +41,7 @@ def to_win_everywhere(
     read from the input graph.  The start keeps its index.
     """
     if not 0 <= start < graph.n:
-        raise ValueError(f"start node {start} out of range")
+        raise ValueError(f"node {start} out of range 0..{graph.n - 1}")
     n = graph.n
     cap = graph.max_weight
     owners = list(graph.owners)

@@ -54,10 +54,9 @@ def approximate_energies(graph: GameGraph, bound: int, error_budget: int) -> Vit
     unconditionally; when every node's penalty is at least
     B = floor(error_budget/n) they additionally satisfy
     e* <= e + n*B <= e + error_budget with identical infinite sets.
-    Rejects the empty game and error budgets below the node count (B = 0).
+    Rejects the empty game, error budgets below the node count (B = 0) and,
+    through :func:`multiples_list`, a negative bound.
     """
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
     if graph.n == 0:
         raise ValueError("the game has no nodes")
     if error_budget < graph.n:

@@ -26,6 +26,10 @@ class TestFullList:
         assert len(lst.finite) == 25
         assert len(lst) == 26
 
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError, match="^bound must be non-negative$"):
+            full_list(-1)
+
 
 class TestMultiplesList:
     def test_example(self):
@@ -39,6 +43,14 @@ class TestMultiplesList:
         assert tuple(lst.finite) == (0, 6, 12, 18)
         for value in (0, 0, 6):
             assert value in lst
+
+    @pytest.mark.parametrize(
+        "granularity, bound, message",
+        [(0, 5, "granularity must be positive"), (2, -1, "bound must be non-negative")],
+    )
+    def test_bad_arguments_rejected(self, granularity, bound, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            multiples_list(granularity, bound)
 
     @given(st.integers(min_value=1, max_value=50), st.integers(min_value=0, max_value=500))
     def test_size_formula(self, granularity, bound):
@@ -92,6 +104,19 @@ class TestWindowList:
         assert lst.finite[0] == 0
         assert all(a < b for a, b in zip(lst.finite, lst.finite[1:]))
         assert all(0 <= v <= 30 for v in lst.finite)
+
+    @pytest.mark.parametrize(
+        "centers, delta, n, bound, message",
+        [
+            ([], 0, 2, 5, "at least one center is required"),
+            ([1], -1, 2, 5, "delta, n, and bound must be non-negative"),
+            ([1], 0, -1, 5, "delta, n, and bound must be non-negative"),
+            ([1], 0, 2, -1, "delta, n, and bound must be non-negative"),
+        ],
+    )
+    def test_bad_arguments_rejected(self, centers, delta, n, bound, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            window_list(centers, delta, n, bound)
 
     @settings(max_examples=200)
     @given(

@@ -283,6 +283,7 @@ class TestCli:
             ["decide", "{game}", "--node", "7"],
             ["decide", "{game}", "--node", "-1"],
             ["reduce", "winall", "{game}", "--node", "7"],
+            ["reduce", "winall", "{game}", "--node", "-1"],
         ],
         ids=" ".join,
     )

@@ -1,10 +1,11 @@
+import hashlib
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from energygames import ALICE, BOB, GameGraph, validate
+from energygames import ALICE, BOB, GameGraph, emit_game, validate
 from energygames.generators import (
     GenSpec,
     SplitMix64,
@@ -44,6 +45,10 @@ class TestSplitMix64:
         value = SplitMix64(seed).randint(lo, lo + width)
         assert lo <= value <= lo + width
 
+    def test_empty_range_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("empty range [3, 2]")):
+            SplitMix64(0).randint(3, 2)
+
 
 class TestRandomGame:
     def test_determinism(self):
@@ -57,6 +62,10 @@ class TestRandomGame:
     def test_too_many_edges_rejected(self):
         with pytest.raises(ValueError):
             random_game(GenSpec("random", n=3, m=7, max_weight=3, seed=0))
+
+    def test_zero_weight_cap_rejected(self):
+        with pytest.raises(ValueError, match="^max_weight must be at least 1$"):
+            random_game(GenSpec("random", n=3, m=4, max_weight=0, seed=0))
 
     def test_generated_instances_validate(self):
         for seed in range(50):
@@ -171,6 +180,14 @@ class TestHighPenaltyFamily:
                 assert report.graph_penalty == float("inf")
         assert hits > 5
 
+    @pytest.mark.parametrize(
+        "choices, max_weight, message",
+        [(0, 8, "need at least one branch"), (3, 1, "max_weight must be at least 2")],
+    )
+    def test_bad_arguments_rejected(self, choices, max_weight, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            high_penalty_family(choices, max_weight, seed=0)
+
     def test_first_branch_always_positive(self):
         for seed in range(30):
             graph = high_penalty_family(choices=4, max_weight=16, seed=seed)
@@ -221,6 +238,24 @@ class TestWindowedGame:
         )
         assert windowed_game(spec) == windowed_game(spec)
 
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            ({"d": None}, "needs d >= 1"),
+            ({"d": 0}, "needs d >= 1"),
+            ({"delta": None}, "needs delta >= 0"),
+            ({"delta": -1}, "needs delta >= 0"),
+            ({"center_lo": None}, "needs a non-empty center range"),
+            ({"center_hi": None}, "needs a non-empty center range"),
+            ({"center_lo": 5, "center_hi": 4}, "needs a non-empty center range"),
+        ],
+    )
+    def test_bad_knobs_rejected(self, knobs, message):
+        knobs = {"d": 2, "delta": 1, "center_lo": -4, "center_hi": 4, **knobs}
+        spec = GenSpec("window", n=4, m=8, max_weight=9, seed=0, **knobs)
+        with pytest.raises(ValueError, match=f"^the windowed family {message}$"):
+            windowed_game(spec)
+
 
 class TestMultiplesGame:
     def test_weights_are_multiples(self):
@@ -228,6 +263,17 @@ class TestMultiplesGame:
         graph = multiples_game(spec)
         assert all(w % 3 == 0 for _, _, w in graph.edges)
         assert validate(graph).ok
+
+    @pytest.mark.parametrize("granularity", [None, 0])
+    def test_missing_granularity_rejected(self, granularity):
+        spec = GenSpec("multiples", n=5, m=10, max_weight=12, seed=4, granularity=granularity)
+        with pytest.raises(ValueError, match="^the multiples family needs a positive granularity$"):
+            multiples_game(spec)
+
+    def test_weight_cap_below_granularity_rejected(self):
+        spec = GenSpec("multiples", n=5, m=10, max_weight=4, seed=4, granularity=5)
+        with pytest.raises(ValueError, match="^max_weight must be at least 5$"):
+            multiples_game(spec)
 
 
 class TestDispatch:
@@ -247,6 +293,42 @@ class TestDispatch:
                 assert validate(graph).ok
                 assert all(src != dst for src, dst, _ in graph.edges)
 
+    def test_penalty_family_needs_a_branch_count(self):
+        with pytest.raises(ValueError, match="^the penalty family needs a branch count$"):
+            generate(GenSpec("penalty", n=4, m=8, max_weight=6, seed=0))
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             generate(GenSpec("nope", n=3, m=4, max_weight=2, seed=0))
+
+
+class TestPinnedBytes:
+    """The emitted bytes of a few instances per family, so that a change of
+    draw order or of Python version that alters an instance fails here."""
+
+    KNOBS = {
+        "random": {},
+        "multiples": {"granularity": 3},
+        "window": {"d": 2, "delta": 1, "center_lo": -6, "center_hi": 6},
+        "penalty": {"choices": 5},
+    }
+    DIGESTS = {
+        ("random", 1): "3fb769f2d2ff44b0305be26a5e4ecf3b1b05d8c80f3ba5c5c4563d7d9538265f",
+        ("random", 2): "3bed9c3f447507350e37f5c529904136c8b14596112cb7d28357f52d4133a970",
+        ("random", 3): "0b74f5fa1e07fd1acf7f6284365b82bbcc1b5c24c7ca10434539d25576c6da23",
+        ("multiples", 1): "9e37518f54460335cebf92067e1de8669c8fbad7dc6460852b31137a27cb3e06",
+        ("multiples", 2): "fc9febd98265cddb42ed038085d611832e3dc1a852c6e8c278b4c84ae5c7f48f",
+        ("multiples", 3): "9dc26ed575ecbaf2016cfe068d3ffbe4d7363574555fe62d9b872b5be6ce5f96",
+        ("window", 1): "4ea7ad20dc970b36b109e79ebf3f063a5520575d7109701f036e9c3977c918a6",
+        ("window", 2): "b6a0f31f554c9064df526f7d21ecbee332aa87bf97761038cb9019489246b6c1",
+        ("window", 3): "8d141a0ad75b2a5f38dcc20ade1812b746703eddb8dc60da1c2ea1cfe7ae6603",
+        ("penalty", 1): "481b2dba1a162c44f6cd1f3435537567d9f60ea23a915d1f8fb342ee8b773386",
+        ("penalty", 2): "92f427b64b44714d4ebbf55eb7cb2a790ee29b3054a27ca9026b380d05c135a4",
+        ("penalty", 3): "1aea2f96c17a8b406d8a4f8343ff7729f85edfb10381d0dc8d1c14a5cd485004",
+    }
+
+    @pytest.mark.parametrize("family, seed", sorted(DIGESTS))
+    def test_emitted_bytes_match(self, family, seed):
+        spec = GenSpec(family, n=8, m=20, max_weight=12, seed=seed, **self.KNOBS[family])
+        text = emit_game(generate(spec))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[family, seed]

@@ -32,6 +32,10 @@ class TestRoundWeights:
     def test_unit_granularity_is_identity(self, fig1):
         assert round_weights(fig1, 1).edges == fig1.edges
 
+    def test_granularity_below_one_rejected(self, fig1):
+        with pytest.raises(ValueError, match="^granularity must be positive$"):
+            round_weights(fig1, 0)
+
     @given(st.integers(min_value=-10_000, max_value=10_000), st.integers(min_value=1, max_value=97))
     def test_rounding_bounds(self, weight, granularity):
         graph = GameGraph((ALICE, BOB), ((0, 1, weight), (1, 0, 0)))
@@ -52,6 +56,11 @@ class TestApproximateEnergies:
     def test_budget_below_node_count_rejected(self, fig3):
         with pytest.raises(ValueError):
             approximate_energies(fig3, bound=18, error_budget=2)
+
+    def test_negative_bound_rejected(self, fig3):
+        # the admissible list's check, the only one on this path
+        with pytest.raises(ValueError, match="^bound must be non-negative$"):
+            approximate_energies(fig3, bound=-1, error_budget=9)
 
     def test_budget_equal_to_node_count_is_exact(self):
         for seed in range(25):
