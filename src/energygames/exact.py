@@ -1,9 +1,10 @@
 """Exact minimal energies via repeated approximation.
 
-:func:`solve` first finds the losing region under small caps, certifies it
-and drops it (:func:`_losing_region`), since losing nodes would otherwise
-climb to the a-priori bound n*W in every guess.  On the rest it guesses a
-lower bound D on the game's penalty, halving it until a guess is accepted
+:func:`solve` first finds the losing region under small caps, trims it by
+Alice's attractor to the rest, certifies it with a dual game and drops it
+(:func:`_losing_region`), since losing nodes would otherwise climb to the
+a-priori bound n*W in every guess.  On the rest it guesses a lower bound D
+on the game's penalty, halving it until a guess is accepted
 (:func:`_guess_loop`).  A guess runs levels on one graph
 (:func:`_solve_level`): each level solves the game re-weighted by the
 potential so far, its weights rounded up to a multiple of the level's
@@ -25,7 +26,6 @@ from .core import (
     INF,
     EnergyFn,
     GameGraph,
-    PotentialContractError,
     PotentialTransform,
     apply_potential,
     opponent,
@@ -61,7 +61,7 @@ class GuessRecord:
 class RegionRecord:
     """The pre-pass that finds and certifies the losing region."""
 
-    size: int  # nodes in the last round's infinite set
+    size: int  # nodes in the last round's trimmed infinite set S'
     certified: bool
     rounds: int
     phases: tuple[PhaseRecord, ...]  # one per kernel call, primal and dual
@@ -233,48 +233,79 @@ def _solve_level(
     return energies if transform is None else transform.lift(energies)
 
 
-def _trap_dual(graph: GameGraph, losing: list[int]) -> GameGraph | None:
-    """The dual of the subgame on ``losing``, or None unless that set is a
-    trap for Alice; part (a) of :func:`solve` reads a dual that is finite
+def _trim(graph: GameGraph, losing: list[int]) -> list[int]:
+    """S' = S minus Alice's attractor to the nodes outside S: the nodes of S
+    from which Bob can keep every play in S, a trap for Alice.  ``losing``
+    is S in ascending order, and so is the result.
+
+    A backward search from the nodes outside S over ``_adjacency``'s
+    predecessor lists: an Alice node is attracted by its first attracted
+    successor, a Bob node once all its out-edges lead to attracted nodes,
+    which a per-node counter of the edges left tracks.
+    """
+    succ, pred, _, alice, _ = graph._adjacency
+    attracted = [True] * graph.n
+    for v in losing:
+        attracted[v] = False
+    left = [len(out) for out in succ]
+    frontier = [v for v in range(graph.n) if attracted[v]]
+    while frontier:
+        v = frontier.pop()
+        for u, _ in pred[v]:
+            if attracted[u]:
+                continue
+            if not alice[u]:
+                left[u] -= 1
+                if left[u]:
+                    continue
+            attracted[u] = True
+            frontier.append(u)
+    return [v for v in losing if not attracted[v]]
+
+
+def _trap_dual(graph: GameGraph, trap: list[int]) -> GameGraph:
+    """The dual of the subgame on ``trap``, a trap for Alice in ascending
+    node order; part (a) of :func:`solve` reads a dual that is finite
     everywhere.
 
-    The dual swaps the owners and re-weights each edge to -(k*w + 1) with
-    k = |S| + 1.  The trap test is :func:`apply_potential`'s contract on the
-    owner-swapped game with potential 0 on S and infinity elsewhere: with the
-    owners swapped, "no finite Bob node has an edge out of S" says that
-    Alice cannot leave S, and "every finite Alice node keeps a successor in
-    S" says that every Bob node of S can stay.  The kept subgame, in
-    ascending node order with its weights unchanged by the zero potential,
-    is the dual.
+    The dual keeps the edges inside the trap in edge-list order, swaps the
+    owners and re-weights each edge to -(k*w + 1) with k = |trap| + 1.  Every
+    node keeps an out-edge: Alice's nodes have all their successors in the
+    trap, Bob's at least one.
     """
-    k = len(losing) + 1
-    swapped = GameGraph(
-        tuple(opponent(owner) for owner in graph.owners),
-        tuple((src, dst, -(k * weight + 1)) for src, dst, weight in graph.edges),
+    k = len(trap) + 1
+    index = [-1] * graph.n
+    for new, old in enumerate(trap):
+        index[old] = new
+    return GameGraph(
+        tuple(opponent(graph.owners[v]) for v in trap),
+        tuple(
+            (index[src], index[dst], -(k * weight + 1))
+            for src, dst, weight in graph.edges
+            if index[src] >= 0 and index[dst] >= 0
+        ),
     )
-    potential = [INF] * graph.n
-    for v in losing:
-        potential[v] = 0
-    try:
-        return apply_potential(swapped, tuple(potential)).graph
-    except PotentialContractError:
-        return None
 
 
 def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[int] | None]:
     """Find the losing region and certify it; the node list is None unless
-    certified.  Why a certified S is the losing region is parts (a)-(c) of
+    certified.  Why a certified S' is the losing region is parts (a)-(c) of
     :func:`solve`.
 
     Round by round, M doubles from max(W, 1) and value iteration on the
     true weights over the multiples of max(1, M // 2n) up to M gives S, its
-    infinite set.  The dual of S (:func:`_trap_dual`) is solved over caps
-    D = k, 2k, ... up to k*M, k = |S| + 1, each over the multiples of
-    max(1, D // 2|S|).  Caps below the dual's largest one-step target are
+    infinite set, and S' = S minus Alice's attractor to the rest
+    (:func:`_trim`).  An empty S' is certified at once.  Otherwise the dual
+    of S' (:func:`_trap_dual`) is solved over caps D = k, 2k, ... up to the
+    dual's own bound n'W', k = |S'| + 1, each over the multiples of
+    max(1, D // 2|S'|), while the dual's cumulative edge work is at most
+    the primal's.  Caps below the dual's largest one-step target are
     skipped, because a node's first update already reaches its target, and
-    so are caps an earlier round already tried on the same S.  The rounds
-    end with no S once M reaches n*W, or once the dual's cumulative edge
-    work passes the primal's.
+    so are caps an earlier round already tried on the same S'.  A round
+    whose budget runs out goes on to the next M, which adds primal work.
+    The rounds end with no S' once M reaches n*W, or once two rungs in a
+    row on the same S' leave every dual node infinite: that dual is
+    flooded, not converging.
     """
     n = graph.n
     if n == 0:
@@ -284,46 +315,47 @@ def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[int] | None]:
     phases: list[PhaseRecord] = []
     primal_work = dual_work = 0
     rounds = 0
-    tried: list[int] | None = None  # the last S whose dual was built
-    dual: GameGraph | None = None
-    dual_cap = 0
+    tried: list[int] | None = None  # the last S' whose dual was built
     while True:
         rounds += 1
         primal = _coarse_step(graph, bound, phases)
         primal_work += primal.edge_work
         losing = [v for v in range(n) if primal.energies[v] == INF]
+        if losing:
+            losing = _trim(graph, losing)
         if not losing:
             return RegionRecord(0, True, rounds, tuple(phases)), losing
         size = len(losing)
-        # The dual depends only on S, so for an unchanged S the ladder
+        # The dual depends only on S', so for an unchanged S' the ladder
         # resumes at the first cap it has not tried.
         if losing != tried:
             tried = losing
             dual = _trap_dual(graph, losing)
-            if dual is not None:
-                # A node's first update from 0 already reaches its one-step
-                # target, so caps below the largest target fail for certain.
-                succ, _, _, alice, _ = dual._adjacency
-                floor = max(
-                    (min if alice[u] else max)(-dual.edges[i][2] for _, i in succ[u])
-                    for u in range(size)
-                )
-                dual_cap = size + 1
-                while dual_cap < floor:
-                    dual_cap *= 2
-        if dual is not None:
-            top = (size + 1) * bound
-            while dual_cap <= top:
-                result = _coarse_step(dual, dual_cap, phases)
-                if INF not in result.energies:
-                    return RegionRecord(size, True, rounds, tuple(phases)), losing
-                dual_work += result.edge_work
-                if dual_work > primal_work:
-                    return RegionRecord(size, False, rounds, tuple(phases)), None
+            # A node's first update from 0 already reaches its one-step
+            # target, so caps below the largest target fail for certain.
+            succ, _, _, alice, _ = dual._adjacency
+            floor = max(
+                (min if alice[u] else max)(-dual.edges[i][2] for _, i in succ[u])
+                for u in range(size)
+            )
+            dual_cap = size + 1
+            while dual_cap < floor:
                 dual_cap *= 2
+            top = dual.default_bound()
+            stalled = 0  # rungs in a row that left every dual node infinite
+        while dual_cap <= top and dual_work <= primal_work:
+            result = _coarse_step(dual, dual_cap, phases)
+            infinite = result.energies.count(INF)
+            if not infinite:
+                return RegionRecord(size, True, rounds, tuple(phases)), losing
+            dual_work += result.edge_work
+            stalled = stalled + 1 if infinite == size else 0
+            if stalled == 2:
+                return RegionRecord(size, False, rounds, tuple(phases)), None
+            dual_cap *= 2
         bound *= 2
         if bound >= cap:
-            return RegionRecord(len(losing), False, rounds, tuple(phases)), None
+            return RegionRecord(size, False, rounds, tuple(phases)), None
 
 
 def _guess_loop(
@@ -358,26 +390,32 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
     (i)-(iv) a wrong hint costs time but never changes the answer.
 
     First the losing region (:func:`_losing_region`).  Value iteration on
-    the true weights under a small cap gives p; S is its infinite set.  S is
-    certified when it is a trap for Alice (her nodes in S have every
-    successor in S, Bob's at least one) and the dual game on S, with the
-    owners swapped and each weight w re-weighted to -(k*w + 1), k = |S| + 1,
-    is finite everywhere (:func:`_trap_dual`).  Then S is exactly the losing
-    region:
+    the true weights under a small cap gives p; S is its infinite set, and
+    S' is S minus Alice's attractor to the nodes outside S (:func:`_trim`).
+    S' is certified when it is empty, or when the dual game on S', with the
+    owners swapped and each weight w re-weighted to -(k*w + 1),
+    k = |S'| + 1, is finite everywhere (:func:`_trap_dual`).  Then S' is
+    exactly the losing region:
 
-    (a) the trap lets Bob keep every play in S, and a finite dual energy
-        everywhere is a Bob strategy inside S under which every cycle, of
-        total T and length 1 <= L <= |S|, has k*T + L <= 0, that is T < 0:
-        S holds only losing nodes;
+    (a) S' is a trap for Alice by construction (her nodes in S' have every
+        successor in S', Bob's at least one), so Bob can keep every play in
+        S', and a finite dual energy everywhere is a Bob strategy inside S'
+        under which every cycle, of total T and length 1 <= L <= |S'|, has
+        k*T + L <= 0, that is T < 0: S' holds only losing nodes;
     (b) p's finite values are a progress measure (Alice keeps them by moving
         along an edge that holds, Bob cannot break them), so every node
-        outside S is winning and S holds every losing node;
+        outside S is winning; from her attractor to those nodes Alice forces
+        a play into them, so the attractor wins too and S' holds every
+        losing node;
     (c) S is the infinite set of a fixed point, so no Bob node outside S has
-        an edge into it and every Alice node outside S keeps an edge out of
-        it: dropping S with :func:`apply_potential` cannot raise, and since
-        Bob cannot enter S and Alice loses there, the rest is a subgame
-        whose energies are the true ones.
-    Without a certified S the guess loop runs on the whole graph.
+        an edge into S and every Alice node outside S keeps an edge out of
+        it.  A Bob node in the attractor has every successor outside S', and
+        an Alice node there has one.  So no Bob node outside S' has an edge
+        into S' and every Alice node outside S' keeps an edge out of it:
+        dropping S' with :func:`apply_potential` cannot raise, and since Bob
+        cannot enter S' and Alice loses there, the rest is a subgame whose
+        energies are the true ones.
+    Without a certified S' the guess loop runs on the whole graph.
 
     The guess loop (:func:`_guess_loop`), on the a-priori bound M = n*W of
     the graph it is given, tries error budgets c from max(M // 2, n) down (a

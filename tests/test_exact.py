@@ -25,6 +25,7 @@ from energygames.exact import (
     _losing_region,
     _solve_level,
     _trap_dual,
+    _trim,
     minimal_energy_with_penalty_bound,
     solve,
 )
@@ -222,15 +223,15 @@ class TestLevelLoop:
                     saved += len(theirs) - len(mine)
                 runs += 1
                 first_drops += mine[0].dropped > 0
-        # the first level drops nodes in 18 runs; 14 accepted runs end
-        # coarser than granularity 1, 3 of them because the first level drops
-        # every node and 11 at a level whose granularity divides every
-        # residual weight; 16 runs are refuted, 15 of them at a level of
-        # granularity 1, and the reference recursion runs 4 levels past the
-        # refutations and 402 levels that do nothing past the accepted runs'
-        # last
+        # the first level drops nodes in 14 runs; 11 accepted runs end
+        # coarser than granularity 1, all at a level whose granularity divides
+        # every residual weight (no first level drops every node: the trimmed
+        # region pre-pass certifies those regions); 17 runs are refuted, all
+        # at a level of granularity 1, and the reference recursion runs 4
+        # levels past the refutations and 402 levels that do nothing past the
+        # accepted runs' last
         assert (runs, first_drops, coarse, rejected, refuted_at_one, saved, idle) == (
-            334, 18, 14, 16, 15, 4, 402
+            331, 14, 11, 17, 17, 4, 402
         )
 
     def test_matches_the_reference_recursion_at_fixed_floors(self):
@@ -582,22 +583,58 @@ class TestLosingRegion:
     def test_set_alice_can_leave_is_not_certified(self):
         # at M = 100 the primal makes the negative cycle 0 <-> 1 infinite, but
         # Alice escapes from 0 along a dip of 200; the dual on {0, 1} alone
-        # would be finite, so only the trap check rejects the set
+        # would be finite, yet her attractor to the winning nodes covers the
+        # set, so round 1 trims it to nothing and certifies no losing node
         graph = GameGraph(
             (ALICE, BOB, ALICE, ALICE, ALICE),
             ((0, 1, -1), (1, 0, -1), (0, 2, -100), (2, 3, -100), (3, 4, 100), (4, 3, 0)),
         )
         report = solve(graph)
         assert report.energies == brute_force_energies(graph) == (200, 201, 100, 0, 0)
-        assert report.region.rounds == 3 and report.region.size == 0
+        region = report.region
+        assert region.certified and region.rounds == 1 and region.size == 0
 
-    def test_trap_dual_rejects_a_set_alice_can_leave(self):
+    def test_attractor_covers_a_set_alice_can_leave(self):
+        # Alice leaves S = {0, 1} from 0, and Bob's 1 can only move to 0
         graph = GameGraph((ALICE, BOB, ALICE), ((0, 1, 1), (1, 0, 2), (0, 2, 0), (2, 0, 0)))
-        assert _trap_dual(graph, [0, 1]) is None
+        assert _trim(graph, [0, 1]) == []
 
-    def test_trap_dual_rejects_a_bob_node_that_must_leave(self):
+    def test_attractor_covers_a_bob_node_that_must_leave(self):
+        # Bob's 1 can only leave S = {0, 1}, and Bob's 0 can only move to 1
         graph = GameGraph((BOB, BOB, ALICE), ((0, 1, 1), (1, 2, 2), (2, 0, 0)))
-        assert _trap_dual(graph, [0, 1]) is None
+        assert _trim(graph, [0, 1]) == []
+
+    @pytest.mark.parametrize(
+        "owners, edges, losing, trimmed",
+        [
+            # Alice's 0 has one edge out of S = {0, 1, 2}: attracted
+            (
+                (ALICE, BOB, BOB, ALICE),
+                ((0, 1, 0), (0, 3, 0), (1, 2, 0), (2, 1, 0), (3, 0, 0)),
+                [0, 1, 2],
+                [1, 2],
+            ),
+            # Bob's 0 has every edge out of S = {0, 1, 2}: attracted
+            (
+                (BOB, ALICE, ALICE, ALICE),
+                ((0, 3, 0), (0, 3, 1), (1, 2, 0), (2, 1, 0), (3, 0, 0)),
+                [0, 1, 2],
+                [1, 2],
+            ),
+            # Bob's 0 has one edge out of S = {0, 1} and one that stays: kept
+            (
+                (BOB, BOB, ALICE),
+                ((0, 2, 0), (0, 1, 0), (1, 0, 0), (2, 0, 0)),
+                [0, 1],
+                [0, 1],
+            ),
+        ],
+        ids=["alice-with-one-edge-out", "bob-with-every-edge-out", "bob-with-one-edge-staying"],
+    )
+    def test_attractor_takes_alice_on_one_edge_out_and_bob_on_all(
+        self, owners, edges, losing, trimmed
+    ):
+        assert _trim(GameGraph(owners, edges), losing) == trimmed
 
     def test_trap_dual_swaps_owners_and_reweights(self):
         # S = [1, 3]: Bob's node 1 can stay (to 3) though it can also leave
@@ -623,16 +660,31 @@ class TestLosingRegion:
         assert report.guesses and report.energies == full_range(completed)
         assert INF not in report.energies
 
+    def test_flooded_dual_stops_after_two_stalled_rungs(self):
+        # the flooded output above: S is the whole graph and so is S', and
+        # every dual node stays infinite at the first two rungs, so the region
+        # gives up after one primal round and two rungs
+        graph = random_game(GenSpec("random", n=2, m=2, max_weight=2, seed=1))
+        reduced, _, _ = to_win_everywhere(graph, 1)
+        completed, _ = to_complete_bipartite(to_bipartite(reduced)[0])
+        region, losing = _losing_region(completed)
+        assert losing is None and not region.certified
+        assert region.rounds == 1 and len(region.phases) == 3
+        assert all(p.nodes == completed.n for p in region.phases)
+        assert solve(completed).energies == full_range(completed)
+
     def test_unchanged_region_resumes_the_dual_ladder(self):
-        # S keeps the same 74 nodes from round 3 to round 5, so each of those
-        # rounds starts the dual at the first cap it has not tried yet
+        # round 1's dual budget runs out on S' after three rungs; round 2
+        # finds the same S' and resumes the ladder at the next cap, so no cap
+        # is tried twice
         graph = random_game(GenSpec("random", 96, 384, 1000, 4039238161212164089))
-        report = solve(graph)
-        region = report.region
-        assert region.certified and region.size == 74 and region.rounds == 5
-        duals = [(p.nodes, p.bound) for p in region.phases if p.nodes == region.size]
-        assert duals == [(74, 76_800), (74, 153_600), (74, 307_200), (74, 614_400)]
-        assert report.energies == full_range(graph)
+        region, losing = _losing_region(graph)
+        assert region.certified and region.rounds == 2
+        assert losing == [v for v, e in enumerate(full_range(graph)) if e == INF]
+        primals = [i for i, p in enumerate(region.phases) if p.nodes == graph.n]
+        duals = [p.bound for p in region.phases if p.nodes == region.size]
+        assert len(primals) == 2 and 1 < primals[1] < len(region.phases) - 1
+        assert all(cap * 2 == next_cap for cap, next_cap in zip(duals, duals[1:]))
 
     def test_zero_cycle_family_matches_full_range(self):
         outcomes = []
