@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 usage or precondition error, 2 malformed input file,
-3 failed verification, 4 oracle budget exceeded.
+Exit codes: 0 success, 1 usage or precondition error, 2 malformed or unreadable
+file, 3 failed verification, 4 oracle budget exceeded.
 """
 
 from __future__ import annotations
@@ -257,10 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except GameFileError as exc:
-        print(f"energygames: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (GameFileError, OSError, UnicodeDecodeError) as exc:
         print(f"energygames: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BudgetExceeded as exc:

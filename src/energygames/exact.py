@@ -37,16 +37,18 @@ from .value_iteration import ViterResult, solve_with_list
 
 @dataclass(frozen=True)
 class PhaseRecord:
-    """One level of the approximate-transform-recurse pipeline."""
+    """One kernel call of a solve (:func:`_run_phase`): value iteration on
+    ``nodes`` nodes over the multiples of B = error_budget // nodes up to
+    ``bound``.  A guess level's budget is the next level's bound."""
 
     nodes: int
     bound: int
-    error_budget: int | None  # None for the region pre-pass's coarse steps
+    error_budget: int
     granularity: int  # B; in a guess, the first level that rounds nothing is the last
     updates: int
     steps: int
     edge_work: int
-    dropped: int
+    dropped: int  # nodes the call left infinite; only a guess's first level drops them
 
 
 @dataclass(frozen=True)
@@ -97,31 +99,6 @@ class SolveReport:
         return sum(p.edge_work for p in self._phases())
 
 
-def _value_iteration_phase(
-    n: int, bound: int, result: ViterResult, granularity: int,
-    error_budget: int | None = None, dropped: int = 0,
-) -> PhaseRecord:
-    return PhaseRecord(
-        nodes=n,
-        bound=bound,
-        error_budget=error_budget,
-        granularity=granularity,
-        updates=result.total_updates,
-        steps=result.steps,
-        edge_work=result.edge_work,
-        dropped=dropped,
-    )
-
-
-def _coarse_step(graph: GameGraph, cap: int, phases: list[PhaseRecord]) -> ViterResult:
-    """Value iteration over the multiples of max(1, cap // 2n) up to ``cap``;
-    appends its record to ``phases``."""
-    granularity = max(1, cap // (2 * graph.n))
-    result = solve_with_list(graph, multiples_list(granularity, cap))
-    phases.append(_value_iteration_phase(graph.n, cap, result, granularity))
-    return result
-
-
 def _penalty_floor(penalty: Fraction | int | float | None) -> Fraction | None:
     """A penalty lower bound as a Fraction, or None when it caps nothing
     (None or ``INF``); a bound below 1, NaN or -inf raises ValueError.  The
@@ -166,6 +143,27 @@ def _error_budget(bound: int, n: int, floor: Fraction | None) -> int:
     return budget
 
 
+def _run_phase(
+    graph: GameGraph, bound: int, floor: Fraction | None, phases: list[PhaseRecord],
+    potential: list[int] | None = None,
+) -> ViterResult:
+    """One kernel call on ``graph``: value iteration over the multiples of
+    B = budget // n up to ``bound``, where budget is the
+    :func:`_error_budget` under ``floor``.  It runs on the graph's own
+    weights, or with a ``potential`` on the rounded re-weighted ones
+    (:func:`_rounded_weights`); appends the call's record to ``phases``."""
+    n = graph.n
+    budget = _error_budget(bound, n, floor)
+    granularity = budget // n
+    weights = None if potential is None else _rounded_weights(graph, potential, granularity)
+    result = solve_with_list(graph, multiples_list(granularity, bound), weights)
+    phases.append(PhaseRecord(
+        n, bound, budget, granularity, result.total_updates, result.steps, result.edge_work,
+        result.energies.count(INF),
+    ))
+    return result
+
+
 def _weight_gcd(graph: GameGraph) -> int:
     """The gcd of the edge weights (0 when every weight is 0)."""
     return gcd(*(weight for _, _, weight in graph.edges))
@@ -179,9 +177,9 @@ def _solve_level(
     or None when it caps nothing.  Returns the energies, or None when a
     level below the first refutes D.
 
-    A level with bound M on n nodes runs over the multiples of B = budget // n
-    up to M, where budget is its :func:`_error_budget`, the next level's
-    bound.
+    Each level is one :func:`_run_phase` under D: a level with bound M on
+    n nodes runs over the multiples of B = budget // n up to M, where budget
+    is its :func:`_error_budget`, the next level's bound.
 
     A level is a potential pi, the sum of the results so far, and a
     granularity B.  Its rounded game keeps the edges of ``graph`` with the
@@ -209,25 +207,20 @@ def _solve_level(
     common = _weight_gcd(graph)
     first = True
     while graph.n:
-        n = graph.n
-        budget = _error_budget(bound, n, floor)
-        granularity = budget // n
-        weights = _rounded_weights(graph, potential, granularity)
-        result = solve_with_list(graph, multiples_list(granularity, bound), weights)
-        dropped = result.energies.count(INF)
-        phases.append(_value_iteration_phase(n, bound, result, granularity, budget, dropped))
-        if dropped and not first:
+        result = _run_phase(graph, bound, floor, phases, potential)
+        phase = phases[-1]
+        if phase.dropped and not first:
             return None
         potential = [p + e for p, e in zip(potential, result.energies)]
-        if common % granularity == 0:
+        if common % phase.granularity == 0:
             break
-        common = gcd(common, granularity)
-        if dropped:
+        common = gcd(common, phase.granularity)
+        if phase.dropped:
             transform = apply_potential(graph, tuple(potential))
             graph = transform.graph
             potential = [0] * graph.n
             common = _weight_gcd(graph)
-        bound = budget
+        bound = phase.error_budget
         first = False
     energies = tuple(potential)
     return energies if transform is None else transform.lift(energies)
@@ -292,14 +285,14 @@ def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[int] | None]:
     certified.  Why a certified S' is the losing region is parts (a)-(c) of
     :func:`solve`.
 
-    Round by round, M doubles from max(W, 1) and value iteration on the
-    true weights over the multiples of max(1, M // 2n) up to M gives S, its
-    infinite set, and S' = S minus Alice's attractor to the rest
-    (:func:`_trim`).  An empty S' is certified at once.  Otherwise the dual
-    of S' (:func:`_trap_dual`) is solved over caps D = k, 2k, ... up to the
-    dual's own bound n'W', k = |S'| + 1, each over the multiples of
-    max(1, D // 2|S'|), while the dual's cumulative edge work is at most
-    the primal's.  Caps below the dual's largest one-step target are
+    Every step is one :func:`_run_phase` with no floor, on the true weights
+    over the multiples of max(1, M // 2n) up to its cap M.  Round by round,
+    M doubles from max(W, 1), and the primal step's infinite set S gives
+    S' = S minus Alice's attractor to the rest (:func:`_trim`).  An empty S'
+    is certified at once.  Otherwise the dual of S' (:func:`_trap_dual`) is
+    solved over caps D = k, 2k, ... up to the dual's own bound n'W',
+    k = |S'| + 1, while the dual's cumulative edge work is at most the
+    primal's.  Caps below the dual's largest one-step target are
     skipped, because a node's first update already reaches its target, and
     so are caps an earlier round already tried on the same S'.  A round
     whose budget runs out goes on to the next M, which adds primal work.
@@ -318,7 +311,7 @@ def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[int] | None]:
     tried: list[int] | None = None  # the last S' whose dual was built
     while True:
         rounds += 1
-        primal = _coarse_step(graph, bound, phases)
+        primal = _run_phase(graph, bound, None, phases)
         primal_work += primal.edge_work
         losing = [v for v in range(n) if primal.energies[v] == INF]
         if losing:
@@ -344,12 +337,12 @@ def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[int] | None]:
             top = dual.default_bound()
             stalled = 0  # rungs in a row that left every dual node infinite
         while dual_cap <= top and dual_work <= primal_work:
-            result = _coarse_step(dual, dual_cap, phases)
-            infinite = result.energies.count(INF)
-            if not infinite:
+            _run_phase(dual, dual_cap, None, phases)
+            rung = phases[-1]
+            if not rung.dropped:
                 return RegionRecord(size, True, rounds, tuple(phases)), losing
-            dual_work += result.edge_work
-            stalled = stalled + 1 if infinite == size else 0
+            dual_work += rung.edge_work
+            stalled = stalled + 1 if rung.dropped == size else 0
             if stalled == 2:
                 return RegionRecord(size, False, rounds, tuple(phases)), None
             dual_cap *= 2

@@ -473,6 +473,7 @@ class TestSolveDriver:
             assert report.total_updates == sum(p.updates for p in phases)
             assert report.total_steps == sum(p.steps for p in phases)
             assert report.total_edge_work == sum(p.edge_work for p in phases)
+            assert all(p.granularity == p.error_budget // p.nodes for p in phases)
             assert report.region.phases and report.region.rounds >= 1
         assert saw_dual, "some instance must run the dual"
 
@@ -671,6 +672,8 @@ class TestLosingRegion:
         assert losing is None and not region.certified
         assert region.rounds == 1 and len(region.phases) == 3
         assert all(p.nodes == completed.n for p in region.phases)
+        # the primal step leaves the whole graph infinite, and so does each rung
+        assert all(p.dropped == completed.n for p in region.phases)
         assert solve(completed).energies == full_range(completed)
 
     def test_unchanged_region_resumes_the_dual_ladder(self):

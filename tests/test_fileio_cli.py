@@ -333,12 +333,23 @@ class TestCli:
         assert main(["solve", str(path)]) == 2
         assert capsys.readouterr().err == f"energygames: line 0: {problem}\n"
 
-    def test_missing_game_file_exit_code(self, tmp_path, capsys):
-        missing = tmp_path / "missing.eg"
-        assert main(["solve", str(missing)]) == 2
-        err = capsys.readouterr().err
-        assert str(missing) in err
-        assert "Traceback" not in err
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "{tmp}/missing.eg"], "missing.eg"),
+            (["solve", "{tmp}"], "Is a directory"),
+            (["solve", "{tmp}/latin1.eg"], "can't decode byte 0xc4"),
+            (["verify", "{game}", "{tmp}"], "Is a directory"),
+        ],
+        ids=["missing", "directory", "non-utf8", "verify-energy-directory"],
+    )
+    def test_missing_game_file_exit_code(self, tmp_path, capsys, argv, message):
+        # an unreadable file is a file error (exit 2), not a traceback
+        game = self._write_fig1(tmp_path)
+        (tmp_path / "latin1.eg").write_bytes(FIG1_TEXT.replace("A", "\xc4").encode("latin-1"))
+        assert main([a.format(tmp=tmp_path, game=game) for a in argv]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("energygames: ") and message in lines[0]
 
     @pytest.mark.parametrize("hint", ["nan", "1/0"])
     def test_bad_penalty_hint_is_a_usage_error(self, tmp_path, capsys, hint):
