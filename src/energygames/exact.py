@@ -3,8 +3,10 @@
 :func:`solve` first finds the losing region under small caps, trims it by
 Alice's attractor to the rest, certifies it with a dual game and drops it
 (:func:`_losing_region`), since losing nodes would otherwise climb to the
-a-priori bound n*W in every guess.  On the rest it guesses a lower bound D
-on the game's penalty, halving it until a guess is accepted
+first level's bound in every guess.  The trim carries the pre-pass's
+progress measure to the rest, and its max, once checked, is that bound
+there in place of the a-priori bound n*W.  On the rest it guesses a lower
+bound D on the game's penalty, halving it until a guess is accepted
 (:func:`_guess_loop`).  A guess runs levels on one graph
 (:func:`_solve_level`): each level solves the game re-weighted by the
 potential so far, its weights rounded up to a multiple of the level's
@@ -23,7 +25,9 @@ from math import gcd
 
 from .admissible import multiples_list
 from .core import (
+    ALICE,
     INF,
+    Energy,
     EnergyFn,
     GameGraph,
     PotentialTransform,
@@ -83,7 +87,9 @@ class SolveReport:
 
     @property
     def fallback_used(self) -> bool:
-        """Whether the accepted guess is below 2: full-range value iteration."""
+        """Whether the accepted guess is below 2: full-range value iteration
+        up to the first bound.  It can be the first guess, with none
+        rejected: without a hint, whenever that bound is below 4n."""
         return bool(self.guesses) and self.guesses[-1].penalty_guess < 2
 
     @property
@@ -120,7 +126,7 @@ def minimal_energy_with_penalty_bound(
     level below the first refutes raises ValueError instead (parts (i)-(iv)
     of :func:`solve`).
     """
-    energies = _solve_level(graph, _penalty_floor(penalty_floor), [])
+    energies = _solve_level(graph, _penalty_floor(penalty_floor), [], graph.default_bound())
     if energies is None:
         raise ValueError("a level below the first refuted the penalty floor")
     return energies
@@ -170,12 +176,13 @@ def _weight_gcd(graph: GameGraph) -> int:
 
 
 def _solve_level(
-    graph: GameGraph, floor: Fraction | None, phases: list[PhaseRecord]
+    graph: GameGraph, floor: Fraction | None, phases: list[PhaseRecord], bound: int
 ) -> EnergyFn | None:
-    """The levels of one penalty guess D on ``graph``, from its a-priori
-    bound n*W; appends one record per level to ``phases``.  ``floor`` is D,
-    or None when it caps nothing.  Returns the energies, or None when a
-    level below the first refutes D.
+    """The levels of one penalty guess D on ``graph``, from a first ``bound``
+    that caps its finite energies (part (i) of :func:`solve`); appends one
+    record per level to ``phases``.  ``floor`` is D, or None when it caps
+    nothing.  Returns the energies, or None when a level below the first
+    refutes D.
 
     Each level is one :func:`_run_phase` under D: a level with bound M on
     n nodes runs over the multiples of B = budget // n up to M, where budget
@@ -203,7 +210,6 @@ def _solve_level(
     """
     transform: PotentialTransform | None = None
     potential = [0] * graph.n
-    bound = graph.default_bound()
     common = _weight_gcd(graph)
     first = True
     while graph.n:
@@ -226,34 +232,63 @@ def _solve_level(
     return energies if transform is None else transform.lift(energies)
 
 
-def _trim(graph: GameGraph, losing: list[int]) -> list[int]:
-    """S' = S minus Alice's attractor to the nodes outside S: the nodes of S
-    from which Bob can keep every play in S, a trap for Alice.  ``losing``
-    is S in ascending order, and so is the result.
+def _trim(graph: GameGraph, energies: EnergyFn) -> list[Energy]:
+    """Carry the primal result p through Alice's attractor to the nodes
+    outside its infinite set S.  Returns b: p outside S, a finite value on
+    every attracted node of S, and INF exactly on S' = S minus the
+    attractor, the nodes of S from which Bob can keep every play in S, a
+    trap for Alice.  b is a progress measure outside S' (part (b) of
+    :func:`solve`).
 
     A backward search from the nodes outside S over ``_adjacency``'s
     predecessor lists: an Alice node is attracted by its first attracted
-    successor, a Bob node once all its out-edges lead to attracted nodes,
-    which a per-node counter of the edges left tracks.
+    successor v, along an edge of weight w, and gets max(0, b(v) - w); a Bob
+    node once all its out-edges lead to attracted nodes, which a per-node
+    counter of the edges left tracks, and gets the max of max(0, b(v) - w)
+    over them.
     """
+    measure = list(energies)
+    if INF not in measure:
+        return measure
     succ, pred, _, alice, _ = graph._adjacency
-    attracted = [True] * graph.n
-    for v in losing:
-        attracted[v] = False
+    edges = graph.edges
     left = [len(out) for out in succ]
-    frontier = [v for v in range(graph.n) if attracted[v]]
+    need = [0] * graph.n  # a Bob node's max over the edges counted so far
+    frontier = [v for v in range(graph.n) if measure[v] != INF]
     while frontier:
         v = frontier.pop()
-        for u, _ in pred[v]:
-            if attracted[u]:
+        for u, i in pred[v]:
+            if measure[u] != INF:
                 continue
+            value = max(0, measure[v] - edges[i][2])
             if not alice[u]:
+                need[u] = value = max(need[u], value)
                 left[u] -= 1
                 if left[u]:
                     continue
-            attracted[u] = True
+            measure[u] = value
             frontier.append(u)
-    return [v for v in losing if not attracted[v]]
+    return measure
+
+
+def _start_bound(graph: GameGraph, measure: list[Energy]) -> int:
+    """The first bound of the guess loop on ``graph``: max b when ``measure``
+    b is a progress measure on it, else the a-priori bound n*W.
+
+    b is one when it is finite and non-negative, every Alice node u has an
+    edge (u, v, w) with b(u) + w >= b(v), and every Bob node has this on
+    every edge; then e* <= b.  The check is O(m), so that a fault in
+    building b costs time, never an answer.
+    """
+    alice = [owner == ALICE for owner in graph.owners]
+    holds = [not a for a in alice]  # Bob's until an edge fails, Alice's once one holds
+    if all(0 <= b != INF for b in measure):
+        for src, dst, weight in graph.edges:
+            if (measure[src] + weight >= measure[dst]) == alice[src]:
+                holds[src] = alice[src]
+        if all(holds):
+            return max(measure, default=0)
+    return graph.default_bound()
 
 
 def _trap_dual(graph: GameGraph, trap: list[int]) -> GameGraph:
@@ -280,10 +315,11 @@ def _trap_dual(graph: GameGraph, trap: list[int]) -> GameGraph:
     )
 
 
-def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[int] | None]:
-    """Find the losing region and certify it; the node list is None unless
-    certified.  Why a certified S' is the losing region is parts (a)-(c) of
-    :func:`solve`.
+def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[Energy] | None]:
+    """Find the losing region and certify it.  Returns, for a certified
+    region, the primal measure carried through Alice's attractor
+    (:func:`_trim`), whose infinite set is S', and None otherwise.  Why a
+    certified S' is the losing region is parts (a)-(c) of :func:`solve`.
 
     Every step is one :func:`_run_phase` with no floor, on the true weights
     over the multiples of max(1, M // 2n) up to its cap M.  Round by round,
@@ -313,11 +349,10 @@ def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[int] | None]:
         rounds += 1
         primal = _run_phase(graph, bound, None, phases)
         primal_work += primal.edge_work
-        losing = [v for v in range(n) if primal.energies[v] == INF]
-        if losing:
-            losing = _trim(graph, losing)
+        measure = _trim(graph, primal.energies)
+        losing = [v for v in range(n) if measure[v] == INF]
         if not losing:
-            return RegionRecord(0, True, rounds, tuple(phases)), losing
+            return RegionRecord(0, True, rounds, tuple(phases)), measure
         size = len(losing)
         # The dual depends only on S', so for an unchanged S' the ladder
         # resumes at the first cap it has not tried.
@@ -340,7 +375,7 @@ def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[int] | None]:
             _run_phase(dual, dual_cap, None, phases)
             rung = phases[-1]
             if not rung.dropped:
-                return RegionRecord(size, True, rounds, tuple(phases)), losing
+                return RegionRecord(size, True, rounds, tuple(phases)), measure
             dual_work += rung.edge_work
             stalled = stalled + 1 if rung.dropped == size else 0
             if stalled == 2:
@@ -352,20 +387,21 @@ def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[int] | None]:
 
 
 def _guess_loop(
-    graph: GameGraph, floor: Fraction | None
+    graph: GameGraph, floor: Fraction | None, bound: int
 ) -> tuple[EnergyFn, tuple[GuessRecord, ...]]:
-    """The penalty-guess loop on the a-priori bound n*W of ``graph``; returns
-    the energies and the guesses, the accepted one last (see :func:`solve`)."""
+    """The penalty-guess loop on ``graph`` from a first ``bound`` that caps
+    its finite energies; returns the energies and the guesses, the accepted
+    one last (see :func:`solve`)."""
     n = graph.n
     if n == 0:
         return (), ()
-    budget = _error_budget(graph.default_bound(), n, floor)
+    budget = _error_budget(bound, n, floor)
 
     guesses: list[GuessRecord] = []
     while True:
         guess = Fraction(budget, n)
         phases: list[PhaseRecord] = []
-        energies = _solve_level(graph, guess, phases)
+        energies = _solve_level(graph, guess, phases, bound)
         guesses.append(GuessRecord(budget, guess, energies is not None, tuple(phases)))
         if energies is not None:
             break
@@ -408,18 +444,29 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
         dropping S' with :func:`apply_potential` cannot raise, and since Bob
         cannot enter S' and Alice loses there, the rest is a subgame whose
         energies are the true ones.
+    The trim also carries p into the attractor (:func:`_trim`): an Alice
+    node there gets b = max(0, b(v) - w) from the successor v that attracted
+    it along an edge of weight w, a Bob node the max of that over its
+    out-edges, and b = p outside S.  So b is finite and non-negative off S',
+    every Alice node there has an edge with b(u) + w >= b(v) and every Bob
+    node has it on every edge: at an attracted node by construction, outside
+    S by (b).  b is a progress measure on the rest, and e* <= b there.
     Without a certified S' the guess loop runs on the whole graph.
 
-    The guess loop (:func:`_guess_loop`), on the a-priori bound M = n*W of
-    the graph it is given, tries error budgets c from max(M // 2, n) down (a
+    The guess loop (:func:`_guess_loop`) starts at a first bound M of the
+    graph it is given: max b when S' is certified and b passes an O(m) check
+    of those inequalities on the rest (:func:`_start_bound`), else the
+    a-priori bound n*W.  It tries error budgets c from max(M // 2, n) down (a
     hint only lowers the first to floor(n*penalty), never below n; see
     :func:`_error_budget`), halving until a guess is accepted.  A guess is
     accepted iff no level below the first makes a node infinite;
     :func:`_solve_level` stops at the first level that does, or after its
     first level that rounds nothing.  This is exact and ends:
 
-    (i) rounding up only helps Alice, and the rounded game's finite energies
-        are at most n*W, so the first phase drops only truly losing nodes;
+    (i) rounding up only helps Alice, so the rounded game's energies are at
+        most e*, and the first level's bound M caps the finite ones, whether
+        M is n*W or the max of a checked progress measure b >= e*: the first
+        phase drops only truly losing nodes;
     (ii) a capped value iteration that makes no node infinite is the least
         fixed point of the uncapped operator, so each later level adds the
         exact energies of a rounded residual game, lower bounds: 0 <= pi <= e*;
@@ -434,23 +481,24 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
     (iv) a guess below 2 has granularity 1 at its first level, which rounds
         nothing: full-range value iteration.  It is accepted, and halving
         from c >= 2n reaches it.
-    (i) holds by construction: :func:`_solve_level` starts every run at n*W
-    of the graph it is given, and no caller can pass a smaller bound.  No
+    (i) holds by construction: a run starts at n*W of the graph it is given
+    or at the max of a measure :func:`_start_bound` has just checked, and no
+    caller can pass a bound.  No
     guess can raise PotentialContractError: the first level's approximation
     is a fixed point of the rounded game, which keeps the graph's edges, so
     it meets the contract of :func:`apply_potential`.
     """
     started = time.perf_counter()
     floor = _penalty_floor(penalty)
-    region, losing = _losing_region(graph)
-    rest, transform = graph, None
-    if losing:
-        drop = [0] * graph.n
-        for v in losing:
-            drop[v] = INF
-        transform = apply_potential(graph, tuple(drop))
-        rest = transform.graph
-    energies, guesses = _guess_loop(rest, floor)
+    region, measure = _losing_region(graph)
+    rest, transform, bound = graph, None, graph.default_bound()
+    if measure is not None:
+        if INF in measure:
+            transform = apply_potential(graph, tuple(INF if b == INF else 0 for b in measure))
+            rest = transform.graph
+            measure = [measure[v] for v in transform.kept]
+        bound = _start_bound(rest, measure)
+    energies, guesses = _guess_loop(rest, floor, bound)
     if transform is not None:
         energies = transform.lift(energies)
     return SolveReport(

@@ -20,10 +20,12 @@ from energygames import (
     to_win_everywhere,
     verify_minimal,
 )
+from energygames import exact
 from energygames.exact import (
     PhaseRecord,
     _losing_region,
     _solve_level,
+    _start_bound,
     _trap_dual,
     _trim,
     minimal_energy_with_penalty_bound,
@@ -52,6 +54,15 @@ STARVED_BY_FLOOR_2 = GameGraph(
 )
 
 
+def scaled(graph, k):
+    return GameGraph(graph.owners, tuple((u, v, k * w) for u, v, w in graph.edges))
+
+
+# SHALLOW_TRAP with its weights doubled.  The pre-pass's measure on the trap
+# itself is e* = (9, 0, 10), which leaves no guess of 2 or more to reject.
+DEEP_TRAP = scaled(SHALLOW_TRAP, 2)
+
+
 class TestPenaltyBoundRecursion:
     def test_reference_graph_with_true_penalty(self, fig3):
         assert minimal_energy_with_penalty_bound(fig3, 3) == (0, 4, 8)
@@ -60,7 +71,7 @@ class TestPenaltyBoundRecursion:
         graph = GameGraph((ALICE, BOB, BOB), ((0, 1, 1), (1, 2, 0), (2, 0, 1)))
         assert minimal_energy_with_penalty_bound(graph, 1) == (0, 0, 0)
         phases = []
-        assert _solve_level(graph, Fraction(1), phases) == (0, 0, 0)
+        assert _solve_level(graph, Fraction(1), phases, graph.default_bound()) == (0, 0, 0)
         assert len(phases) == 1
         assert phases[0].granularity == 1  # rounds nothing, so the only level
 
@@ -72,7 +83,7 @@ class TestPenaltyBoundRecursion:
         with pytest.raises(ValueError, match="below the first"):
             minimal_energy_with_penalty_bound(graph, 2)
         phases = []
-        assert _solve_level(graph, Fraction(2), phases) is None
+        assert _solve_level(graph, Fraction(2), phases, graph.default_bound()) is None
         assert len(phases) >= 2 and phases[-1].dropped > 0
 
     def test_penalty_floor_below_one_rejected(self, fig3):
@@ -150,18 +161,18 @@ def reference_level(graph, bound, floor, phases, games):
     return transform.lift(reference_level(transform.graph, budget, floor, phases, games))
 
 
-def against_reference(graph, floor):
+def against_reference(graph, floor, bound):
     """Run the level loop and the reference recursion at ``floor`` on
-    ``graph``'s a-priori bound; a reference base case reads as a level of
-    granularity 1 with budget n.  The loop's phases are a prefix of the
+    ``graph`` from a first ``bound``; a reference base case reads as a level
+    of granularity 1 with budget n.  The loop's phases are a prefix of the
     reference's: a refuted run stops at the first level below the first that
     drops a node; an accepted one stops after its first level whose
     granularity divides the gcd of its residual weights, so that it rounds
     nothing, or once its first level drops every node, with the same
     energies, and every reference level past it does nothing."""
     mine, theirs, games = [], [], []
-    energies = _solve_level(graph, floor, mine)
-    reference = reference_level(graph, graph.default_bound(), floor, theirs, games)
+    energies = _solve_level(graph, floor, mine, bound)
+    reference = reference_level(graph, bound, floor, theirs, games)
     theirs = [
         p if p.granularity else replace(p, error_budget=p.nodes, granularity=1)
         for p in theirs
@@ -189,15 +200,21 @@ FIXED_FLOORS = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(
 
 
 def guessed_graph(graph):
-    """The graph ``solve``'s guess loop runs on: what is left once the
-    certified losing region is dropped."""
-    _, losing = _losing_region(graph)
-    if not losing:
-        return graph
-    drop = [0] * graph.n
-    for v in losing:
-        drop[v] = INF
-    return apply_potential(graph, tuple(drop)).graph
+    """The graph ``solve``'s guess loop runs on, what is left once the
+    certified losing region is dropped, and the loop's first bound: the max
+    of the measure carried from the pre-pass when the region is certified,
+    else n*W.  Either caps the graph's finite energies (part (i) of
+    ``solve``)."""
+    _, measure = _losing_region(graph)
+    if measure is None:
+        return graph, graph.default_bound()
+    rest = graph
+    if INF in measure:
+        transform = apply_potential(graph, tuple(INF if b == INF else 0 for b in measure))
+        rest, measure = transform.graph, [measure[v] for v in transform.kept]
+    bound = _start_bound(rest, measure)
+    assert all(e <= bound for e in full_range(rest) if e != INF)
+    return rest, bound
 
 
 class TestLevelLoop:
@@ -209,9 +226,9 @@ class TestLevelLoop:
         runs = first_drops = coarse = rejected = refuted_at_one = saved = idle = 0
         for seed in range(500):
             original = small_random(seed)
-            graph = guessed_graph(original)
+            graph, bound = guessed_graph(original)
             for guess in solve(original).guesses:
-                energies, mine, theirs = against_reference(graph, guess.penalty_guess)
+                energies, mine, theirs = against_reference(graph, guess.penalty_guess, bound)
                 assert tuple(mine) == guess.phases
                 assert (energies is not None) == guess.accepted
                 if guess.accepted:
@@ -223,15 +240,15 @@ class TestLevelLoop:
                     saved += len(theirs) - len(mine)
                 runs += 1
                 first_drops += mine[0].dropped > 0
-        # the first level drops nodes in 14 runs; 11 accepted runs end
-        # coarser than granularity 1, all at a level whose granularity divides
-        # every residual weight (no first level drops every node: the trimmed
-        # region pre-pass certifies those regions); 17 runs are refuted, all
-        # at a level of granularity 1, and the reference recursion runs 4
-        # levels past the refutations and 402 levels that do nothing past the
-        # accepted runs' last
+        # the first level drops nodes in 14 runs, all on uncertified regions
+        # that start at n*W; no accepted run ends coarser than granularity 1,
+        # because on graphs this small a certified region's carried bound
+        # leaves little to halve (the fixed-floor test below covers coarse
+        # stops); 17 runs are refuted, all at a level of granularity 1, and
+        # the reference recursion runs 4 levels past the refutations and 92
+        # levels that do nothing past the accepted runs' last
         assert (runs, first_drops, coarse, rejected, refuted_at_one, saved, idle) == (
-            331, 14, 11, 17, 17, 4, 402
+            331, 14, 0, 17, 17, 4, 92
         )
 
     def test_matches_the_reference_recursion_at_fixed_floors(self):
@@ -242,7 +259,7 @@ class TestLevelLoop:
             graph = small_random(seed)
             exact = full_range(graph)
             for floor in FIXED_FLOORS:
-                energies, mine, theirs = against_reference(graph, floor)
+                energies, mine, theirs = against_reference(graph, floor, graph.default_bound())
                 assert energies is None or energies == exact, (seed, floor)
                 try:
                     assert minimal_energy_with_penalty_bound(graph, floor) == energies == exact
@@ -273,7 +290,7 @@ class TestLevelLoop:
                 budget >>= 1
             refuted = 0
             for floor in sorted(floors):
-                energies = _solve_level(graph, floor, [])
+                energies = _solve_level(graph, floor, [], cap)
                 assert energies is None or energies == exact, floor
                 refuted += energies is None
             return len(floors), refuted
@@ -291,44 +308,50 @@ class TestLevelLoop:
         assert refutations(small_random(319, max_n=8, max_w=20, max_out=4)) == (7, 5)
 
     def test_hub_guess_stops_at_the_weights_divisor(self):
-        # every hub weight is a multiple of W/8 = 8192, so the accepted guess
-        # stops at the first level of that granularity, after 3 levels where
-        # the reference recursion runs 17, with the same work in all
+        # every hub weight is a multiple of W/8 = 8192.  The guess loop starts
+        # at the carried bound W = 65,536, not at n*W = 131,137,536, so its
+        # first level has granularity 32,768 // 2001 = 16, which divides
+        # 8192: the accepted guess stops after that one level where the
+        # reference recursion from the same bound runs 7, with the same work
         for seed in (1, 2, 3):
             graph = high_penalty_family(2000, 2**16, seed)
+            assert gcd(*(w for _, _, w in graph.edges)) == 8192
             report = solve(graph)
             assert report.region.size == 0 and len(report.guesses) == 1
             phases = report.guesses[0].phases
-            assert [p.granularity for p in phases] == [32768, 16384, 8192]
+            assert [(p.bound, p.granularity) for p in phases] == [(2**16, 16)]
             theirs = []
             reference = reference_level(
-                graph, graph.default_bound(), report.guesses[0].penalty_guess, theirs, []
+                graph, phases[0].bound, report.guesses[0].penalty_guess, theirs, []
             )
             assert report.energies == reference
-            assert len(theirs) == 17
+            assert len(theirs) == 7
             for field in ("updates", "steps", "edge_work"):
                 assert sum(getattr(p, field) for p in phases) == sum(
                     getattr(p, field) for p in theirs
                 )
 
     def test_multiples_guess_stops_at_the_granularity(self):
-        # weights are multiples of 64; seeds 0-3 keep n*W a power-of-two
-        # multiple of 64 after the losing region is dropped, so the halving
-        # reaches granularity 64 at the fourth level and stops there
-        for seed in range(4):
+        # weights are multiples of 64.  Seed 8's region is not certified, so
+        # its guess loop halves from n*W = 30,720, reaches granularity 64 at
+        # the fourth level and stops there; seeds 6 and 21 start at a carried
+        # bound whose first granularity, 16 and 32, already divides 64
+        cases = {8: [512, 256, 128, 64], 6: [16], 21: [32]}
+        for seed, granularities in cases.items():
             graph = multiples_game(GenSpec("multiples", 30, 120, 1024, seed, granularity=64))
             report = solve(graph)
+            assert report.region.certified == (seed != 8)
             assert report.energies == full_range(graph)
             phases = report.guesses[-1].phases
-            assert [p.granularity for p in phases] == [512, 256, 128, 64]
-        # seed 4's residual has W = 960, so the granularities run 480, 240,
-        # 120, 60, ..., and no level above granularity 1 has one that divides
-        # every residual weight
+            assert [p.granularity for p in phases] == granularities
+        # seed 4's residual has W = 960 and its carried bound gives a first
+        # granularity of 39, so the granularities run 39, 19, 9, ..., and no
+        # level above granularity 1 has one that divides every residual weight
         graph = multiples_game(GenSpec("multiples", 30, 120, 1024, 4, granularity=64))
-        assert guessed_graph(graph).max_weight == 960
+        assert guessed_graph(graph)[0].max_weight == 960
         report = solve(graph)
         assert report.energies == full_range(graph)
-        assert report.guesses[-1].phases[-1].granularity == 1
+        assert [p.granularity for p in report.guesses[-1].phases] == [39, 19, 9, 4, 2, 1]
 
     def test_scaled_weights_scale_the_energies(self):
         # a common factor k of the weights is a divisor the loop may stop at;
@@ -383,28 +406,31 @@ class TestPotentialRecursionProperties:
 
 class TestSolveDriver:
     def test_reference_graph_default_bound(self, fig1):
+        # the pre-pass's primal round at M = W = 8 runs at granularity 1 and
+        # gives e* itself, so the guess loop starts at 8, not at n*W = 24
         report = solve(fig1)
         assert report.energies == (0, 4, 8)
-        assert report.guesses[0].phases[0].bound == fig1.default_bound() == 24
+        assert report.guesses[0].phases[0].bound == 8 < fig1.default_bound() == 24
 
     def test_all_non_negative_accepts_first_guess(self):
+        # the pre-pass's measure is 0 everywhere, so the one guess starts at
+        # bound 0: a guess below 2, one level that makes no update
         graph = GameGraph((ALICE, BOB, BOB), ((0, 1, 2), (1, 2, 0), (2, 0, 5)))
         report = solve(graph)
         assert report.energies == (0, 0, 0)
         assert len(report.guesses) == 1 and report.guesses[0].accepted
-        assert not report.fallback_used
+        [phase] = report.guesses[0].phases
+        assert (phase.bound, phase.granularity, phase.updates) == (0, 1, 0)
+        assert report.fallback_used
 
     def test_shallow_trap_rejected_until_fallback_or_fine_guess(self):
-        # Alice can pick a shallow losing cycle (average -1/2) or a winning
+        # Alice can pick a shallow losing cycle (average -1) or a winning
         # cycle with a deep dip: coarse roundings make the trap look free and
         # the starved recursion makes nodes infinite below the first level,
         # which rejects those guesses
-        trap = GameGraph(
-            (ALICE, BOB, BOB),
-            ((0, 1, -9), (0, 2, 0), (1, 0, 10), (2, 0, -1)),
-        )
+        trap = DEEP_TRAP
         exact = brute_force_energies(trap)
-        assert exact == (9, 0, 10)
+        assert exact == (18, 0, 20)
         report = solve(trap)
         assert report.energies == exact
         rejected = [g for g in report.guesses if not g.accepted]
@@ -453,15 +479,16 @@ class TestSolveDriver:
             if last.penalty_guess >= 2:
                 continue
             full_range_guesses += 1
-            rest = guessed_graph(graph)
-            viter = solve_with_list(rest, full_list(rest.default_bound()))
+            rest, bound = guessed_graph(graph)
+            viter = solve_with_list(rest, full_list(bound))
             first = last.phases[0]
             assert (first.updates, first.steps, first.edge_work) == (
                 viter.total_updates, viter.steps, viter.edge_work
             )
             assert len(last.phases) == 1
-        # 28 of the 120 end at a guess below 2
-        assert full_range_guesses == 28
+        # 78 of the 120 end at a guess below 2: most carried bounds are below
+        # 4n, so that is their first guess
+        assert full_range_guesses == 78
 
     def test_report_totals_sum_the_phases(self):
         saw_dual = False
@@ -516,9 +543,14 @@ class TestSolveDriver:
             assert accepted[0].penalty_guess >= min(penalty, Fraction(bound, 2 * solved)) / 2
 
     def test_penalty_hint_sets_the_first_guess(self, fig3):
-        report = solve(fig3, penalty=3)
-        assert report.energies == (0, 4, 8)
-        assert report.guesses[0].phases[0].bound == fig3.default_bound() == 24
+        # fig3 with its weights times 10: the guess loop starts at the
+        # pre-pass's measure, whose max is e* = 80 rounded up to a multiple of
+        # 80 // 6 = 13, and without a hint its first guess is D = 45/3
+        graph = scaled(fig3, 10)
+        assert [g.penalty_guess for g in solve(graph).guesses] == [15]
+        report = solve(graph, penalty=3)
+        assert report.energies == (0, 40, 80)
+        assert report.guesses[0].phases[0].bound == 91 < graph.default_bound() == 240
         assert [(g.penalty_guess, g.accepted) for g in report.guesses] == [(3, True)]
 
     def test_penalty_hint_never_changes_the_answer(self):
@@ -550,6 +582,123 @@ def full_range(graph: GameGraph):
     return solve_with_list(graph, full_list(graph.default_bound())).energies
 
 
+def infinite_set(measure):
+    return [v for v, b in enumerate(measure) if b == INF]
+
+
+def trimmed(graph, losing):
+    """S' for S = ``losing``: the infinite set of what :func:`_trim` carries
+    from a primal result that is infinite on S and 0 elsewhere."""
+    return infinite_set(_trim(graph, tuple(INF if v in losing else 0 for v in range(graph.n))))
+
+
+def reduction_outputs_alice_wins():
+    """The distinct complete-bipartite reduction outputs of 2-node games
+    with weight caps 1 and 2 whose input Alice wins at the start node, as
+    in the ``reduction-batch`` benchmark pool."""
+    outputs = {}
+    for cap in (1, 2):
+        for seed in range(40):
+            graph = random_game(GenSpec("random", 2, 2, cap, seed))
+            exact_energies = brute_force_energies(graph)
+            for start in (0, 1):
+                if exact_energies[start] != INF:
+                    reduced, _, _ = to_win_everywhere(graph, start)
+                    completed, _ = to_complete_bipartite(to_bipartite(reduced)[0])
+                    outputs.setdefault(completed, None)
+    return list(outputs)
+
+
+class TestStartBound:
+    def test_progress_measure_check(self):
+        # Alice's 0 -> 1 (weight -5) and 1 -> 0 (+5): e* = (5, 0), n*W = 10
+        graph = GameGraph((ALICE, ALICE), ((0, 1, -5), (1, 0, 5)))
+        assert _start_bound(graph, [5, 0]) == 5
+        assert _start_bound(graph, [6, 1]) == 6
+        for broken in ([4, 0], [5, -1], [5, INF], [INF, INF]):
+            assert _start_bound(graph, broken) == graph.default_bound() == 10
+        # Bob's 0 needs b(0) + w >= b(v) on both edges, Alice's 1 on one
+        graph = GameGraph((BOB, ALICE), ((0, 1, -3), (0, 1, 2), (1, 0, 5), (1, 0, -9)))
+        assert _start_bound(graph, [3, 0]) == 3
+        assert _start_bound(graph, [2, 0]) == graph.default_bound() == 18
+        assert _start_bound(graph, [3, 4]) == graph.default_bound()
+
+    def test_broken_measure_falls_back_to_n_times_w(self, monkeypatch):
+        # a measure set to 0 at a node with e* > 0 no longer bounds e*, so it
+        # is no progress measure: solve must start at n'W' of the rest and
+        # return the same energies
+        instances = [FIG3, DEEP_TRAP] + [small_random(seed) for seed in range(120)]
+        instances.append(random_game(GenSpec("random", 200, 800, 100, 1)))
+        real_trim = exact._trim
+        broken = 0
+        for graph in instances:
+            expected = full_range(graph)
+            top = max(range(graph.n), key=lambda v: (expected[v] != INF, expected[v]))
+            if expected[top] in (0, INF):
+                continue
+
+            def trim_breaking_top(graph, energies):
+                measure = real_trim(graph, energies)
+                if measure[top] != INF:
+                    measure[top] = 0
+                return measure
+
+            with monkeypatch.context() as patch:
+                patch.setattr(exact, "_trim", trim_breaking_top)
+                report = solve(graph)
+            if not report.region.certified:
+                continue
+            rest, bound = guessed_graph(graph)
+            assert bound < rest.default_bound()
+            assert report.guesses[0].phases[0].bound == rest.default_bound()
+            assert report.energies == expected
+            broken += 1
+        assert broken == 58
+
+    def test_one_guess_at_a_floor_starts_at_n_times_w(self, monkeypatch, fig1):
+        # minimal_energy_with_penalty_bound takes no carried bound: its one
+        # guess records n*W as its first bound where solve starts lower
+        first_bounds = []
+        real_solve_level = exact._solve_level
+
+        def recording(graph, floor, phases, bound):
+            energies = real_solve_level(graph, floor, phases, bound)
+            first_bounds.append(phases[0].bound)
+            return energies
+
+        graphs = [fig1, DEEP_TRAP, high_penalty_family(50, 2**16, 1)]
+        for graph in graphs:
+            assert solve(graph).guesses[0].phases[0].bound < graph.default_bound()
+        monkeypatch.setattr(exact, "_solve_level", recording)
+        for graph in graphs:
+            for floor in (1, Fraction(3, 2), INF):
+                first_bounds.clear()
+                try:
+                    minimal_energy_with_penalty_bound(graph, floor)
+                except ValueError:
+                    assert (graph, floor) == (DEEP_TRAP, INF)  # refuted at level 2
+                assert first_bounds == [graph.default_bound()]
+
+    def test_low_penalty_tail_and_reduction_outputs_match_full_range(self):
+        # the four slowest games of the low-penalty sweep leave the region
+        # uncertified, so they get no carried bound; of the 58 reduction
+        # outputs whose input Alice wins, 26 carry one below n*W
+        for alice_pct, weight, seed in ((50, 10**5, 24), (80, 10**5, 30), (50, 10**3, 15), (80, 10**5, 31)):
+            graph = random_game(GenSpec("random", 200, 800, weight, seed, alice_pct=alice_pct))
+            report = solve(graph)
+            assert not report.region.certified
+            assert report.energies == full_range(graph)
+        carried = 0
+        outputs = reduction_outputs_alice_wins()
+        assert len(outputs) == 58
+        for graph in outputs:
+            report = solve(graph)
+            assert report.energies == full_range(graph)
+            assert INF not in report.energies
+            carried += report.guesses[0].phases[0].bound < graph.default_bound()
+        assert carried == 26
+
+
 class TestLosingRegion:
     def test_certified_region_is_the_oracles_infinite_set(self):
         instances = [small_random(seed) for seed in range(500)]
@@ -564,10 +713,12 @@ class TestLosingRegion:
         certified_losing = 0
         for graph in instances:
             exact = brute_force_energies(graph)
-            region, losing = _losing_region(graph)
+            region, measure = _losing_region(graph)
             if region.certified:
-                assert losing == [v for v in range(graph.n) if exact[v] == INF]
-                certified_losing += bool(losing)
+                assert infinite_set(measure) == [v for v in range(graph.n) if exact[v] == INF]
+                # the carried measure bounds e* from above
+                assert all(e <= b for e, b in zip(exact, measure))
+                certified_losing += bool(region.size)
             assert solve(graph).energies == exact
         assert certified_losing >= 100
 
@@ -598,15 +749,15 @@ class TestLosingRegion:
     def test_attractor_covers_a_set_alice_can_leave(self):
         # Alice leaves S = {0, 1} from 0, and Bob's 1 can only move to 0
         graph = GameGraph((ALICE, BOB, ALICE), ((0, 1, 1), (1, 0, 2), (0, 2, 0), (2, 0, 0)))
-        assert _trim(graph, [0, 1]) == []
+        assert trimmed(graph, [0, 1]) == []
 
     def test_attractor_covers_a_bob_node_that_must_leave(self):
         # Bob's 1 can only leave S = {0, 1}, and Bob's 0 can only move to 1
         graph = GameGraph((BOB, BOB, ALICE), ((0, 1, 1), (1, 2, 2), (2, 0, 0)))
-        assert _trim(graph, [0, 1]) == []
+        assert trimmed(graph, [0, 1]) == []
 
     @pytest.mark.parametrize(
-        "owners, edges, losing, trimmed",
+        "owners, edges, losing, expected",
         [
             # Alice's 0 has one edge out of S = {0, 1, 2}: attracted
             (
@@ -633,9 +784,20 @@ class TestLosingRegion:
         ids=["alice-with-one-edge-out", "bob-with-every-edge-out", "bob-with-one-edge-staying"],
     )
     def test_attractor_takes_alice_on_one_edge_out_and_bob_on_all(
-        self, owners, edges, losing, trimmed
+        self, owners, edges, losing, expected
     ):
-        assert _trim(GameGraph(owners, edges), losing) == trimmed
+        assert trimmed(GameGraph(owners, edges), losing) == expected
+
+    def test_trim_carries_the_measure_through_the_attractor(self):
+        # S = {0, 1, 2, 4, 5} and p(3) = 5.  Alice's 0 is attracted by 3
+        # along -2: b(0) = 7.  Bob's 1 waits for both successors:
+        # b(1) = max(7 - 3, 5 + 1) = 6.  Alice's 5 gets max(0, 5 - 10) = 0.
+        # {2, 4} is a trap and stays infinite; node 3 keeps p(3).
+        graph = GameGraph(
+            (ALICE, BOB, ALICE, BOB, BOB, ALICE),
+            ((0, 3, -2), (0, 1, 0), (1, 0, 3), (1, 3, -1), (2, 4, 0), (4, 2, 0), (3, 0, 1), (5, 3, 10)),
+        )
+        assert _trim(graph, (INF, INF, INF, 5, INF, INF)) == [7, 6, INF, 5, INF, 0]
 
     def test_trap_dual_swaps_owners_and_reweights(self):
         # S = [1, 3]: Bob's node 1 can stay (to 3) though it can also leave
@@ -681,9 +843,9 @@ class TestLosingRegion:
         # finds the same S' and resumes the ladder at the next cap, so no cap
         # is tried twice
         graph = random_game(GenSpec("random", 96, 384, 1000, 4039238161212164089))
-        region, losing = _losing_region(graph)
+        region, measure = _losing_region(graph)
         assert region.certified and region.rounds == 2
-        assert losing == [v for v, e in enumerate(full_range(graph)) if e == INF]
+        assert infinite_set(measure) == [v for v, e in enumerate(full_range(graph)) if e == INF]
         primals = [i for i, p in enumerate(region.phases) if p.nodes == graph.n]
         duals = [p.bound for p in region.phases if p.nodes == region.size]
         assert len(primals) == 2 and 1 < primals[1] < len(region.phases) - 1

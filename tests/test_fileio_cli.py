@@ -155,23 +155,33 @@ class TestCli:
             assert parse_energies(handle.read(), 3) == (0, 4, 8)
 
     def test_solve_assume_penalty(self, tmp_path, capsys):
-        game = self._write_fig1(tmp_path)
-        assert main(["solve", game, "--assume-penalty", "3"]) == 0
+        # fig1 with its weights times 10: the guess loop starts at the
+        # pre-pass's bound 91, whose first guess would be c=45 D=15
+        path = tmp_path / "fig1x10.eg"
+        path.write_text(
+            "p eg 3 6\nv 0 A\nv 1 B\nv 2 B\n"
+            "e 0 1 70\ne 0 2 20\ne 1 2 40\ne 1 0 -20\ne 2 1 30\ne 2 0 -80\n"
+        )
+        assert main(["solve", str(path)]) == 0
+        assert "guess c=45 D=15: accepted" in capsys.readouterr().err
+        assert main(["solve", str(path), "--assume-penalty", "3"]) == 0
         captured = capsys.readouterr()
-        assert parse_energies(captured.out, 3) == (0, 4, 8)
+        assert parse_energies(captured.out, 3) == (0, 40, 80)
         assert "guess c=9 D=3: accepted" in captured.err
 
     def test_wrong_assume_penalty_keeps_the_answer(self, tmp_path, capsys):
+        # a shallow trap with a deep dip, its weights doubled so that the
+        # pre-pass's bound 21 leaves room for a coarse guess
         path = tmp_path / "trap.eg"
-        path.write_text("p eg 3 4\nv 0 A\nv 1 B\nv 2 B\ne 0 1 -9\ne 0 2 0\ne 1 0 10\ne 2 0 -1\n")
-        assert main(["solve", str(path), "--assume-penalty", "2"]) == 0
+        path.write_text("p eg 3 4\nv 0 A\nv 1 B\nv 2 B\ne 0 1 -18\ne 0 2 0\ne 1 0 20\ne 2 0 -2\n")
+        assert main(["solve", str(path), "--assume-penalty", "3"]) == 0
         captured = capsys.readouterr()
-        assert parse_energies(captured.out, 3) == (9, 0, 10)
-        # a level below the first makes a node infinite, which refutes D = 2
-        assert "guess c=6 D=2: rejected at level 2\n" in captured.err
-        # the last guess, D = 1 < 2, is full-range value iteration
+        assert parse_energies(captured.out, 3) == (18, 0, 20)
+        # a level below the first makes a node infinite, which refutes D = 3
+        assert "guess c=9 D=3: rejected at level 2\n" in captured.err
+        # the last guess, D = 4/3 < 2, is full-range value iteration
         lines = captured.err.splitlines()
-        assert lines[-2] == "guess c=3 D=1: accepted"
+        assert lines[-2] == "guess c=4 D=4/3: accepted"
         assert lines[-1].startswith("fallback=yes ")
 
     def test_assume_penalty_takes_the_penalty_commands_inf(self, tmp_path, capsys):
