@@ -7,6 +7,7 @@ file, 3 failed verification, 4 oracle budget exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from fractions import Fraction
@@ -116,9 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--family", required=True, choices=["random", "penalty", "window", "multiples"])
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--out")
-    p_gen.add_argument("--nodes", type=int, default=6)
-    p_gen.add_argument("--edges", type=int, default=12)
-    p_gen.add_argument("--weight", type=int, default=10)
+    p_gen.add_argument("--nodes", dest="n", metavar="NODES", type=int, default=6)
+    p_gen.add_argument("--edges", dest="m", metavar="EDGES", type=int, default=12)
+    p_gen.add_argument("--weight", dest="max_weight", metavar="WEIGHT", type=int, default=10)
     p_gen.add_argument("--alice-pct", type=int, default=50)
     p_gen.add_argument("--max-out", type=int)
     p_gen.add_argument("--granularity", type=int, help="multiples family: weight divisor B")
@@ -216,21 +217,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    spec = GenSpec(
-        family=args.family,
-        n=args.nodes,
-        m=args.edges,
-        max_weight=args.weight,
-        seed=args.seed,
-        alice_pct=args.alice_pct,
-        max_out=args.max_out,
-        granularity=args.granularity,
-        d=args.d,
-        delta=args.delta,
-        center_lo=args.center_lo,
-        center_hi=args.center_hi,
-        choices=args.choices,
-    )
+    spec = GenSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(GenSpec)})
     if args.family == "window":
         graph, centers = windowed_game(spec)
         print("centers: " + " ".join(map(str, centers)), file=sys.stderr)

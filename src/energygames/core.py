@@ -189,16 +189,13 @@ def eliminate_self_loops(graph: GameGraph) -> GameGraph:
     return GameGraph(tuple(owners), tuple(edges + appended))
 
 
-def verify_minimal(graph: GameGraph, e: EnergyFn) -> bool:
-    """Check the local fixed-point equations of the minimal energy function.
-
-    True iff for every node u, e(u) equals min (Alice) or max (Bob) over the
-    out-edges (u,v) of max(e(v) - w(u,v), 0), with infinity absorbing the
-    subtraction.  The minimal energy function always satisfies the equations;
-    so do some inflated functions (the all-infinite function among them), so a
-    passing check alone does not certify minimality.  Raises ValueError when a
-    node has no out-edge.
-    """
+def _one_step(graph: GameGraph, e: EnergyFn) -> list[Energy]:
+    """The one-step operator N: per node u, the min (Alice) or max (Bob) over
+    the out-edges (u,v) of max(e(v) - w(u,v), 0), with infinity absorbing the
+    subtraction.  Raises ValueError unless e has one entry per node and every
+    node an out-edge."""
+    if len(e) != graph.n:
+        raise ValueError(f"expected {graph.n} energies, got {len(e)}")
     alice = [owner == ALICE for owner in graph.owners]
     best: list[Energy | None] = [None] * graph.n
     for src, dst, weight in graph.edges:
@@ -210,7 +207,17 @@ def verify_minimal(graph: GameGraph, e: EnergyFn) -> bool:
             best[src] = target
     if None in best:
         raise ValueError("every node needs an out-edge to check the fixed-point equations")
-    return list(e) == best
+    return best  # type: ignore[return-value]
+
+
+def verify_minimal(graph: GameGraph, e: EnergyFn) -> bool:
+    """Check the local fixed-point equations of the minimal energy function:
+    True iff e = N(e) for the one-step operator N (:func:`_one_step`), whose
+    ValueErrors it raises.  The minimal energy function always satisfies the
+    equations; so do some inflated functions (the all-infinite function among
+    them), so a passing check alone does not certify minimality.
+    """
+    return list(e) == _one_step(graph, e)
 
 
 @dataclass(frozen=True)
@@ -250,7 +257,10 @@ def apply_potential(graph: GameGraph, e: EnergyFn) -> PotentialTransform:
     Raises PotentialContractError when a finite-e Bob node has an edge into a
     dropped node, or a finite-e Alice node has no finite-e successor: neither
     can happen for an energy function produced by a sound approximation.
+    Raises ValueError unless e has one entry per node.
     """
+    if len(e) != graph.n:
+        raise ValueError(f"expected {graph.n} energies, got {len(e)}")
     kept = [v for v in range(graph.n) if e[v] != INF]
     new_index = {old: new for new, old in enumerate(kept)}
     edges: list[Edge] = []

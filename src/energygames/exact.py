@@ -31,6 +31,7 @@ from .core import (
     EnergyFn,
     GameGraph,
     PotentialTransform,
+    _one_step,
     apply_potential,
     opponent,
     verify_minimal,
@@ -360,12 +361,8 @@ def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[Energy] | None]
             tried = losing
             dual = _trap_dual(graph, losing)
             # A node's first update from 0 already reaches its one-step
-            # target, so caps below the largest target fail for certain.
-            succ, _, _, alice, _ = dual._adjacency
-            floor = max(
-                (min if alice[u] else max)(-dual.edges[i][2] for _, i in succ[u])
-                for u in range(size)
-            )
+            # target N(0), so caps below its largest entry fail for certain.
+            floor = max(_one_step(dual, [0] * size))
             dual_cap = size + 1
             while dual_cap < floor:
                 dual_cap *= 2

@@ -29,7 +29,10 @@ _MAX_PARTITION_NODES = 10
 
 
 def _check_pair_budget(graph: GameGraph, max_pairs: int) -> None:
-    pairs = math.prod(graph.out_degree(node) for node in range(graph.n))
+    degrees = [graph.out_degree(node) for node in range(graph.n)]
+    if 0 in degrees:
+        raise ValueError(f"node {degrees.index(0)} has no out-edge; every node needs one")
+    pairs = math.prod(degrees)
     if pairs > max_pairs:
         raise BudgetExceeded(f"{pairs} strategy pairs exceed the budget {max_pairs}")
 

@@ -162,6 +162,11 @@ class TestVerifyMinimal:
         with pytest.raises(ValueError, match="out-edge"):
             verify_minimal(graph, (0, 0))
 
+    @pytest.mark.parametrize("energies", [(0, 4), (0, 4, 8, 0)], ids=["short", "long"])
+    def test_wrong_length_rejected(self, fig1, energies):
+        with pytest.raises(ValueError, match=f"^expected 3 energies, got {len(energies)}$"):
+            verify_minimal(fig1, energies)
+
 
 class TestApplyPotential:
     def test_reference_transform(self, fig3):
@@ -206,6 +211,11 @@ class TestApplyPotential:
         graph = GameGraph((ALICE, BOB, BOB), ((0, 1, 0), (1, 0, 0), (0, 2, 0), (2, 0, 0)))
         with pytest.raises(PotentialContractError):
             apply_potential(graph, (0, INF, INF))
+
+    @pytest.mark.parametrize("energies", [(0, 4), (0, 4, 8, 0)], ids=["short", "long"])
+    def test_wrong_length_rejected(self, fig1, energies):
+        with pytest.raises(ValueError, match=f"^expected 3 energies, got {len(energies)}$"):
+            apply_potential(fig1, energies)
 
     def test_lift_restores_dropped_nodes_as_infinite(self):
         graph = GameGraph((ALICE, BOB, BOB), ((0, 1, 0), (1, 0, 0), (0, 2, 0), (2, 2, -1)))

@@ -21,6 +21,7 @@ from energygames import (
     verify_minimal,
 )
 from energygames import exact
+from energygames.core import _one_step
 from energygames.exact import (
     PhaseRecord,
     _losing_region,
@@ -810,6 +811,23 @@ class TestLosingRegion:
         assert _trap_dual(graph, [1, 3]) == GameGraph(
             (ALICE, BOB), ((1, 0, 5), (0, 1, -13), (1, 0, -19))
         )
+
+    def test_first_dual_rung_starts_at_the_one_step_floor(self):
+        # S' = {0, 1}: Bob's 0 and Alice's 1 close a cycle of total -10, and
+        # Alice's 2 may enter it from the winning pair {2, 3}.  On the dual,
+        # k = 3 turns 0 -> 1 (10) into -31 and 1 -> 0 (-20) into 59, with 0
+        # now Alice's, so N(0) = (31, 0).  The ladder's caps are 3 * 2^j, and
+        # the smallest at or above 31 is 48; the rungs at 3, 6, 12 and 24
+        # would leave node 0 infinite.
+        graph = GameGraph(
+            (BOB, ALICE, ALICE, BOB),
+            ((0, 1, 10), (1, 0, -20), (2, 0, 0), (2, 3, 0), (3, 2, 0)),
+        )
+        assert _one_step(_trap_dual(graph, [0, 1]), [0, 0]) == [31, 0]
+        region, measure = _losing_region(graph)
+        assert region.certified and region.size == 2 and region.rounds == 1
+        assert [(p.nodes, p.bound, p.dropped) for p in region.phases[1:]] == [(2, 48, 0)]
+        assert infinite_set(measure) == [0, 1]
 
     def test_flooded_reduction_output_still_exact(self):
         # an output whose input Alice wins: the primal's coarse list climbs its

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import pytest
@@ -13,6 +14,7 @@ from energygames.fileio import (
     parse_energies,
     parse_game,
 )
+from energygames.generators import GenSpec
 
 from game_helpers import small_random
 
@@ -421,6 +423,11 @@ class TestCli:
                 "--center-lo", "-4", "--center-hi", "4", "--out", out]
         assert main(argv) == 0
         assert "centers:" in capsys.readouterr().err
+
+    def test_gen_has_a_flag_for_every_spec_field(self):
+        # _cmd_gen builds GenSpec from the parsed arguments by field name
+        args = vars(build_parser().parse_args(["gen", "--family", "random", "--seed", "1"]))
+        assert {field.name for field in dataclasses.fields(GenSpec)} <= args.keys()
 
     def test_gen_infeasible_exit_code(self, tmp_path, capsys):
         argv = ["gen", "--family", "random", "--seed", "1", "--nodes", "1", "--edges", "1"]

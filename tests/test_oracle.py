@@ -86,6 +86,14 @@ class TestBruteForceEnergies:
             brute_force_energies(fig1, 7)
         assert brute_force_energies(fig1, 8) == (0, 4, 8)
 
+    @pytest.mark.parametrize("owners", [(ALICE, BOB), (BOB, ALICE)], ids=["bob-sink", "alice-sink"])
+    @pytest.mark.parametrize("enumerate_", [brute_force_energies, brute_force_penalty])
+    def test_sink_rejected(self, owners, enumerate_):
+        # node 1 is a sink, which both enumerations refuse as the solvers do
+        graph = GameGraph(owners, ((0, 1, 1),))
+        with pytest.raises(ValueError, match="^node 1 has no out-edge; every node needs one$"):
+            enumerate_(graph)
+
     def test_monotone_under_weight_increase(self):
         for seed in range(40):
             graph = small_random(seed, max_n=5)
