@@ -10,9 +10,9 @@ bound D on the game's penalty, halving it until a guess is accepted
 (:func:`_guess_loop`).  A guess runs levels on one graph
 (:func:`_solve_level`): each level solves the game re-weighted by the
 potential so far, its weights rounded up to a multiple of the level's
-granularity, and adds the result to the potential.  Why the region is exact
-is parts (a)-(c) of :func:`solve`'s docstring; why an accepted guess is
-exact and the loop ends is parts (i)-(iv).
+granularity, and adds the result to the potential, until the potential is
+a fixed point.  Why the region is exact is parts (a)-(c) of :func:`solve`'s
+docstring; why an accepted guess is exact and the loop ends is (i)-(iv).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .admissible import multiples_list
 from .core import (
@@ -49,7 +48,7 @@ class PhaseRecord:
     nodes: int
     bound: int
     error_budget: int
-    granularity: int  # B; in a guess, the first level that rounds nothing is the last
+    granularity: int  # B; a guess ends at its first level that rounds nothing, or sooner
     updates: int
     steps: int
     edge_work: int
@@ -171,11 +170,6 @@ def _run_phase(
     return result
 
 
-def _weight_gcd(graph: GameGraph) -> int:
-    """The gcd of the edge weights (0 when every weight is 0)."""
-    return gcd(*(weight for _, _, weight in graph.edges))
-
-
 def _solve_level(
     graph: GameGraph, floor: Fraction | None, phases: list[PhaseRecord], bound: int
 ) -> EnergyFn | None:
@@ -196,22 +190,16 @@ def _solve_level(
     kernel reuses the graph's adjacency.  After the kernel, pi grows by its
     result e.  Only the first level may make nodes infinite: it applies pi to
     drop them, and the loop goes on with the kept subgraph and pi = 0.  Any
-    later level that makes a node infinite refutes D.  The first level that
-    rounds nothing, as part (iii) of :func:`solve` defines it, is the last
-    and runs no transform.  The result is pi, lifted back through the first
-    level's transform if it dropped nodes.
-
-    Whether a level rounds nothing is an O(1) test.  ``common`` is the gcd of
-    the weights of the graph the loop runs on, folded with the granularity
-    of every level run on it since: pi is a sum of level results, each a
-    multiple of its level's B, so every residual weight is a multiple of
-    ``common``, and a level with ``common % B == 0`` rounds nothing.  The
-    weight gcd is taken once per graph: at the start, and again when the
-    first level's transform replaces the graph.
+    later level that makes a node infinite refutes D.  The first level whose
+    pi passes :func:`verify_minimal` on the graph it ran on is the last and
+    runs no transform: pi is then exact, and a level that rounds nothing
+    passes (part (iii) of :func:`solve`).  A first level that drops nodes is
+    checked on its own graph, infinite entries included, before the
+    transform.  The result is pi, lifted back through the first level's
+    transform if it dropped nodes.
     """
     transform: PotentialTransform | None = None
     potential = [0] * graph.n
-    common = _weight_gcd(graph)
     first = True
     while graph.n:
         result = _run_phase(graph, bound, floor, phases, potential)
@@ -219,14 +207,12 @@ def _solve_level(
         if phase.dropped and not first:
             return None
         potential = [p + e for p, e in zip(potential, result.energies)]
-        if common % phase.granularity == 0:
+        if verify_minimal(graph, potential):
             break
-        common = gcd(common, phase.granularity)
         if phase.dropped:
             transform = apply_potential(graph, tuple(potential))
             graph = transform.graph
             potential = [0] * graph.n
-            common = _weight_gcd(graph)
         bound = phase.error_budget
         first = False
     energies = tuple(potential)
@@ -387,8 +373,9 @@ def _guess_loop(
     graph: GameGraph, floor: Fraction | None, bound: int
 ) -> tuple[EnergyFn, tuple[GuessRecord, ...]]:
     """The penalty-guess loop on ``graph`` from a first ``bound`` that caps
-    its finite energies; returns the energies and the guesses, the accepted
-    one last (see :func:`solve`)."""
+    its finite energies; returns the energies, certified at the accepted
+    guess's last level, and the guesses, the accepted one last (see
+    :func:`solve`)."""
     n = graph.n
     if n == 0:
         return (), ()
@@ -404,7 +391,6 @@ def _guess_loop(
             break
         assert budget >= 2 * n, "a guess below 2 is never rejected"
         budget >>= 1
-    assert verify_minimal(graph, energies), "an accepted guess is exact"
     return energies, tuple(guesses)
 
 
@@ -458,7 +444,8 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
     :func:`_error_budget`), halving until a guess is accepted.  A guess is
     accepted iff no level below the first makes a node infinite;
     :func:`_solve_level` stops at the first level that does, or after its
-    first level that rounds nothing.  This is exact and ends:
+    first level whose potential pi is a fixed point, pi = N(pi) for the
+    one-step operator N (:func:`verify_minimal`).  This is exact and ends:
 
     (i) rounding up only helps Alice, so the rounded game's energies are at
         most e*, and the first level's bound M caps the finite ones, whether
@@ -467,14 +454,15 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
     (ii) a capped value iteration that makes no node infinite is the least
         fixed point of the uncapped operator, so each later level adds the
         exact energies of a rounded residual game, lower bounds: 0 <= pi <= e*;
-    (iii) a level whose granularity B divides every residual weight
-        w(u,v) + pi(u) - pi(v) rounds nothing: every value the kernel
-        reaches is then a multiple of B, so its run over the multiples of B
-        makes the updates a run over the full list would.  By (i) and (ii)
-        it adds e* of the game re-weighted by pi, and e*(G) = pi + e*(G
-        re-weighted by pi) whenever 0 <= pi <= e*: pi is e*, and a later
-        level could neither add to it nor refute the guess, so the guess
-        ends there;
+    (iii) pi = N(pi) certifies pi: e* is the least fixed point of N, so
+        e* <= pi, and pi <= e* by (i) and (ii); on the subgraph a first
+        level's transform keeps, it certifies energies that lift to the
+        graph's.  A level whose granularity B divides every residual weight
+        w(u,v) + pi(u) - pi(v) rounds nothing: every value the kernel reaches
+        is a multiple of B, so it makes a full-list run's updates and by (i)
+        and (ii) adds e* of the game re-weighted by pi, and e*(G) = pi + e*(G
+        re-weighted by pi) when 0 <= pi <= e*.  So a guess ends there at
+        the latest;
     (iv) a guess below 2 has granularity 1 at its first level, which rounds
         nothing: full-range value iteration.  It is accepted, and halving
         from c >= 2n reaches it.

@@ -26,11 +26,22 @@ class GameFileError(ValueError):
         self.line_no = line_no
 
 
+def _foreign(text: str) -> bool:
+    return not text.isascii() or "_" in text or "+" in text
+
+
 def _significant_lines(text: str):
+    """The numbered, stripped lines that are neither blank nor comments.
+    int() reads '1_000', '+7' and any Unicode digit, which no emitter writes,
+    so such a line holding '_', '+' or a non-ASCII character raises.  The
+    text is tested once, single lines only if that test fails."""
+    suspect = _foreign(text)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        if suspect and _foreign(raw):
+            raise GameFileError(line_no, f"'_', '+' or a non-ASCII character in {raw!r}")
         yield line_no, line
 
 

@@ -93,6 +93,28 @@ class TestGameFiles:
             parse_game(mutation)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            ("p eg 2 2\nv 0 A\nv 1 B\ne 0 1 1_000\ne 1 0 1\n", 4),
+            ("p eg 2 2\nv 0 A\nv 1 B\ne 0 1 +7\ne 1 0 1\n", 4),
+            ("p eg 2 2\nv 0 A\nv 1 B\ne 0 1 \u0663\ne 1 0 1\n", 4),  # Arabic-Indic three
+            ("p eg 2 2\nv \uff10 A\nv 1 B\ne 0 1 1\ne 1 0 1\n", 2),  # full-width zero
+            ("p eg +2 2\nv 0 A\nv 1 B\ne 0 1 1\ne 1 0 1\n", 1),
+            ("p eg 2 2\nv 0 A\nv 1 B\ne 0 1 1\u3000\ne 1 0 1\n", 4),  # ideographic space
+        ],
+        ids=["underscore", "plus", "arabic-indic", "full-width", "header", "unicode-space"],
+    )
+    def test_integers_the_emitter_never_writes_rejected(self, text, line_no):
+        # int() and str.strip() accept each of these; the emitter writes none
+        with pytest.raises(GameFileError) as err:
+            parse_game(text)
+        assert err.value.line_no == line_no
+        assert "non-ASCII" in str(err.value)
+
+    def test_comments_stay_free_form(self, fig1):
+        assert parse_game("# caf\u00e9 +1 1_000 \u0663\n" + FIG1_TEXT) == fig1
+
     def test_parallel_edges_with_distinct_weights_allowed(self):
         text = "p eg 2 3\nv 0 A\nv 1 B\ne 0 1 1\ne 0 1 2\ne 1 0 0\n"
         graph = parse_game(text)
@@ -125,6 +147,16 @@ class TestEnergyFiles:
     def test_negative_rejected(self):
         with pytest.raises(GameFileError):
             parse_energies("v 0 -3\n", 1)
+
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [("v 0 1_0\nv 1 \u0663\n", 1), ("# \u0663 +\nv 0 10\nv 1 \u0663\n", 3), ("v 0 +1\nv 1 0\n", 1)],
+        ids=["underscore", "arabic-indic-after-comment", "plus"],
+    )
+    def test_integers_the_emitter_never_writes_rejected(self, text, line_no):
+        with pytest.raises(GameFileError) as err:
+            parse_energies(text, 2)
+        assert err.value.line_no == line_no
 
     @pytest.mark.parametrize(
         "text, n, fragment",
@@ -327,6 +359,17 @@ class TestCli:
         path.write_text("p eg 2 1\nv 0 A\nv 1 B\ne 0 9 1\n")
         assert main(["solve", str(path)]) == 2
         assert "line" in capsys.readouterr().err
+
+    def test_foreign_integer_exit_code(self, tmp_path, capsys):
+        game = tmp_path / "underscore.eg"
+        game.write_text("p eg 2 2\nv 0 A\nv 1 B\ne 0 1 1_000\ne 1 0 1\n")
+        assert main(["solve", str(game)]) == 2
+        assert capsys.readouterr().err.startswith("energygames: line 4: ")
+        # fig1's exact energies, one written with a sign
+        energies = tmp_path / "plus.energy"
+        energies.write_text("v 0 0\nv 1 +4\nv 2 8\n")
+        assert main(["verify", self._write_fig1(tmp_path), str(energies)]) == 2
+        assert capsys.readouterr().err.startswith("energygames: line 2: ")
 
     @pytest.mark.parametrize(
         "text, problem",
