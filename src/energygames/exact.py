@@ -4,8 +4,9 @@
 Alice's attractor to the rest, certifies it with a dual game and drops it
 (:func:`_losing_region`), since losing nodes would otherwise climb to the
 first level's bound in every guess.  The trim carries the pre-pass's
-progress measure to the rest, and its max, once checked, is that bound
-there in place of the a-priori bound n*W.  On the rest it guesses a lower
+progress measure to the rest, and its max is that bound there in place
+of the a-priori bound n*W; should a node of the rest come back infinite,
+the loop runs again from the rest's n*W.  On the rest it guesses a lower
 bound D on the game's penalty, halving it until a guess is accepted
 (:func:`_guess_loop`).  A guess runs levels on one graph
 (:func:`_solve_level`): each level solves the game re-weighted by the
@@ -24,7 +25,6 @@ from fractions import Fraction
 
 from .admissible import multiples_list
 from .core import (
-    ALICE,
     INF,
     Energy,
     EnergyFn,
@@ -258,26 +258,6 @@ def _trim(graph: GameGraph, energies: EnergyFn) -> list[Energy]:
     return measure
 
 
-def _start_bound(graph: GameGraph, measure: list[Energy]) -> int:
-    """The first bound of the guess loop on ``graph``: max b when ``measure``
-    b is a progress measure on it, else the a-priori bound n*W.
-
-    b is one when it is finite and non-negative, every Alice node u has an
-    edge (u, v, w) with b(u) + w >= b(v), and every Bob node has this on
-    every edge; then e* <= b.  The check is O(m), so that a fault in
-    building b costs time, never an answer.
-    """
-    alice = [owner == ALICE for owner in graph.owners]
-    holds = [not a for a in alice]  # Bob's until an edge fails, Alice's once one holds
-    if all(0 <= b != INF for b in measure):
-        for src, dst, weight in graph.edges:
-            if (measure[src] + weight >= measure[dst]) == alice[src]:
-                holds[src] = alice[src]
-        if all(holds):
-            return max(measure, default=0)
-    return graph.default_bound()
-
-
 def _trap_dual(graph: GameGraph, trap: list[int]) -> GameGraph:
     """The dual of the subgame on ``trap``, a trap for Alice in ascending
     node order; part (a) of :func:`solve` reads a dual that is finite
@@ -433,12 +413,12 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
     out-edges, and b = p outside S.  So b is finite and non-negative off S',
     every Alice node there has an edge with b(u) + w >= b(v) and every Bob
     node has it on every edge: at an attracted node by construction, outside
-    S by (b).  b is a progress measure on the rest, and e* <= b there.
-    Without a certified S' the guess loop runs on the whole graph.
+    S by (b).  b is a progress measure on the rest, and e* <= b there, so
+    the rerun in (i) does not happen.  Without a certified S' the guess loop
+    runs on the whole graph.
 
     The guess loop (:func:`_guess_loop`) starts at a first bound M of the
-    graph it is given: max b when S' is certified and b passes an O(m) check
-    of those inequalities on the rest (:func:`_start_bound`), else the
+    graph it is given: max b, clamped at 0, when S' is certified, else the
     a-priori bound n*W.  It tries error budgets c from max(M // 2, n) down (a
     hint only lowers the first to floor(n*penalty), never below n; see
     :func:`_error_budget`), halving until a guess is accepted.  A guess is
@@ -448,9 +428,13 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
     one-step operator N (:func:`verify_minimal`).  This is exact and ends:
 
     (i) rounding up only helps Alice, so the rounded game's energies are at
-        most e*, and the first level's bound M caps the finite ones, whether
-        M is n*W or the max of a checked progress measure b >= e*: the first
-        phase drops only truly losing nodes;
+        most e*, and a first bound M >= e*, such as n*W, caps the finite
+        ones: the first phase drops only truly losing nodes.  A result with
+        no ``INF`` entry made no node infinite at any level, so by (ii) and
+        (iii) it is e* whatever M was.  Every node of a certified rest wins,
+        by (a)-(c), so an ``INF`` entry there can only come from an M below
+        e*; then the loop runs again from the rest's own n*W, and the report
+        lists those guesses after the first run's;
     (ii) a capped value iteration that makes no node infinite is the least
         fixed point of the uncapped operator, so each later level adds the
         exact energies of a rounded residual game, lower bounds: 0 <= pi <= e*;
@@ -464,11 +448,11 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
         re-weighted by pi) when 0 <= pi <= e*.  So a guess ends there at
         the latest;
     (iv) a guess below 2 has granularity 1 at its first level, which rounds
-        nothing: full-range value iteration.  It is accepted, and halving
-        from c >= 2n reaches it.
-    (i) holds by construction: a run starts at n*W of the graph it is given
-    or at the max of a measure :func:`_start_bound` has just checked, and no
-    caller can pass a bound.  No
+        nothing: full-range value iteration.  It is accepted, after an M
+        below e* too (a level after a drop then returns 0, a fixed point),
+        and halving from c >= 2n reaches it.
+    No caller can pass a bound: a run starts at n*W of the graph it is
+    given, or at max b, which (i)'s rerun replaces if it is below e*.  No
     guess can raise PotentialContractError: the first level's approximation
     is a fixed point of the rounded game, which keeps the graph's edges, so
     it meets the contract of :func:`apply_potential`.
@@ -478,12 +462,14 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
     region, measure = _losing_region(graph)
     rest, transform, bound = graph, None, graph.default_bound()
     if measure is not None:
+        bound = max([0, *(b for b in measure if b != INF)])
         if INF in measure:
             transform = apply_potential(graph, tuple(INF if b == INF else 0 for b in measure))
             rest = transform.graph
-            measure = [measure[v] for v in transform.kept]
-        bound = _start_bound(rest, measure)
     energies, guesses = _guess_loop(rest, floor, bound)
+    if measure is not None and INF in energies:
+        energies, rerun = _guess_loop(rest, floor, rest.default_bound())
+        guesses += rerun
     if transform is not None:
         energies = transform.lift(energies)
     return SolveReport(

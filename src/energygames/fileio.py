@@ -32,11 +32,12 @@ def _foreign(text: str) -> bool:
 
 def _significant_lines(text: str):
     """The numbered, stripped lines that are neither blank nor comments.
+    Lines end at '\n' only; strip() takes the '\r' of a CRLF ending.
     int() reads '1_000', '+7' and any Unicode digit, which no emitter writes,
     so such a line holding '_', '+' or a non-ASCII character raises.  The
     text is tested once, single lines only if that test fails."""
     suspect = _foreign(text)
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -14,7 +14,7 @@ are exactly minimal.
 
 The successor and predecessor lists carry edge indices, not weights: a call
 takes the weights as a list in edge-list order, so callers that re-weight one
-graph many times, as the exact solver's recursion does, pay no rebuild.  The
+graph many times, as the exact solver's levels do, pay no rebuild.  The
 per-graph constants (adjacency, edge sources, owners, per-node edge work) are
 built once (see ``GameGraph._adjacency``); the rounding to a list member is
 inline.

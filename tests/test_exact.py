@@ -26,7 +26,6 @@ from energygames.exact import (
     PhaseRecord,
     _losing_region,
     _solve_level,
-    _start_bound,
     _trap_dual,
     _trim,
     minimal_energy_with_penalty_bound,
@@ -200,17 +199,16 @@ FIXED_FLOORS = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(
 def guessed_graph(graph):
     """The graph ``solve``'s guess loop runs on, what is left once the
     certified losing region is dropped, and the loop's first bound: the max
-    of the measure carried from the pre-pass when the region is certified,
-    else n*W.  Either caps the graph's finite energies (part (i) of
-    ``solve``)."""
+    of the measure carried from the pre-pass, clamped at 0, when the region
+    is certified, else n*W.  Either caps the graph's finite energies (part
+    (i) of ``solve``), so ``solve`` runs no second loop there."""
     _, measure = _losing_region(graph)
     if measure is None:
         return graph, graph.default_bound()
+    bound = max([0, *(b for b in measure if b != INF)])
     rest = graph
     if INF in measure:
-        transform = apply_potential(graph, tuple(INF if b == INF else 0 for b in measure))
-        rest, measure = transform.graph, [measure[v] for v in transform.kept]
-    bound = _start_bound(rest, measure)
+        rest = apply_potential(graph, tuple(INF if b == INF else 0 for b in measure)).graph
     assert all(e <= bound for e in full_range(rest) if e != INF)
     return rest, bound
 
@@ -612,50 +610,53 @@ def reduction_outputs_alice_wins():
 
 
 class TestStartBound:
-    def test_progress_measure_check(self):
-        # Alice's 0 -> 1 (weight -5) and 1 -> 0 (+5): e* = (5, 0), n*W = 10
-        graph = GameGraph((ALICE, ALICE), ((0, 1, -5), (1, 0, 5)))
-        assert _start_bound(graph, [5, 0]) == 5
-        assert _start_bound(graph, [6, 1]) == 6
-        for broken in ([4, 0], [5, -1], [5, INF], [INF, INF]):
-            assert _start_bound(graph, broken) == graph.default_bound() == 10
-        # Bob's 0 needs b(0) + w >= b(v) on both edges, Alice's 1 on one
-        graph = GameGraph((BOB, ALICE), ((0, 1, -3), (0, 1, 2), (1, 0, 5), (1, 0, -9)))
-        assert _start_bound(graph, [3, 0]) == 3
-        assert _start_bound(graph, [2, 0]) == graph.default_bound() == 18
-        assert _start_bound(graph, [3, 4]) == graph.default_bound()
-
-    def test_broken_measure_falls_back_to_n_times_w(self, monkeypatch):
-        # a measure set to 0 at a node with e* > 0 no longer bounds e*, so it
-        # is no progress measure: solve must start at n'W' of the rest and
-        # return the same energies
+    def test_broken_measure_costs_time_not_the_answer(self, monkeypatch):
+        # a measure that no longer bounds e* starts the rest's guess loop
+        # below e*; where a node of the rest then comes back infinite, solve
+        # runs the loop again from n'W' of the rest, and the answer stays
+        corruptions = (
+            # (nodes whose finite b is overwritten, with what, solves that rerun)
+            (lambda graph, top: [top], 0, 54),
+            (lambda graph, top: range(graph.n), 0, 58),
+            (lambda graph, top: range(graph.n), -1, 58),  # max b is clamped to 0
+        )
         instances = [FIG3, DEEP_TRAP] + [small_random(seed) for seed in range(120)]
         instances.append(random_game(GenSpec("random", 200, 800, 100, 1)))
         real_trim = exact._trim
-        broken = 0
-        for graph in instances:
-            expected = full_range(graph)
-            top = max(range(graph.n), key=lambda v: (expected[v] != INF, expected[v]))
-            if expected[top] in (0, INF):
-                continue
+        counts = []
+        for nodes, value, _ in corruptions:
+            broken = reruns = 0
+            for graph in instances:
+                expected = full_range(graph)
+                top = max(range(graph.n), key=lambda v: (expected[v] != INF, expected[v]))
+                if expected[top] in (0, INF):
+                    continue
 
-            def trim_breaking_top(graph, energies):
-                measure = real_trim(graph, energies)
-                if measure[top] != INF:
-                    measure[top] = 0
-                return measure
+                def trim_breaking(graph, energies):
+                    measure = real_trim(graph, energies)
+                    for v in nodes(graph, top):
+                        if measure[v] != INF:
+                            measure[v] = value
+                    return measure
 
-            with monkeypatch.context() as patch:
-                patch.setattr(exact, "_trim", trim_breaking_top)
-                report = solve(graph)
-            if not report.region.certified:
-                continue
-            rest, bound = guessed_graph(graph)
-            assert bound < rest.default_bound()
-            assert report.guesses[0].phases[0].bound == rest.default_bound()
-            assert report.energies == expected
-            broken += 1
-        assert broken == 58
+                with monkeypatch.context() as patch:
+                    patch.setattr(exact, "_trim", trim_breaking)
+                    report = solve(graph)
+                if not report.region.certified:
+                    continue
+                assert report.energies == expected
+                rest_bound = guessed_graph(graph)[0].default_bound()  # n'W'
+                accepted = [i for i, guess in enumerate(report.guesses) if guess.accepted]
+                assert accepted[-1] == len(report.guesses) - 1
+                assert report.guesses[0].phases[0].bound < rest_bound
+                if len(accepted) == 2:
+                    assert report.guesses[accepted[0] + 1].phases[0].bound == rest_bound
+                    reruns += 1
+                else:
+                    assert len(accepted) == 1
+                broken += 1
+            counts.append((broken, reruns))
+        assert counts == [(58, pinned) for _, _, pinned in corruptions]
 
     def test_one_guess_at_a_floor_starts_at_n_times_w(self, monkeypatch, fig1):
         # minimal_energy_with_penalty_bound takes no carried bound: its one

@@ -34,6 +34,16 @@ def _game_graphs(draw):
     return GameGraph(tuple(owners), tuple(edges))
 
 
+# Characters str.splitlines() breaks at besides "\n" and "\r"; no emitter
+# writes them, so they join two records into one malformed line.
+LINE_BREAKS = ("\f", "\v", "\x1c", "\x85", "\u2028")
+LINE_BREAK_IDS = ("form-feed", "vertical-tab", "file-separator", "next-line", "line-separator")
+
+
+def _joined_line_error(separator):
+    return "expected '" if separator.isascii() else "non-ASCII"
+
+
 FIG1_TEXT = """\
 # three-node reference game
 p eg 3 6
@@ -112,6 +122,22 @@ class TestGameFiles:
         assert err.value.line_no == line_no
         assert "non-ASCII" in str(err.value)
 
+    @pytest.mark.parametrize("separator", LINE_BREAKS, ids=LINE_BREAK_IDS)
+    def test_lines_end_at_newline_only(self, separator):
+        with pytest.raises(GameFileError) as err:
+            parse_game(f"p eg 2 2\nv 0 A\nv 1 B\ne 0 1 5{separator}e 1 0 3\n")
+        assert err.value.line_no == 4
+        assert _joined_line_error(separator) in str(err.value)
+
+    @pytest.mark.parametrize("separator", LINE_BREAKS[:3], ids=LINE_BREAK_IDS[:3])
+    def test_line_numbers_count_newlines_only(self, separator):
+        with pytest.raises(GameFileError) as err:
+            parse_game(f"p eg 2 1\nv 0 A{separator}\nv 1 B\ne 0 1 x\n")
+        assert err.value.line_no == 4
+
+    def test_crlf_line_endings_parse(self, fig1):
+        assert parse_game(FIG1_TEXT.replace("\n", "\r\n")) == fig1
+
     def test_comments_stay_free_form(self, fig1):
         assert parse_game("# caf\u00e9 +1 1_000 \u0663\n" + FIG1_TEXT) == fig1
 
@@ -157,6 +183,22 @@ class TestEnergyFiles:
         with pytest.raises(GameFileError) as err:
             parse_energies(text, 2)
         assert err.value.line_no == line_no
+
+    @pytest.mark.parametrize("separator", LINE_BREAKS, ids=LINE_BREAK_IDS)
+    def test_lines_end_at_newline_only(self, separator):
+        with pytest.raises(GameFileError) as err:
+            parse_energies(f"v 0 1\nv 1 2\nv 2 3\nv 3 4{separator}v 4 5\n", 5)
+        assert err.value.line_no == 4
+        assert _joined_line_error(separator) in str(err.value)
+
+    @pytest.mark.parametrize("separator", LINE_BREAKS[:3], ids=LINE_BREAK_IDS[:3])
+    def test_line_numbers_count_newlines_only(self, separator):
+        with pytest.raises(GameFileError) as err:
+            parse_energies(f"v 0 1{separator}\nv 1 2\nv 2 3\nv 4 0\n", 4)
+        assert err.value.line_no == 4
+
+    def test_crlf_line_endings_parse(self):
+        assert parse_energies("v 0 1\r\nv 1 inf\r\n", 2) == (1, INF)
 
     @pytest.mark.parametrize(
         "text, n, fragment",
