@@ -117,6 +117,15 @@ class GameGraph:
         work = [len(out) + len(inc) for out, inc in zip(succ, pred)]
         return succ, pred, sources, alice, work
 
+    @cached_property
+    def _weights(self) -> list[int]:
+        """The edge weights in edge-list order: the value-iteration kernel's
+        weights when a call passes none.  Built on the first such call, not
+        with ``_adjacency``: many graphs are only ever solved with weights
+        that their caller passes.  Shared by every later call and never
+        mutated."""
+        return [weight for _, _, weight in self.edges]
+
     def out_degree(self, node: int) -> int:
         return len(self.out_edges[node])
 

@@ -26,6 +26,18 @@ class GameFileError(ValueError):
         self.line_no = line_no
 
 
+_QUOTE_LIMIT = 60
+
+
+def _quote(text: str) -> str:
+    """``text`` in quotes, cut to its first characters when it is long: a
+    message also names the line, so a prefix is enough to find it, and one
+    line can hold a whole file whose line ends are not '\\n'."""
+    if len(text) <= _QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
 def _foreign(text: str) -> bool:
     return not text.isascii() or "_" in text or "+" in text
 
@@ -42,7 +54,7 @@ def _significant_lines(text: str):
         if not line or line.startswith("#"):
             continue
         if suspect and _foreign(raw):
-            raise GameFileError(line_no, f"'_', '+' or a non-ASCII character in {raw!r}")
+            raise GameFileError(line_no, f"'_', '+' or a non-ASCII character in {_quote(raw)}")
         yield line_no, line
 
 
@@ -53,13 +65,13 @@ def parse_game(text: str) -> GameGraph:
     line_no, header = lines[0]
     parts = header.split()
     if len(parts) != 4 or parts[0] != "p" or parts[1] != "eg":
-        raise GameFileError(line_no, f"expected 'p eg <n> <m>', got {header!r}")
+        raise GameFileError(line_no, f"expected 'p eg <n> <m>', got {_quote(header)}")
     try:
         n, m = int(parts[2]), int(parts[3])
     except ValueError:
-        raise GameFileError(line_no, f"non-integer counts in header {header!r}") from None
+        raise GameFileError(line_no, f"non-integer counts in header {_quote(header)}") from None
     if n < 0 or m < 0:
-        raise GameFileError(line_no, f"invalid counts in header {header!r}")
+        raise GameFileError(line_no, f"invalid counts in header {_quote(header)}")
     for count, kind in ((n, "nodes"), (m, "edges")):  # one record each
         if count > len(lines) - 1:
             raise GameFileError(line_no, f"header promised {count} {kind}, found {len(lines) - 1} records")
@@ -70,32 +82,32 @@ def parse_game(text: str) -> GameGraph:
         parts = line.split()
         if parts[0] == "v":
             if len(parts) != 3:
-                raise GameFileError(line_no, f"expected 'v <id> <A|B>', got {line!r}")
+                raise GameFileError(line_no, f"expected 'v <id> <A|B>', got {_quote(line)}")
             try:
                 node = int(parts[1])
             except ValueError:
-                raise GameFileError(line_no, f"non-integer node id in {line!r}") from None
+                raise GameFileError(line_no, f"non-integer node id in {_quote(line)}") from None
             if not 0 <= node < n:
                 raise GameFileError(line_no, f"node id {node} out of range 0..{n - 1}")
             if owners[node] is not None:
                 raise GameFileError(line_no, f"duplicate declaration of node {node}")
             if parts[2] not in (ALICE, BOB):
-                raise GameFileError(line_no, f"owner must be A or B, got {parts[2]!r}")
+                raise GameFileError(line_no, f"owner must be A or B, got {_quote(parts[2])}")
             owners[node] = parts[2]
         elif parts[0] == "e":
             if len(parts) != 4:
-                raise GameFileError(line_no, f"expected 'e <src> <dst> <w>', got {line!r}")
+                raise GameFileError(line_no, f"expected 'e <src> <dst> <w>', got {_quote(line)}")
             try:
                 src, dst, weight = int(parts[1]), int(parts[2]), int(parts[3])
             except ValueError:
-                raise GameFileError(line_no, f"non-integer field in {line!r}") from None
+                raise GameFileError(line_no, f"non-integer field in {_quote(line)}") from None
             if not 0 <= src < n:
                 raise GameFileError(line_no, f"edge source {src} out of range 0..{n - 1}")
             if not 0 <= dst < n:
                 raise GameFileError(line_no, f"edge target {dst} out of range 0..{n - 1}")
             edges.append((src, dst, weight))
         else:
-            raise GameFileError(line_no, f"unknown record {parts[0]!r}")
+            raise GameFileError(line_no, f"unknown record {_quote(parts[0])}")
 
     missing = [v for v, owner in enumerate(owners) if owner is None]
     if missing:
@@ -118,11 +130,11 @@ def parse_energies(text: str, n: int) -> EnergyFn:
     for line_no, line in _significant_lines(text):
         parts = line.split()
         if len(parts) != 3 or parts[0] != "v":
-            raise GameFileError(line_no, f"expected 'v <id> <value|inf>', got {line!r}")
+            raise GameFileError(line_no, f"expected 'v <id> <value|inf>', got {_quote(line)}")
         try:
             node = int(parts[1])
         except ValueError:
-            raise GameFileError(line_no, f"non-integer node id in {line!r}") from None
+            raise GameFileError(line_no, f"non-integer node id in {_quote(line)}") from None
         if not 0 <= node < n:
             raise GameFileError(line_no, f"node id {node} out of range 0..{n - 1}")
         if node != expected:
@@ -135,7 +147,7 @@ def parse_energies(text: str, n: int) -> EnergyFn:
                 value = int(parts[2])
             except ValueError:
                 raise GameFileError(
-                    line_no, f"energy must be a non-negative integer or 'inf', got {parts[2]!r}"
+                    line_no, f"energy must be a non-negative integer or 'inf', got {_quote(parts[2])}"
                 ) from None
             if value < 0:
                 raise GameFileError(line_no, f"energy must be non-negative, got {value}")

@@ -44,6 +44,20 @@ def _joined_line_error(separator):
     return "expected '" if separator.isascii() else "non-ASCII"
 
 
+# Inputs whose offending line is long.  With lone '\r' line ends a whole
+# 2,000-node game is one line.  int() rejects 100,000 digits from Python 3.11
+# on; the trailing 'x' makes the edge line malformed on every version.
+LONG_LINES = {
+    "lone-cr": (
+        emit_game(GameGraph((ALICE,) * 2000, tuple((v, (v + 1) % 2000, 1) for v in range(2000))))
+        .replace("\n", "\r"),
+        1,
+        "expected 'p eg <n> <m>', got 'p eg 2000 2000\\rv 0 A",
+    ),
+    "long-edge": ("p eg 2 1\nv 0 A\nv 1 B\ne 0 1 " + "9" * 100_000 + "x\n", 4, "non-integer field in 'e 0 1 999"),
+}
+
+
 FIG1_TEXT = """\
 # three-node reference game
 p eg 3 6
@@ -138,6 +152,17 @@ class TestGameFiles:
     def test_crlf_line_endings_parse(self, fig1):
         assert parse_game(FIG1_TEXT.replace("\n", "\r\n")) == fig1
 
+    @pytest.mark.parametrize("name", LONG_LINES)
+    def test_long_lines_are_quoted_in_part(self, name):
+        text, line_no, prefix = LONG_LINES[name]
+        assert len(text) > 40_000
+        with pytest.raises(GameFileError) as err:
+            parse_game(text)
+        assert err.value.line_no == line_no
+        message = str(err.value)
+        assert message.startswith(f"line {line_no}: {prefix}")
+        assert len(message) < 200
+
     def test_comments_stay_free_form(self, fig1):
         assert parse_game("# caf\u00e9 +1 1_000 \u0663\n" + FIG1_TEXT) == fig1
 
@@ -216,12 +241,31 @@ class TestEnergyFiles:
             parse_energies(text, n)
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize("text", ["v 0 1\r" * 2000, "v 0 " + "9" * 100_000 + "x\n"], ids=["lone-cr", "long-value"])
+    def test_long_lines_are_quoted_in_part(self, text):
+        with pytest.raises(GameFileError) as err:
+            parse_energies(text, 2000)
+        assert err.value.line_no == 1
+        assert len(str(err.value)) < 200
+
 
 class TestCli:
     def _write_fig1(self, tmp_path):
         path = tmp_path / "fig1.eg"
         path.write_text(FIG1_TEXT)
         return str(path)
+
+    def test_long_line_gives_one_short_error_line(self, tmp_path, capsys):
+        # The CLI reads files with universal newlines, so a lone '\r' ends a
+        # line there; the long edge line is long in every reading.
+        text, line_no, _ = LONG_LINES["long-edge"]
+        path = tmp_path / "long.eg"
+        path.write_text(text)
+        assert main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"energygames: line {line_no}: non-integer field in ")
+        assert err.count("\n") == 1
+        assert len(err) < 200
 
     def test_solve_writes_energy_file(self, tmp_path, capsys):
         game = self._write_fig1(tmp_path)

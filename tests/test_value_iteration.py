@@ -117,13 +117,18 @@ def _windowed(seed):
 
 
 def _list_shapes(graph):
-    """A full, a multiples and two hand-built lists that start above 0."""
+    """A full, a multiples and three hand-built lists that start above 0, one
+    of them unit-step, and a full list capped one below the largest finite
+    energy, so that the nodes there go infinite at the cap."""
     bound = graph.default_bound()
+    finite = [x for x in reference_solve_with_list(graph, full_list(bound)).energies if x != INF]
     return (
         full_list(bound),
         multiples_list(3, bound),
         AdmissibleList(range(3, 400, 7)),
         AdmissibleList((2, 5, 6, 11, 17, 40, 41, 100)),
+        AdmissibleList(range(3, 400)),
+        full_list(max(max(finite, default=0) - 1, 0)),
     )
 
 
@@ -210,7 +215,7 @@ class TestSolveWithList:
         # call's weights may leak into the next.
         for seed in range(60):
             graph = small_random(seed)
-            cached = copy.deepcopy(graph._adjacency)
+            cached = copy.deepcopy((graph._adjacency, graph._weights))
             shifted = [3 * w - seed % 7 for _, _, w in graph.edges]
             negated = [-w for _, _, w in graph.edges]
             lst = full_list(graph.n * max(map(abs, shifted + negated)))
@@ -220,7 +225,7 @@ class TestSolveWithList:
                     graph.owners, tuple((s, d, w) for (s, d, _), w in zip(graph.edges, own))
                 )
                 assert solve_with_list(graph, lst, weights) == solve_with_list(fresh, lst)
-            assert graph._adjacency == cached
+            assert (graph._adjacency, graph._weights) == cached
 
     def test_weights_need_one_per_edge(self, fig1):
         with pytest.raises(ValueError, match="5 weights for 6 edges"):
@@ -250,6 +255,14 @@ class TestReferenceKernel:
     def test_small_random_on_every_list_shape(self):
         for seed in range(120):
             graph = small_random(seed)
+            for lst in _list_shapes(graph):
+                assert solve_with_list(graph, lst) == reference_solve_with_list(graph, lst)
+
+    def test_twelve_node_games_on_every_list_shape(self):
+        # Up to 12 nodes of out-degree up to 4 and weights up to 1000: longer
+        # update chains than the 6-node games.
+        for seed in range(300):
+            graph = small_random(seed, max_n=12, max_w=1000, max_out=4)
             for lst in _list_shapes(graph):
                 assert solve_with_list(graph, lst) == reference_solve_with_list(graph, lst)
 
