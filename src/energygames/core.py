@@ -166,9 +166,9 @@ def validate(graph: GameGraph) -> ValidationReport:
     ]
     problems += loops
     headroom = graph.n * graph.n * graph.max_weight
-    if headroom > INT64_MAX:
+    if headroom > INT64_MAX:  # a bit count: n^2*W itself can have thousands of digits
         problems.append(
-            f"weights: n^2*W = {headroom} exceeds the 64-bit headroom {INT64_MAX}"
+            f"weights: n^2*W has {headroom.bit_length()} bits, over the 64-bit headroom {INT64_MAX}"
         )
     return ValidationReport(tuple(problems))
 

@@ -1,7 +1,8 @@
 """Exact minimal energies via repeated approximation.
 
-:func:`solve` first finds the losing region under small caps, trims it by
-Alice's attractor to the rest, certifies it with a dual game and drops it
+:func:`solve` first finds a trap that holds the losing region under small
+caps, trims it by Alice's attractor to the rest, finds the losing region
+inside it with one budgeted run of a dual game and drops it
 (:func:`_losing_region`), since losing nodes would otherwise climb to the
 first level's bound in every guess.  The trim carries the pre-pass's
 progress measure to the rest, and its max is that bound there in place
@@ -30,7 +31,6 @@ from .core import (
     EnergyFn,
     GameGraph,
     PotentialTransform,
-    _one_step,
     apply_potential,
     opponent,
     verify_minimal,
@@ -67,7 +67,7 @@ class GuessRecord:
 class RegionRecord:
     """The pre-pass that finds and certifies the losing region."""
 
-    size: int  # nodes in the last round's trimmed infinite set S'
+    size: int  # |L| when certified, else nodes in the last round's trap S'
     certified: bool
     rounds: int
     phases: tuple[PhaseRecord, ...]  # one per kernel call, primal and dual
@@ -151,18 +151,19 @@ def _error_budget(bound: int, n: int, floor: Fraction | None) -> int:
 
 def _run_phase(
     graph: GameGraph, bound: int, floor: Fraction | None, phases: list[PhaseRecord],
-    potential: list[int] | None = None,
+    potential: list[int] | None = None, limit: int | None = None,
 ) -> ViterResult:
     """One kernel call on ``graph``: value iteration over the multiples of
     B = budget // n up to ``bound``, where budget is the
     :func:`_error_budget` under ``floor``.  It runs on the graph's own
     weights, or with a ``potential`` on the rounded re-weighted ones
-    (:func:`_rounded_weights`); appends the call's record to ``phases``."""
+    (:func:`_rounded_weights`), under the kernel's edge-work ``limit``;
+    appends the call's record to ``phases``."""
     n = graph.n
     budget = _error_budget(bound, n, floor)
     granularity = budget // n
     weights = None if potential is None else _rounded_weights(graph, potential, granularity)
-    result = solve_with_list(graph, multiples_list(granularity, bound), weights)
+    result = solve_with_list(graph, multiples_list(granularity, bound), weights, limit)
     phases.append(PhaseRecord(
         n, bound, budget, granularity, result.total_updates, result.steps, result.edge_work,
         result.energies.count(INF),
@@ -283,25 +284,21 @@ def _trap_dual(graph: GameGraph, trap: list[int]) -> GameGraph:
 
 
 def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[Energy] | None]:
-    """Find the losing region and certify it.  Returns, for a certified
+    """Find the losing region L and certify it.  Returns, for a certified
     region, the primal measure carried through Alice's attractor
-    (:func:`_trim`), whose infinite set is S', and None otherwise.  Why a
-    certified S' is the losing region is parts (a)-(c) of :func:`solve`.
+    (:func:`_trim`), whose infinite set is L, and None otherwise.  Why a
+    certified L is the losing region is parts (a)-(c) of :func:`solve`.
 
-    Every step is one :func:`_run_phase` with no floor, on the true weights
-    over the multiples of max(1, M // 2n) up to its cap M.  Round by round,
-    M doubles from max(W, 1), and the primal step's infinite set S gives
-    S' = S minus Alice's attractor to the rest (:func:`_trim`).  An empty S'
-    is certified at once.  Otherwise the dual of S' (:func:`_trap_dual`) is
-    solved over caps D = k, 2k, ... up to the dual's own bound n'W',
-    k = |S'| + 1, while the dual's cumulative edge work is at most the
-    primal's.  Caps below the dual's largest one-step target are
-    skipped, because a node's first update already reaches its target, and
-    so are caps an earlier round already tried on the same S'.  A round
-    whose budget runs out goes on to the next M, which adds primal work.
-    The rounds end with no S' once M reaches n*W, or once two rungs in a
-    row on the same S' leave every dual node infinite: that dual is
-    flooded, not converging.
+    Round by round, a primal :func:`_run_phase` with no floor runs on the
+    true weights over the multiples of max(1, M // 2n) up to its cap M, which
+    doubles from max(W, 1); its infinite set S gives S' = S minus Alice's
+    attractor to the rest (:func:`_trim`).  An empty S' is certified at once.
+    Otherwise one full-range run of the dual of S' (:func:`_trap_dual`) up to
+    the dual's own bound n'W' stops once its edge work is past the primal
+    work so far minus the dual work so far.  A run that completes certifies
+    its finite set as L, and the nodes of S' it leaves infinite, which win,
+    get n*W in the measure; a stopped run goes on to the next M, which adds
+    primal work.  The rounds end with no L once M reaches n*W.
     """
     n = graph.n
     if n == 0:
@@ -311,42 +308,26 @@ def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[Energy] | None]
     phases: list[PhaseRecord] = []
     primal_work = dual_work = 0
     rounds = 0
-    tried: list[int] | None = None  # the last S' whose dual was built
     while True:
         rounds += 1
         primal = _run_phase(graph, bound, None, phases)
         primal_work += primal.edge_work
         measure = _trim(graph, primal.energies)
-        losing = [v for v in range(n) if measure[v] == INF]
-        if not losing:
+        trap = [v for v in range(n) if measure[v] == INF]
+        if not trap:
             return RegionRecord(0, True, rounds, tuple(phases)), measure
-        size = len(losing)
-        # The dual depends only on S', so for an unchanged S' the ladder
-        # resumes at the first cap it has not tried.
-        if losing != tried:
-            tried = losing
-            dual = _trap_dual(graph, losing)
-            # A node's first update from 0 already reaches its one-step
-            # target N(0), so caps below its largest entry fail for certain.
-            floor = max(_one_step(dual, [0] * size))
-            dual_cap = size + 1
-            while dual_cap < floor:
-                dual_cap *= 2
-            top = dual.default_bound()
-            stalled = 0  # rungs in a row that left every dual node infinite
-        while dual_cap <= top and dual_work <= primal_work:
-            _run_phase(dual, dual_cap, None, phases)
-            rung = phases[-1]
-            if not rung.dropped:
-                return RegionRecord(size, True, rounds, tuple(phases)), measure
-            dual_work += rung.edge_work
-            stalled = stalled + 1 if rung.dropped == size else 0
-            if stalled == 2:
-                return RegionRecord(size, False, rounds, tuple(phases)), None
-            dual_cap *= 2
+        dual = _trap_dual(graph, trap)
+        # A floor of 1 gives granularity 1: the full list up to n'W'.
+        run = _run_phase(dual, dual.default_bound(), Fraction(1), phases, limit=primal_work - dual_work)
+        dual_work += run.edge_work
+        if run.complete:
+            for v, e in zip(trap, run.energies):
+                if e == INF:
+                    measure[v] = cap
+            return RegionRecord(len(trap) - phases[-1].dropped, True, rounds, tuple(phases)), measure
         bound *= 2
         if bound >= cap:
-            return RegionRecord(size, False, rounds, tuple(phases)), None
+            return RegionRecord(len(trap), False, rounds, tuple(phases)), None
 
 
 def _guess_loop(
@@ -384,16 +365,21 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
     First the losing region (:func:`_losing_region`).  Value iteration on
     the true weights under a small cap gives p; S is its infinite set, and
     S' is S minus Alice's attractor to the nodes outside S (:func:`_trim`).
-    S' is certified when it is empty, or when the dual game on S', with the
-    owners swapped and each weight w re-weighted to -(k*w + 1),
-    k = |S'| + 1, is finite everywhere (:func:`_trap_dual`).  Then S' is
-    exactly the losing region:
+    The losing region L is empty when S' is.  Otherwise take the dual game on
+    S', with the owners swapped and each weight w re-weighted to
+    -(k*w + 1), k = |S'| + 1 (:func:`_trap_dual`): a completed full-range
+    run of it up to its own bound n'W' certifies its finite set as L, and
+    the nodes of S' it leaves infinite win:
 
     (a) S' is a trap for Alice by construction (her nodes in S' have every
-        successor in S', Bob's at least one), so Bob can keep every play in
-        S', and a finite dual energy everywhere is a Bob strategy inside S'
-        under which every cycle, of total T and length 1 <= L <= |S'|, has
-        k*T + L <= 0, that is T < 0: S' holds only losing nodes;
+        successor in S', Bob's at least one), and by (b) every node outside
+        S' wins, so Bob wins at a node of S' in the graph iff he wins there
+        in the subgame on S': his winning strategy never leaves S', and
+        Alice cannot leave it.  The dual's energy at a node is finite iff
+        the dual's Alice, who is Bob, can keep every cycle, of total T and
+        length 1 <= l <= |S'|, at k*T + l <= 0, that is T < 0; finite dual
+        energies are at most n'W', so the full-range run gives them all and
+        its finite set is exactly L;
     (b) p's finite values are a progress measure (Alice keeps them by moving
         along an edge that holds, Bob cannot break them), so every node
         outside S is winning; from her attractor to those nodes Alice forces
@@ -403,9 +389,13 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
         an edge into S and every Alice node outside S keeps an edge out of
         it.  A Bob node in the attractor has every successor outside S', and
         an Alice node there has one.  So no Bob node outside S' has an edge
-        into S' and every Alice node outside S' keeps an edge out of it:
-        dropping S' with :func:`apply_potential` cannot raise, and since Bob
-        cannot enter S' and Alice loses there, the rest is a subgame whose
+        into S' and every Alice node outside S' keeps an edge out of it.
+        Inside S', a Bob node of S' minus L has no edge into L, or he would
+        take it and win, and an Alice node there has an edge to a winning
+        node, which lies in S' minus L.  So no Bob node outside L has an
+        edge into L and every Alice node outside L keeps an edge out of it:
+        dropping L with :func:`apply_potential` cannot raise, and since Bob
+        cannot enter L and Alice loses there, the rest is a subgame whose
         energies are the true ones.
     The trim also carries p into the attractor (:func:`_trim`): an Alice
     node there gets b = max(0, b(v) - w) from the successor v that attracted
@@ -413,12 +403,14 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
     out-edges, and b = p outside S.  So b is finite and non-negative off S',
     every Alice node there has an edge with b(u) + w >= b(v) and every Bob
     node has it on every edge: at an attracted node by construction, outside
-    S by (b).  b is a progress measure on the rest, and e* <= b there, so
-    the rerun in (i) does not happen.  Without a certified S' the guess loop
-    runs on the whole graph.
+    S by (b).  The nodes of S' minus L get b = n*W, which caps the energy of
+    any winning node.  So e* <= b on the rest, and the rerun in (i) does not
+    happen.  A dual run that passes its edge-work limit (see
+    :func:`_losing_region`) certifies nothing; without a certified L the
+    guess loop runs on the whole graph.
 
     The guess loop (:func:`_guess_loop`) starts at a first bound M of the
-    graph it is given: max b, clamped at 0, when S' is certified, else the
+    graph it is given: max b, clamped at 0, when L is certified, else the
     a-priori bound n*W.  It tries error budgets c from max(M // 2, n) down (a
     hint only lowers the first to floor(n*penalty), never below n; see
     :func:`_error_budget`), halving until a guess is accepted.  A guess is

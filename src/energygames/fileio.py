@@ -29,13 +29,13 @@ class GameFileError(ValueError):
 _QUOTE_LIMIT = 60
 
 
-def _quote(text: str) -> str:
-    """``text`` in quotes, cut to its first characters when it is long: a
-    message also names the line, so a prefix is enough to find it, and one
-    line can hold a whole file whose line ends are not '\\n'."""
+def _quote(text: str, show=repr) -> str:
+    """``text`` in quotes (bare with ``show=str``), cut to its first characters
+    when it is long: a message also names the line, so a prefix is enough to
+    find it, and one line can hold a whole file or a number of any length."""
     if len(text) <= _QUOTE_LIMIT:
-        return repr(text)
-    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
+        return show(text)
+    return f"{show(text[:_QUOTE_LIMIT])}... ({len(text)} characters)"
 
 
 def _foreign(text: str) -> bool:
@@ -72,9 +72,9 @@ def parse_game(text: str) -> GameGraph:
         raise GameFileError(line_no, f"non-integer counts in header {_quote(header)}") from None
     if n < 0 or m < 0:
         raise GameFileError(line_no, f"invalid counts in header {_quote(header)}")
-    for count, kind in ((n, "nodes"), (m, "edges")):  # one record each
+    for count, text, kind in ((n, parts[2], "nodes"), (m, parts[3], "edges")):  # one record each
         if count > len(lines) - 1:
-            raise GameFileError(line_no, f"header promised {count} {kind}, found {len(lines) - 1} records")
+            raise GameFileError(line_no, f"header promised {_quote(text, str)} {kind}, found {len(lines) - 1} records")
 
     owners: list[str | None] = [None] * n
     edges: list[Edge] = []
@@ -88,7 +88,7 @@ def parse_game(text: str) -> GameGraph:
             except ValueError:
                 raise GameFileError(line_no, f"non-integer node id in {_quote(line)}") from None
             if not 0 <= node < n:
-                raise GameFileError(line_no, f"node id {node} out of range 0..{n - 1}")
+                raise GameFileError(line_no, f"node id {_quote(parts[1], str)} out of range 0..{n - 1}")
             if owners[node] is not None:
                 raise GameFileError(line_no, f"duplicate declaration of node {node}")
             if parts[2] not in (ALICE, BOB):
@@ -101,17 +101,16 @@ def parse_game(text: str) -> GameGraph:
                 src, dst, weight = int(parts[1]), int(parts[2]), int(parts[3])
             except ValueError:
                 raise GameFileError(line_no, f"non-integer field in {_quote(line)}") from None
-            if not 0 <= src < n:
-                raise GameFileError(line_no, f"edge source {src} out of range 0..{n - 1}")
-            if not 0 <= dst < n:
-                raise GameFileError(line_no, f"edge target {dst} out of range 0..{n - 1}")
+            for end, node, text in (("source", src, parts[1]), ("target", dst, parts[2])):
+                if not 0 <= node < n:
+                    raise GameFileError(line_no, f"edge {end} {_quote(text, str)} out of range 0..{n - 1}")
             edges.append((src, dst, weight))
         else:
             raise GameFileError(line_no, f"unknown record {_quote(parts[0])}")
 
     missing = [v for v, owner in enumerate(owners) if owner is None]
     if missing:
-        raise GameFileError(0, f"missing node declarations for {missing}")
+        raise GameFileError(0, f"missing node declarations: {len(missing)} of {n} nodes, from node {missing[0]}")
     if len(edges) != m:
         raise GameFileError(0, f"header promised {m} edges, found {len(edges)}")
     return GameGraph(tuple(owners), tuple(edges))  # type: ignore[arg-type]
@@ -136,7 +135,7 @@ def parse_energies(text: str, n: int) -> EnergyFn:
         except ValueError:
             raise GameFileError(line_no, f"non-integer node id in {_quote(line)}") from None
         if not 0 <= node < n:
-            raise GameFileError(line_no, f"node id {node} out of range 0..{n - 1}")
+            raise GameFileError(line_no, f"node id {_quote(parts[1], str)} out of range 0..{n - 1}")
         if node != expected:
             raise GameFileError(line_no, f"node ids must ascend from 0; expected {expected}")
         expected += 1
@@ -150,7 +149,7 @@ def parse_energies(text: str, n: int) -> EnergyFn:
                     line_no, f"energy must be a non-negative integer or 'inf', got {_quote(parts[2])}"
                 ) from None
             if value < 0:
-                raise GameFileError(line_no, f"energy must be non-negative, got {value}")
+                raise GameFileError(line_no, f"energy must be non-negative, got {_quote(parts[2], str)}")
             values[node] = value
     if expected != n:
         raise GameFileError(0, f"expected {n} energy lines, found {expected}")

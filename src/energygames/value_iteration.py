@@ -59,6 +59,7 @@ class ViterResult:
     updates: tuple[int, ...]  # updates per node
     steps: int  # list positions advanced, summed over all updates
     edge_work: int  # out- plus in-degree touched per update
+    complete: bool = True  # False when a limit stopped the run before its fixed point
 
     @property
     def total_updates(self) -> int:
@@ -66,13 +67,17 @@ class ViterResult:
 
 
 def solve_with_list(
-    graph: GameGraph, admissible: AdmissibleList, weights: Sequence[int] | None = None
+    graph: GameGraph, admissible: AdmissibleList, weights: Sequence[int] | None = None,
+    limit: int | None = None,
 ) -> ViterResult:
     """Compute the minimal energies of ``graph`` given an admissible list.
 
     ``weights`` replaces the edge weights, one per edge in edge-list order;
     by default the graph's own.  Violating nodes are processed first in,
     first out; the final energies do not depend on the order.
+
+    A run whose edge work is past ``limit`` stops before its next round, with
+    ``complete`` False: lower bounds and the counters of the rounds it ran.
     """
     n = graph.n
     succ, pred, sources, is_alice, work = graph._adjacency
@@ -113,7 +118,7 @@ def solve_with_list(
     updates = [0] * n
     infinite = 0
     edge_work = 0
-    while pending:
+    while pending and (limit is None or edge_work <= limit):
         next_round: list[int] = []
         for u in pending:
             queued[u] = False
@@ -183,4 +188,4 @@ def solve_with_list(
     else:
         steps = sum(bisect_left(finite, x) for x in e if x != INF)
     steps += infinite * length
-    return ViterResult(tuple(e), tuple(updates), steps, edge_work)
+    return ViterResult(tuple(e), tuple(updates), steps, edge_work, not pending)

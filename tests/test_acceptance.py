@@ -33,7 +33,7 @@ from energygames import (
 from energygames.exact import solve
 from energygames.generators import GenSpec, high_penalty_family, random_game, windowed_game
 
-from game_helpers import induced_subgraph, simple_cycles
+from game_helpers import induced_subgraph, simple_cycles, small_random
 
 SMALL_W = 10
 
@@ -161,6 +161,8 @@ def test_criterion_5_driver_soundness():
         edges = tuple((i, (i + 1) % n, weights[i]) for i in range(n))
         owners = tuple(ALICE if i % 2 else BOB for i in range(n))
         instances.append(GameGraph(owners, edges))
+    # a 3-node game whose certified rest still rejects the guess c = 195
+    instances.append(small_random(441, max_n=12, max_w=1000, max_out=4))
     saw_rejected_guess = False
     for graph in instances:
         report = solve(graph)

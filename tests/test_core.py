@@ -53,7 +53,7 @@ class TestValidate:
             "node 3: sink node (out-degree 0)",
             "edge 0 (2->2): self-loop (normalize first)",
             "edge 1 (0->0): self-loop (normalize first)",
-            f"weights: n^2*W = {16 * huge} exceeds the 64-bit headroom {2**63 - 1}",
+            f"weights: n^2*W has 67 bits, over the 64-bit headroom {2**63 - 1}",
         )
 
     def test_bad_owner_rejected_at_construction(self):

@@ -21,7 +21,6 @@ from energygames import (
     verify_minimal,
 )
 from energygames import exact
-from energygames.core import _one_step
 from energygames.exact import (
     PhaseRecord,
     _losing_region,
@@ -236,15 +235,13 @@ class TestLevelLoop:
                     saved += len(theirs) - len(mine)
                 runs += 1
                 first_drops += mine[0].dropped > 0
-        # the first level drops nodes in 14 runs, all on uncertified regions
-        # that start at n*W; no accepted run ends coarser than granularity 1,
-        # because on graphs this small a certified region's carried bound
-        # leaves little to halve (the fixed-floor test below covers coarse
-        # stops); 17 runs are refuted, all at a level of granularity 1, and
-        # the reference recursion runs 4 levels past the refutations and 92
-        # levels that do nothing past the accepted runs' last
+        # every region is certified, so no first level drops nodes and no run
+        # is refuted; one accepted run ends coarser than granularity 1, since
+        # on graphs this small a carried bound leaves little to halve (the
+        # fixed-floor test below covers coarse stops), and the reference
+        # recursion runs 93 levels that do nothing past the accepted runs' last
         assert (runs, first_drops, coarse, rejected, refuted_at_one, saved, idle) == (
-            331, 14, 0, 17, 17, 4, 92
+            301, 0, 1, 0, 0, 0, 93
         )
 
     def test_matches_the_reference_recursion_at_fixed_floors(self):
@@ -329,18 +326,19 @@ class TestLevelLoop:
                 )
 
     def test_multiples_guess_stops_at_the_granularity(self):
-        # weights are multiples of 64.  Seed 8's region is not certified, so
-        # its guess loop halves from n*W = 30,720, reaches granularity 64 at
-        # the fourth level and stops there; seeds 6 and 21 start at a carried
-        # bound whose first granularity, 16 and 32, already divides 64.  A
-        # level that rounds nothing gives a fixed point, but one may come
-        # sooner: seed 5's potential is one after the level at granularity 2,
-        # so its guess stops there, short of granularity 1
+        # weights are multiples of 64.  Seed 8's dual leaves its whole S'
+        # infinite, so its measure holds n*W = 30,720 there: its guess loop
+        # halves from n*W, reaches granularity 64 at the fourth level and
+        # stops there; seeds 6 and 21 start at a carried bound whose first
+        # granularity, 16 and 32, already divides 64.  A level that rounds
+        # nothing gives a fixed point, but one may come sooner: seed 5's
+        # potential is one after the level at granularity 2, so its guess
+        # stops there, short of granularity 1
         cases = {8: [512, 256, 128, 64], 6: [16], 21: [32], 5: [161, 80, 40, 20, 10, 5, 2]}
         for seed, granularities in cases.items():
             graph = multiples_game(GenSpec("multiples", 30, 120, 1024, seed, granularity=64))
             report = solve(graph)
-            assert report.region.certified == (seed != 8)
+            assert report.region.certified
             assert report.energies == full_range(graph)
             phases = report.guesses[-1].phases
             assert [p.granularity for p in phases] == granularities
@@ -486,9 +484,9 @@ class TestSolveDriver:
                 viter.total_updates, viter.steps, viter.edge_work
             )
             assert len(last.phases) == 1
-        # 78 of the 120 end at a guess below 2: most carried bounds are below
+        # 74 of the 120 end at a guess below 2: most carried bounds are below
         # 4n, so that is their first guess
-        assert full_range_guesses == 78
+        assert full_range_guesses == 74
 
     def test_report_totals_sum_the_phases(self):
         saw_dual = False
@@ -613,7 +611,10 @@ class TestStartBound:
     def test_broken_measure_costs_time_not_the_answer(self, monkeypatch):
         # a measure that no longer bounds e* starts the rest's guess loop
         # below e*; where a node of the rest then comes back infinite, solve
-        # runs the loop again from n'W' of the rest, and the answer stays
+        # runs the loop again from n'W' of the rest, and the answer stays.
+        # A node that the region's completed dual leaves infinite gets n*W
+        # after the trim, which no corruption here reaches, so a solve whose
+        # loop starts at n*W is skipped
         corruptions = (
             # (nodes whose finite b is overwritten, with what, solves that rerun)
             (lambda graph, top: [top], 0, 54),
@@ -643,6 +644,8 @@ class TestStartBound:
                     patch.setattr(exact, "_trim", trim_breaking)
                     report = solve(graph)
                 if not report.region.certified:
+                    continue
+                if report.guesses[0].phases[0].bound == graph.default_bound():
                     continue
                 assert report.energies == expected
                 rest_bound = guessed_graph(graph)[0].default_bound()  # n'W'
@@ -683,13 +686,15 @@ class TestStartBound:
                 assert first_bounds == [graph.default_bound()]
 
     def test_low_penalty_tail_and_reduction_outputs_match_full_range(self):
-        # the four slowest games of the low-penalty sweep leave the region
-        # uncertified, so they get no carried bound; of the 58 reduction
-        # outputs whose input Alice wins, 26 carry one below n*W
+        # four low-penalty sweep games with 6 to 106 losing nodes: each region
+        # is certified in one or two rounds and carries a bound below n*W; of
+        # the 58 reduction outputs whose input Alice wins, 26 carry one below
+        # n*W
         for alice_pct, weight, seed in ((50, 10**5, 24), (80, 10**5, 30), (50, 10**3, 15), (80, 10**5, 31)):
             graph = random_game(GenSpec("random", 200, 800, weight, seed, alice_pct=alice_pct))
             report = solve(graph)
-            assert not report.region.certified
+            assert report.region.certified
+            assert report.guesses[0].phases[0].bound < graph.default_bound()
             assert report.energies == full_range(graph)
         carried = 0
         outputs = reduction_outputs_alice_wins()
@@ -814,22 +819,29 @@ class TestLosingRegion:
             (ALICE, BOB), ((1, 0, 5), (0, 1, -13), (1, 0, -19))
         )
 
-    def test_first_dual_rung_starts_at_the_one_step_floor(self):
-        # S' = {0, 1}: Bob's 0 and Alice's 1 close a cycle of total -10, and
-        # Alice's 2 may enter it from the winning pair {2, 3}.  On the dual,
-        # k = 3 turns 0 -> 1 (10) into -31 and 1 -> 0 (-20) into 59, with 0
-        # now Alice's, so N(0) = (31, 0).  The ladder's caps are 3 * 2^j, and
-        # the smallest at or above 31 is 48; the rungs at 3, 6, 12 and 24
-        # would leave node 0 infinite.
-        graph = GameGraph(
-            (BOB, ALICE, ALICE, BOB),
-            ((0, 1, 10), (1, 0, -20), (2, 0, 0), (2, 3, 0), (3, 2, 0)),
-        )
-        assert _one_step(_trap_dual(graph, [0, 1]), [0, 0]) == [31, 0]
-        region, measure = _losing_region(graph)
-        assert region.certified and region.size == 2 and region.rounds == 1
-        assert [(p.nodes, p.bound, p.dropped) for p in region.phases[1:]] == [(2, 48, 0)]
-        assert infinite_set(measure) == [0, 1]
+    def test_completed_dual_certifies_its_finite_set(self):
+        # each game's S' holds nodes that Alice wins, which the primal's coarse
+        # list climbs to infinity; the dual run on S' completes and leaves
+        # them infinite.  Its finite set is certified as the losing region,
+        # the oracle's infinite set, and the nodes it leaves infinite carry
+        # n*W.  The first two keep a losing node in S', the last two, the
+        # last of them game 6 of CI's 12-node set, none.
+        games = [
+            (small_random(1689, max_n=10, max_w=1000), 3, 2),
+            (small_random(2308, max_n=8, max_w=1000), 2, 2),
+            (small_random(64), 0, 2),
+            (random_game(GenSpec("random", 12, 30, 100, 6)), 0, 2),
+        ]
+        for graph, size, left in games:
+            region, measure = _losing_region(graph)
+            dual = region.phases[-1]
+            assert region.certified and len(region.phases) == 2 * region.rounds
+            assert (region.size, dual.nodes, dual.dropped) == (size, size + left, left)
+            exact = brute_force_energies(graph)
+            assert infinite_set(measure) == infinite_set(exact)
+            assert measure.count(graph.default_bound()) >= left
+            assert all(e <= b for e, b in zip(exact, measure))
+            assert solve(graph).energies == exact
 
     def test_flooded_reduction_output_still_exact(self):
         # an output whose input Alice wins: the primal's coarse list climbs its
@@ -842,34 +854,6 @@ class TestLosingRegion:
         assert report.region.size == completed.n and not report.region.certified
         assert report.guesses and report.energies == full_range(completed)
         assert INF not in report.energies
-
-    def test_flooded_dual_stops_after_two_stalled_rungs(self):
-        # the flooded output above: S is the whole graph and so is S', and
-        # every dual node stays infinite at the first two rungs, so the region
-        # gives up after one primal round and two rungs
-        graph = random_game(GenSpec("random", n=2, m=2, max_weight=2, seed=1))
-        reduced, _, _ = to_win_everywhere(graph, 1)
-        completed, _ = to_complete_bipartite(to_bipartite(reduced)[0])
-        region, losing = _losing_region(completed)
-        assert losing is None and not region.certified
-        assert region.rounds == 1 and len(region.phases) == 3
-        assert all(p.nodes == completed.n for p in region.phases)
-        # the primal step leaves the whole graph infinite, and so does each rung
-        assert all(p.dropped == completed.n for p in region.phases)
-        assert solve(completed).energies == full_range(completed)
-
-    def test_unchanged_region_resumes_the_dual_ladder(self):
-        # round 1's dual budget runs out on S' after three rungs; round 2
-        # finds the same S' and resumes the ladder at the next cap, so no cap
-        # is tried twice
-        graph = random_game(GenSpec("random", 96, 384, 1000, 4039238161212164089))
-        region, measure = _losing_region(graph)
-        assert region.certified and region.rounds == 2
-        assert infinite_set(measure) == [v for v, e in enumerate(full_range(graph)) if e == INF]
-        primals = [i for i, p in enumerate(region.phases) if p.nodes == graph.n]
-        duals = [p.bound for p in region.phases if p.nodes == region.size]
-        assert len(primals) == 2 and 1 < primals[1] < len(region.phases) - 1
-        assert all(cap * 2 == next_cap for cap, next_cap in zip(duals, duals[1:]))
 
     def test_zero_cycle_family_matches_full_range(self):
         outcomes = []

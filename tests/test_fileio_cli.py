@@ -163,6 +163,24 @@ class TestGameFiles:
         assert message.startswith(f"line {line_no}: {prefix}")
         assert len(message) < 200
 
+    @pytest.mark.parametrize(
+        "text, line_no, prefix",
+        [
+            ("p eg " + "9" * 4000 + " 0\n", 1, "header promised 999"),
+            ("p eg 2 1\nv " + "9" * 4000 + " A\nv 1 B\ne 0 1 1\n", 2, "node id 999"),
+            ("p eg 2 1\nv 0 A\nv 1 B\ne 0 " + "9" * 4000 + " 1\n", 4, "edge target 999"),
+            ("p eg 50000 50000\n" + "e 0 1 1\n" * 50000, 0, "missing node declarations: 50000 of 50000 nodes, from node 0"),
+        ],
+        ids=["header-count", "node-id", "edge-target", "missing-nodes"],
+    )
+    def test_long_numbers_and_lists_are_bounded(self, text, line_no, prefix):
+        with pytest.raises(GameFileError) as err:
+            parse_game(text)
+        assert err.value.line_no == line_no
+        message = str(err.value)
+        assert message.startswith(f"line {line_no}: {prefix}")
+        assert len(message) < 200
+
     def test_comments_stay_free_form(self, fig1):
         assert parse_game("# caf\u00e9 +1 1_000 \u0663\n" + FIG1_TEXT) == fig1
 
@@ -248,6 +266,21 @@ class TestEnergyFiles:
         assert err.value.line_no == 1
         assert len(str(err.value)) < 200
 
+    @pytest.mark.parametrize(
+        "text, prefix",
+        [
+            ("v " + "9" * 4000 + " 0\n", "node id 999"),
+            ("v 0 -" + "9" * 4000 + "\n", "energy must be non-negative, got -999"),
+        ],
+        ids=["node-id", "negative-energy"],
+    )
+    def test_long_numbers_are_quoted_in_part(self, text, prefix):
+        with pytest.raises(GameFileError) as err:
+            parse_energies(text, 2)
+        message = str(err.value)
+        assert message.startswith(f"line 1: {prefix}")
+        assert len(message) < 200
+
 
 class TestCli:
     def _write_fig1(self, tmp_path):
@@ -266,6 +299,31 @@ class TestCli:
         assert err.startswith(f"energygames: line {line_no}: non-integer field in ")
         assert err.count("\n") == 1
         assert len(err) < 200
+
+    def test_headroom_of_huge_weights_is_a_file_error(self, tmp_path, capsys):
+        # n^2*W of a 100-node cycle with 4,299-digit weights has more digits
+        # than str() writes; the CLI still reports the file's fault (exit 2)
+        # in one short line
+        text = "p eg 100 100\n" + "".join(f"v {v} A\n" for v in range(100))
+        text += "".join(f"e {v} {(v + 1) % 100} -{'9' * 4299}\n" for v in range(100))
+        path = tmp_path / "heavy.eg"
+        path.write_text(text)
+        assert main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("energygames: line 0: weights: n^2*W has 14295 bits, over the 64-bit headroom ")
+        assert err.count("\n") == 1
+        assert len(err) < 200
+
+    def test_many_problems_give_one_short_error_line(self, tmp_path, capsys):
+        text = "p eg 50000 1\n" + "".join(f"v {v} A\n" for v in range(50000)) + "e 0 1 1\n"
+        path = tmp_path / "sinks.eg"
+        path.write_text(text)
+        assert main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "energygames: line 0: node 1: sink node (out-degree 0); node 2: sink node (out-degree 0); "
+            "node 3: sink node (out-degree 0); and 49996 more\n"
+        )
 
     def test_solve_writes_energy_file(self, tmp_path, capsys):
         game = self._write_fig1(tmp_path)

@@ -237,6 +237,41 @@ class TestSolveWithList:
         assert result.steps == sum(result.energies)
         assert result.edge_work > 0
 
+    def test_limit_at_or_above_the_work_changes_nothing(self):
+        for seed in range(120):
+            graph = small_random(seed, max_n=12, max_w=1000, max_out=4)
+            for lst in _list_shapes(graph):
+                result = solve_with_list(graph, lst)
+                assert result.complete
+                for limit in (result.edge_work, result.edge_work + 1, 10**9):
+                    assert solve_with_list(graph, lst, limit=limit) == result
+
+    def test_lower_limit_stops_between_rounds(self):
+        # A run stops before its first round that starts past the limit.  So
+        # every limit from the last round it started up to one below its edge
+        # work gives the same run, and a limit at its edge work sweeps at
+        # least one round more.  Walked round by round from a limit below 0,
+        # which runs no round, each stopped run holds lower bounds and the
+        # counters of the rounds it ran, and the walk ends at the full run.
+        stopped = 0
+        for seed in range(60):
+            graph = small_random(seed, max_n=12, max_w=1000, max_out=4)
+            lst = _universal(graph)
+            full = solve_with_list(graph, lst)
+            run = solve_with_list(graph, lst, limit=-1)
+            assert run.edge_work == 0 and run.energies == (0,) * graph.n
+            while not run.complete:
+                stopped += 1
+                assert solve_with_list(graph, lst, limit=max(run.edge_work - 1, -1)) == run
+                assert all(a <= b for a, b in zip(run.energies, full.energies))
+                assert all(a <= b for a, b in zip(run.updates, full.updates))
+                assert run.steps == sum(_position(lst, x) for x in run.energies)
+                following = solve_with_list(graph, lst, limit=run.edge_work)
+                assert following.total_updates > run.total_updates
+                run = following
+            assert run == full
+        assert stopped == 2119
+
     def test_steps_account_for_list_positions_on_coarse_lists(self):
         # Every node starts at index 0 and only moves up, so the positions
         # advanced add up to the final positions.
