@@ -17,6 +17,49 @@ from __future__ import annotations
 
 from .core import ALICE, BOB, INF, Edge, EnergyFn, GameGraph
 
+# Python 3.11 and later refuse int() and str() conversions of integers with
+# more digits than sys.get_int_max_str_digits(), 4,300 by default and never
+# below 640.  Raising that limit would change it for the whole process, so a
+# conversion that raises is done again in pieces of at most 640 digits.
+_PIECE = 640
+_PIECE_BOUND = 10**_PIECE
+
+
+def _long_int(text: str) -> int:
+    """int(text) for an optionally negative run of ASCII digits of any
+    length; raises ValueError on anything else.  Called only after int()
+    has raised, so the common path pays nothing."""
+    negative = text.startswith("-")
+    digits = text[negative:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("not a decimal integer")
+
+    def read(digits: str) -> int:
+        if len(digits) <= _PIECE:
+            return int(digits)
+        half = len(digits) // 2
+        return read(digits[:-half]) * 10**half + read(digits[-half:])
+
+    value = read(digits)
+    return -value if negative else value
+
+
+def _long_str(value: int) -> str:
+    """str(value) for an integer of any size.  Called only after str() has
+    raised, so the common path pays nothing."""
+    if value < 0:
+        return "-" + _long_str(-value)
+
+    def write(value: int, width: int) -> str:
+        # The digits of value, zero-padded on the left to width.
+        if value < _PIECE_BOUND:
+            return str(value).zfill(width)
+        half = int(value.bit_length() * 0.30103) // 2  # about half its digits
+        high, low = divmod(value, 10**half)
+        return write(high, width - half) + write(low, half)
+
+    return write(value, 0)
+
 
 class GameFileError(ValueError):
     """A malformed game or energy file; carries the offending line number."""
@@ -100,7 +143,10 @@ def parse_game(text: str) -> GameGraph:
             try:
                 src, dst, weight = int(parts[1]), int(parts[2]), int(parts[3])
             except ValueError:
-                raise GameFileError(line_no, f"non-integer field in {_quote(line)}") from None
+                try:
+                    src, dst, weight = map(_long_int, parts[1:])
+                except ValueError:
+                    raise GameFileError(line_no, f"non-integer field in {_quote(line)}") from None
             for end, node, text in (("source", src, parts[1]), ("target", dst, parts[2])):
                 if not 0 <= node < n:
                     raise GameFileError(line_no, f"edge {end} {_quote(text, str)} out of range 0..{n - 1}")
@@ -119,7 +165,11 @@ def parse_game(text: str) -> GameGraph:
 def emit_game(graph: GameGraph) -> str:
     lines = [f"p eg {graph.n} {graph.m}"]
     lines.extend(f"v {v} {graph.owners[v]}" for v in range(graph.n))
-    lines.extend(f"e {src} {dst} {weight}" for src, dst, weight in graph.edges)
+    try:
+        edges = [f"e {src} {dst} {weight}" for src, dst, weight in graph.edges]
+    except ValueError:  # a weight too long for str()
+        edges = [f"e {src} {dst} {_long_str(weight)}" for src, dst, weight in graph.edges]
+    lines.extend(edges)
     return "\n".join(lines) + "\n"
 
 
@@ -145,9 +195,12 @@ def parse_energies(text: str, n: int) -> EnergyFn:
             try:
                 value = int(parts[2])
             except ValueError:
-                raise GameFileError(
-                    line_no, f"energy must be a non-negative integer or 'inf', got {_quote(parts[2])}"
-                ) from None
+                try:
+                    value = _long_int(parts[2])
+                except ValueError:
+                    raise GameFileError(
+                        line_no, f"energy must be a non-negative integer or 'inf', got {_quote(parts[2])}"
+                    ) from None
             if value < 0:
                 raise GameFileError(line_no, f"energy must be non-negative, got {_quote(parts[2], str)}")
             values[node] = value
@@ -157,7 +210,8 @@ def parse_energies(text: str, n: int) -> EnergyFn:
 
 
 def emit_energies(energies: EnergyFn) -> str:
-    lines = [
-        f"v {v} {'inf' if value == INF else value}" for v, value in enumerate(energies)
-    ]
+    try:
+        lines = [f"v {v} {'inf' if value == INF else value}" for v, value in enumerate(energies)]
+    except ValueError:  # a value too long for str()
+        lines = [f"v {v} {'inf' if value == INF else _long_str(value)}" for v, value in enumerate(energies)]
     return "\n".join(lines) + "\n"

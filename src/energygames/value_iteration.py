@@ -5,8 +5,10 @@ picks a node violating its progress condition (Alice: all out-edges violated,
 Bob: some out-edge violated), recomputes its value as the min respectively max
 of e(v) - w(u,v) over its out-edges, and rounds the result up to the next
 member of the admissible list.  Counters on Alice's nodes track how many
-out-edges currently satisfy the condition so violations are detected in
-amortized constant time per edge touch.
+out-edges currently satisfy the condition, and each Bob node keeps the max
+of e(v) - w(u,v) over his out-edges, so violations are detected in amortized
+constant time per edge touch and a Bob update needs no pass over his
+out-edges.
 
 Every update strictly increases the updated node and never overshoots the
 true minimal energy as long as the list is admissible, so the final energies
@@ -15,19 +17,28 @@ are exactly minimal.
 Violated nodes are processed first in, first out, in rounds: the loop walks
 this round's list and appends the nodes an update violates to the next
 round's, which is the order a queue would pop them in.  Outside the node
-being updated, two invariants hold:
+being updated, three invariants hold:
 
 - (I1) a Bob node with a violated out-edge is queued: an update satisfies
   every out-edge of its node, and an edge turns violated only when its
   target rises, which queues its source;
 - (I2) an Alice node that is not queued has count >= 1: an update leaves the
   out-edge that reaches the min satisfied, and a count that drops to 0
-  queues its node.
+  queues its node;
+- (I3) a Bob node t has best[t] = max(e(t), max of e(v) - w over his
+  out-edges (t,v)).  An edge that holds gives at most e(t), so a queued Bob
+  node's best is the max over his failing out-edges, which is his update's
+  target, and an unqueued one's is e(t) (I1).  His update sets best to his
+  new value, which is at least the target, and a rise of v raises best to
+  the new e(v) - w when that is higher.
 
-When node u rises from old to new, a predecessor edge (t,u) changes only if
-old <= e(t) + w < new: it held and now fails.  An edge with e(t) + w < old
-failed already, so by I1 and I2 touching it would neither change a count
-nor queue a node, and the loop skips it.  On a unit-step list a finite new
+When node u rises from old to new, an edge (t,u) from an Alice node t
+changes her count only if old <= e(t) + w < new: it held and now fails.  An edge with e(t) + w < old failed already, so by I2 touching it
+would neither change a count nor queue a node, and the loop skips it.  The
+skip does not cover Bob's predecessors: an edge that already fails still
+rises to new - w, which his best must follow (I3).  There, new - w > best[t]
+both raises his best and, on an unqueued node, says that the edge held and
+now fails (I1), so it queues him.  On a unit-step list a finite new
 value is the min target itself, so the out-edges that hold at an Alice node
 are exactly those that reach the min: the min pass counts them, and no
 second pass over the out-edges is needed.  At INF every out-edge holds.
@@ -58,7 +69,7 @@ class ViterResult:
     energies: EnergyFn
     updates: tuple[int, ...]  # updates per node
     steps: int  # list positions advanced, summed over all updates
-    edge_work: int  # out- plus in-degree touched per update
+    edge_work: int  # out- plus in-degree summed over updates
     complete: bool = True  # False when a limit stopped the run before its fixed point
 
     @property
@@ -85,32 +96,38 @@ def solve_with_list(
         weights = graph._weights
     elif len(weights) != graph.m:
         raise ValueError(f"{len(weights)} weights for {graph.m} edges")
-    # Every node starts at the smallest value, where an edge (u,v,w) satisfies
-    # e(u) + w >= e(v) iff w >= 0: count[u] is the number of such edges.
-    count = [0] * n
-    for src, weight in zip(sources, weights):
-        if weight >= 0:
-            count[src] += 1
-
     # Rounding up to a list member is inline.  A node is updated only while
     # violated, so its target exceeds its value, which is at least the first
     # member: no clamp at the bottom is needed, and the assert below guards
     # that invariant.  Anything above the top member rounds to INF.
     finite = admissible.finite
     length = len(finite)
+    first = finite[0]
     top = finite[-1]
     arithmetic = isinstance(finite, range)
     start = finite.start if arithmetic else 0
     step = finite.step if arithmetic else 1
     unit = arithmetic and step == 1  # every integer from start to top is a member
     ceil_shift = step - 1 - start  # (x + ceil_shift) // step = ceil((x - start) / step)
-    e: list[Energy] = [finite[0]] * n
+    e: list[Energy] = [first] * n
+
+    # Every node starts at the first member, where an edge (u,v,w) holds iff
+    # w >= 0: count[u] is the number of such edges, and best[u] (I3) is the
+    # max of first and of first - w over the others.  Both are kept for one
+    # owner only: count for Alice, best for Bob.
+    count = [0] * n
+    best: list[Energy] = [first] * n
+    for src, weight in zip(sources, weights):
+        if weight >= 0:
+            count[src] += 1
+        elif first - weight > best[src]:
+            best[src] = first - weight
 
     pending: list[int] = []
     queued = [False] * n
     for u in range(n):
         # Alice violates when no out-edge holds, Bob when some out-edge fails.
-        violated = count[u] == 0 if is_alice[u] else count[u] < len(succ[u])
+        violated = count[u] == 0 if is_alice[u] else best[u] > first
         if violated:
             pending.append(u)
             queued[u] = True
@@ -123,10 +140,10 @@ def solve_with_list(
         for u in pending:
             queued[u] = False
             old = e[u]
-            out = succ[u]
             alice = is_alice[u]
-            # Explicit loops: about 15% faster than min/max over a built list.
             if alice:
+                # Explicit loop: about 15% faster than min over a built list.
+                out = succ[u]
                 target = INF
                 ties = 0  # out-edges that reach the min
                 for v, i in out:
@@ -137,11 +154,7 @@ def solve_with_list(
                     elif x == target:
                         ties += 1
             else:
-                target = -INF
-                for v, i in out:
-                    x = e[v] - weights[i]
-                    if x > target:
-                        target = x
+                target = best[u]  # the max over his out-edges (I3)
             if target > top:
                 new = INF
                 infinite += 1
@@ -155,30 +168,37 @@ def solve_with_list(
             e[u] = new
             updates[u] += 1
             edge_work += work[u]
-            if alice:
-                if new == INF:
-                    count[u] = len(out)
-                elif unit:
-                    count[u] = ties  # new == target: the edges that hold
-                else:
-                    c = 0
-                    for v, i in out:
-                        if new + weights[i] >= e[v]:
-                            c += 1
-                    count[u] = c
-            # Only an edge that held at old and fails at new changes a count
-            # or queues a node; an edge that failed already cannot (I1, I2).
+            if not alice:
+                best[u] = new  # new >= target: every out-edge holds
+            elif new == INF:
+                count[u] = len(out)
+            elif unit:
+                count[u] = ties  # new == target: the edges that hold
+            else:
+                c = 0
+                for v, i in out:
+                    if new + weights[i] >= e[v]:
+                        c += 1
+                count[u] = c
             for t, i in pred[u]:
-                if old <= e[t] + weights[i] < new:
-                    if is_alice[t]:
+                if is_alice[t]:
+                    # Only an edge that held at old and fails at new changes
+                    # a count or queues a node; one that failed already
+                    # cannot (I2).
+                    if old <= e[t] + weights[i] < new:
                         c = count[t] - 1
                         count[t] = c
                         if not c and not queued[t]:
                             next_round.append(t)
                             queued[t] = True
-                    elif not queued[t]:
-                        next_round.append(t)
-                        queued[t] = True
+                else:
+                    # The edge's value new - w rises whether or not it held.
+                    x = new - weights[i]
+                    if x > best[t]:
+                        best[t] = x  # above e(t): the edge fails
+                        if not queued[t]:
+                            next_round.append(t)
+                            queued[t] = True
         pending = next_round
 
     # Every node starts at position 0 and only rises.

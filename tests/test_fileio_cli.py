@@ -181,6 +181,16 @@ class TestGameFiles:
         assert message.startswith(f"line {line_no}: {prefix}")
         assert len(message) < 200
 
+    def test_integers_past_the_str_digit_limit_roundtrip(self):
+        # Python 3.11 converts at most 4,300 digits by default; weights of
+        # 5,000 digits, one with zeros on either side of a piece boundary.
+        graph = GameGraph((ALICE, BOB), ((0, 1, 10**5000 + 7 * 10**2000), (1, 0, 1 - 10**5000), (0, 1, 5)))
+        text = emit_game(graph)
+        digits = "1" + "0" * 2999 + "7" + "0" * 2000
+        assert text.splitlines()[3:] == [f"e 0 1 {digits}", "e 1 0 -" + "9" * 5000, "e 0 1 5"]
+        assert parse_game(text) == graph
+        assert emit_game(parse_game(text)) == text
+
     def test_comments_stay_free_form(self, fig1):
         assert parse_game("# caf\u00e9 +1 1_000 \u0663\n" + FIG1_TEXT) == fig1
 
@@ -205,6 +215,27 @@ class TestEnergyFiles:
     def test_roundtrip(self):
         energies = (0, 4, INF, 17)
         assert parse_energies(emit_energies(energies), 4) == energies
+
+    def test_values_past_the_str_digit_limit_roundtrip(self):
+        energies = ((10**2500 - 1) * 10**2500, INF, 10**5000)
+        text = emit_energies(energies)
+        assert text.splitlines() == ["v 0 " + "9" * 2500 + "0" * 2500, "v 1 inf", "v 2 1" + "0" * 5000]
+        assert parse_energies(text, 3) == energies
+
+    @pytest.mark.parametrize(
+        "value, prefix",
+        [
+            ("-" + "9" * 5000, "energy must be non-negative, got -999"),
+            ("9" * 100_000 + "x", "energy must be a non-negative integer or 'inf', got '999"),
+        ],
+        ids=["negative", "malformed"],
+    )
+    def test_long_bad_values_are_quoted_in_part(self, value, prefix):
+        with pytest.raises(GameFileError) as err:
+            parse_energies(f"v 0 {value}\n", 1)
+        message = str(err.value)
+        assert message.startswith(f"line 1: {prefix}")
+        assert len(message) < 200
 
     def test_inf_literal(self):
         assert "inf" in emit_energies((INF,))

@@ -17,7 +17,8 @@ from energygames import (
     window_list,
 )
 from energygames.admissible import AdmissibleList
-from energygames.generators import GenSpec, high_penalty_family, windowed_game
+from energygames.generators import GenSpec, high_penalty_family, random_game, windowed_game
+from energygames.reductions import to_win_everywhere
 from energygames.value_iteration import ViterResult
 
 from game_helpers import small_random
@@ -298,6 +299,28 @@ class TestReferenceKernel:
         # update chains than the 6-node games.
         for seed in range(300):
             graph = small_random(seed, max_n=12, max_w=1000, max_out=4)
+            for lst in _list_shapes(graph):
+                assert solve_with_list(graph, lst) == reference_solve_with_list(graph, lst)
+
+    def test_bob_and_alice_heavy_games_on_every_list_shape(self):
+        # One owner holds about 90% of the nodes: Bob's kept max (I3) then
+        # carries most updates, or hardly any.
+        for seed in range(100):
+            for alice_pct in (10, 90):
+                graph = random_game(GenSpec("random", 12, 30, 100, seed, alice_pct=alice_pct))
+                for lst in _list_shapes(graph):
+                    assert solve_with_list(graph, lst) == reference_solve_with_list(graph, lst)
+
+    def test_win_everywhere_outputs_on_every_list_shape(self):
+        # An input edge that enters the start node gives its Bob relay two
+        # parallel edges into the start, free and generous: a rise of the
+        # start must raise his kept max through both.
+        for seed in range(40):
+            source = small_random(seed)
+            start = source.edges[seed % source.m][1]
+            graph, _, _ = to_win_everywhere(source, start)
+            into_start = [src for src, dst, _ in graph.edges if dst == start and graph.owners[src] == BOB]
+            assert len(into_start) > len(set(into_start))
             for lst in _list_shapes(graph):
                 assert solve_with_list(graph, lst) == reference_solve_with_list(graph, lst)
 
