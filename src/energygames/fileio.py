@@ -112,7 +112,10 @@ def parse_game(text: str) -> GameGraph:
     try:
         n, m = int(parts[2]), int(parts[3])
     except ValueError:
-        raise GameFileError(line_no, f"non-integer counts in header {_quote(header)}") from None
+        try:
+            n, m = map(_long_int, parts[2:])
+        except ValueError:
+            raise GameFileError(line_no, f"non-integer counts in header {_quote(header)}") from None
     if n < 0 or m < 0:
         raise GameFileError(line_no, f"invalid counts in header {_quote(header)}")
     for count, text, kind in ((n, parts[2], "nodes"), (m, parts[3], "edges")):  # one record each
@@ -129,7 +132,10 @@ def parse_game(text: str) -> GameGraph:
             try:
                 node = int(parts[1])
             except ValueError:
-                raise GameFileError(line_no, f"non-integer node id in {_quote(line)}") from None
+                try:
+                    node = _long_int(parts[1])
+                except ValueError:
+                    raise GameFileError(line_no, f"non-integer node id in {_quote(line)}") from None
             if not 0 <= node < n:
                 raise GameFileError(line_no, f"node id {_quote(parts[1], str)} out of range 0..{n - 1}")
             if owners[node] is not None:
@@ -183,7 +189,10 @@ def parse_energies(text: str, n: int) -> EnergyFn:
         try:
             node = int(parts[1])
         except ValueError:
-            raise GameFileError(line_no, f"non-integer node id in {_quote(line)}") from None
+            try:
+                node = _long_int(parts[1])
+            except ValueError:
+                raise GameFileError(line_no, f"non-integer node id in {_quote(line)}") from None
         if not 0 <= node < n:
             raise GameFileError(line_no, f"node id {_quote(parts[1], str)} out of range 0..{n - 1}")
         if node != expected:

@@ -552,7 +552,7 @@ class TestSolveDriver:
         assert [(g.penalty_guess, g.accepted) for g in report.guesses] == [(3, True)]
 
     def test_penalty_hint_never_changes_the_answer(self):
-        hints = (1, 2, 3, Fraction(7, 2), 10, 1000)
+        hints = (1, 2, 3, Fraction(7, 2), 10, 1000, INF)
         for seed in range(120):
             graph = small_random(seed)
             exact = brute_force_energies(graph)
@@ -854,6 +854,55 @@ class TestLosingRegion:
         assert report.region.size == completed.n and not report.region.certified
         assert report.guesses and report.energies == full_range(completed)
         assert INF not in report.energies
+        # a 12-node random game floods the same way through four rounds but
+        # has 8 losing nodes, so the guess loop on the whole graph drops them
+        # at a guess's first level: a deeper level refutes five coarse
+        # guesses, three of which dropped 3 nodes first, and the fallback, a
+        # guess below 2, drops all 8
+        graph = random_game(GenSpec("random", 12, 30, 100, 3663))
+        report = solve(graph)
+        assert (report.region.size, report.region.certified, report.region.rounds) == (12, False, 4)
+        assert [guess.phases[0].dropped for guess in report.guesses] == [0, 0, 3, 3, 3, 8]
+        assert [guess.accepted for guess in report.guesses] == [False] * 5 + [True]
+        assert report.fallback_used
+        assert report.energies == full_range(graph)
+        assert report.energies.count(INF) == 8
+
+    @pytest.mark.parametrize(
+        "graph, outcome, stopped, rounds, size",
+        [
+            (random_game(GenSpec("random", 12, 30, 100, 1)), "empty", 0, 1, 0),
+            (random_game(GenSpec("random", 12, 30, 100, 5)), "inside", 0, 1, 4),
+            (zero_cycle_game(1), "whole", 4, 5, 100),
+            (random_game(GenSpec("random", 12, 30, 100, 6)), "left", 0, 1, 0),
+            (random_game(GenSpec("random", 12, 30, 100, 4)), "empty", 1, 2, 0),
+            (random_game(GenSpec("random", 12, 30, 100, 14)), "given up", 4, 4, 12),
+        ],
+        ids=["empty-trap", "inside", "whole-graph", "left-infinite", "stopped-by-limit", "given-up"],
+    )
+    def test_region_ends_every_way_it_can(self, graph, outcome, stopped, rounds, size):
+        # Each round runs the primal and, on a non-empty trap S', the dual, so
+        # a certified region whose last round holds two phases ended at a
+        # completed dual run; every other dual run was stopped by its
+        # edge-work limit.  A completed run certifies L strictly inside the
+        # graph, or the whole graph, or leaves some of S' infinite; a region
+        # with no dual run certified an empty S'; the rounds give up at n*W.
+        region, measure = _losing_region(graph)
+        completed = region.certified and len(region.phases) == 2 * region.rounds
+        if not region.certified:
+            ended = "given up"
+        elif not completed:
+            ended = "empty"
+        elif region.phases[-1].dropped:
+            ended = "left"
+        else:
+            ended = "whole" if region.size == graph.n else "inside"
+        assert (ended, len(region.phases) - region.rounds - completed) == (outcome, stopped)
+        assert (region.rounds, region.size) == (rounds, size)
+        expected = full_range(graph)
+        if region.certified:
+            assert infinite_set(measure) == infinite_set(expected)
+        assert solve(graph).energies == expected
 
     def test_zero_cycle_family_matches_full_range(self):
         outcomes = []

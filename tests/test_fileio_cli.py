@@ -167,11 +167,14 @@ class TestGameFiles:
         "text, line_no, prefix",
         [
             ("p eg " + "9" * 4000 + " 0\n", 1, "header promised 999"),
+            ("p eg " + "9" * 5000 + " 1\n", 1, "header promised 999"),
+            ("p eg 0 " + "9" * 5000 + "\n", 1, "header promised 999"),
             ("p eg 2 1\nv " + "9" * 4000 + " A\nv 1 B\ne 0 1 1\n", 2, "node id 999"),
+            ("p eg 2 1\nv " + "9" * 5000 + " A\nv 1 B\ne 0 1 1\n", 2, "node id 999"),
             ("p eg 2 1\nv 0 A\nv 1 B\ne 0 " + "9" * 4000 + " 1\n", 4, "edge target 999"),
             ("p eg 50000 50000\n" + "e 0 1 1\n" * 50000, 0, "missing node declarations: 50000 of 50000 nodes, from node 0"),
         ],
-        ids=["header-count", "node-id", "edge-target", "missing-nodes"],
+        ids=["header-count", "header-count-5000", "edge-count-5000", "node-id", "node-id-5000", "edge-target", "missing-nodes"],
     )
     def test_long_numbers_and_lists_are_bounded(self, text, line_no, prefix):
         with pytest.raises(GameFileError) as err:
@@ -301,9 +304,10 @@ class TestEnergyFiles:
         "text, prefix",
         [
             ("v " + "9" * 4000 + " 0\n", "node id 999"),
+            ("v " + "9" * 5000 + " 0\n", "node id 999"),
             ("v 0 -" + "9" * 4000 + "\n", "energy must be non-negative, got -999"),
         ],
-        ids=["node-id", "negative-energy"],
+        ids=["node-id", "node-id-5000", "negative-energy"],
     )
     def test_long_numbers_are_quoted_in_part(self, text, prefix):
         with pytest.raises(GameFileError) as err:
@@ -702,7 +706,7 @@ class TestCli:
         assert main(["approx", str(path), "--error", "9"]) == 0
         captured = capsys.readouterr()
         assert parse_energies(captured.out, 3) == (0, 0, 6)
-        assert "B=3" in captured.err
+        assert captured.err == "granularity B=3 (band width n*B=9)\n"
 
     def test_approx_error_below_nodes_is_usage_error(self, tmp_path, capsys):
         game = self._write_fig1(tmp_path)

@@ -297,19 +297,37 @@ class TestReferenceKernel:
     def test_twelve_node_games_on_every_list_shape(self):
         # Up to 12 nodes of out-degree up to 4 and weights up to 1000: longer
         # update chains than the 6-node games.
+        capped_drops = 0
         for seed in range(300):
             graph = small_random(seed, max_n=12, max_w=1000, max_out=4)
+            results = []
             for lst in _list_shapes(graph):
-                assert solve_with_list(graph, lst) == reference_solve_with_list(graph, lst)
+                results.append(solve_with_list(graph, lst))
+                assert results[-1] == reference_solve_with_list(graph, lst)
+            full, capped = results[0], results[-1]
+            capped_drops += capped.energies.count(INF) > full.energies.count(INF)
+        # the capped list makes a node infinite wherever some finite energy
+        # is positive
+        assert capped_drops == 149
 
     def test_bob_and_alice_heavy_games_on_every_list_shape(self):
         # One owner holds about 90% of the nodes: Bob's kept max (I3) then
         # carries most updates, or hardly any.
+        bob_updates = {10: 0, 90: 0}
+        all_updates = {10: 0, 90: 0}
         for seed in range(100):
             for alice_pct in (10, 90):
                 graph = random_game(GenSpec("random", 12, 30, 100, seed, alice_pct=alice_pct))
                 for lst in _list_shapes(graph):
-                    assert solve_with_list(graph, lst) == reference_solve_with_list(graph, lst)
+                    result = solve_with_list(graph, lst)
+                    assert result == reference_solve_with_list(graph, lst)
+                    bob_updates[alice_pct] += sum(
+                        count for v, count in enumerate(result.updates) if graph.owners[v] == BOB
+                    )
+                    all_updates[alice_pct] += result.total_updates
+        # Bob's nodes take 88% of the updates in the Bob-heavy games, 24% in
+        # the Alice-heavy ones
+        assert (bob_updates, all_updates) == ({10: 48070, 90: 1437}, {10: 54769, 90: 5951})
 
     def test_win_everywhere_outputs_on_every_list_shape(self):
         # An input edge that enters the start node gives its Bob relay two
