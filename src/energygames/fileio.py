@@ -11,28 +11,32 @@ Energy files carry one ``v <id> <value>`` line per node, ids ascending, with
 the literal ``inf`` for infinite energies.  Emitters produce canonical files
 (no comments, ids ascending, edges in stored order); parsing a canonical file
 and re-emitting it is byte-identical.
+
+Every integer field (counts, node ids, weights, energies) is ASCII digits
+with an optional ``-``, of any length.  ``_int`` reads it with ``int()``;
+past Python's integer-string limit (4,300 digits by default from 3.11 on,
+never below 640) it reads the digits in pieces of at most 640, and the
+emitters write them in pieces, so that process-wide limit is never changed.
 """
 
 from __future__ import annotations
 
 from .core import ALICE, BOB, INF, Edge, EnergyFn, GameGraph
 
-# Python 3.11 and later refuse int() and str() conversions of integers with
-# more digits than sys.get_int_max_str_digits(), 4,300 by default and never
-# below 640.  Raising that limit would change it for the whole process, so a
-# conversion that raises is done again in pieces of at most 640 digits.
-_PIECE = 640
+_PIECE = 640  # the least integer-string limit Python allows
 _PIECE_BOUND = 10**_PIECE
 
 
-def _long_int(text: str) -> int:
-    """int(text) for an optionally negative run of ASCII digits of any
-    length; raises ValueError on anything else.  Called only after int()
-    has raised, so the common path pays nothing."""
-    negative = text.startswith("-")
-    digits = text[negative:]
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError("not a decimal integer")
+def _int(text: str) -> int:
+    """The integer of an optionally negative run of ASCII digits of any
+    length; raises ValueError on anything else."""
+    try:
+        return int(text)
+    except ValueError:  # not such a run, or one past the digit limit
+        negative = text.startswith("-")
+        digits = text[negative:]
+        if not (digits.isascii() and digits.isdigit()):
+            raise
 
     def read(digits: str) -> int:
         if len(digits) <= _PIECE:
@@ -101,6 +105,25 @@ def _significant_lines(text: str):
         yield line_no, line
 
 
+def _ints(texts: list[str], line_no: int, message: str) -> list[int]:
+    """The integers of texts, or a GameFileError with message."""
+    try:
+        return [_int(text) for text in texts]
+    except ValueError:
+        raise GameFileError(line_no, message) from None
+
+
+def _node_id(text: str, line: str, line_no: int, n: int) -> int:
+    """The node id in text, a field of line, checked to lie in 0..n-1."""
+    try:
+        node = _int(text)
+    except ValueError:
+        raise GameFileError(line_no, f"non-integer node id in {_quote(line)}") from None
+    if not 0 <= node < n:
+        raise GameFileError(line_no, f"node id {_quote(text, str)} out of range 0..{n - 1}")
+    return node
+
+
 def parse_game(text: str) -> GameGraph:
     lines = list(_significant_lines(text))
     if not lines:
@@ -109,13 +132,7 @@ def parse_game(text: str) -> GameGraph:
     parts = header.split()
     if len(parts) != 4 or parts[0] != "p" or parts[1] != "eg":
         raise GameFileError(line_no, f"expected 'p eg <n> <m>', got {_quote(header)}")
-    try:
-        n, m = int(parts[2]), int(parts[3])
-    except ValueError:
-        try:
-            n, m = map(_long_int, parts[2:])
-        except ValueError:
-            raise GameFileError(line_no, f"non-integer counts in header {_quote(header)}") from None
+    n, m = _ints(parts[2:], line_no, f"non-integer counts in header {_quote(header)}")
     if n < 0 or m < 0:
         raise GameFileError(line_no, f"invalid counts in header {_quote(header)}")
     for count, text, kind in ((n, parts[2], "nodes"), (m, parts[3], "edges")):  # one record each
@@ -129,15 +146,7 @@ def parse_game(text: str) -> GameGraph:
         if parts[0] == "v":
             if len(parts) != 3:
                 raise GameFileError(line_no, f"expected 'v <id> <A|B>', got {_quote(line)}")
-            try:
-                node = int(parts[1])
-            except ValueError:
-                try:
-                    node = _long_int(parts[1])
-                except ValueError:
-                    raise GameFileError(line_no, f"non-integer node id in {_quote(line)}") from None
-            if not 0 <= node < n:
-                raise GameFileError(line_no, f"node id {_quote(parts[1], str)} out of range 0..{n - 1}")
+            node = _node_id(parts[1], line, line_no, n)
             if owners[node] is not None:
                 raise GameFileError(line_no, f"duplicate declaration of node {node}")
             if parts[2] not in (ALICE, BOB):
@@ -149,13 +158,10 @@ def parse_game(text: str) -> GameGraph:
             try:
                 src, dst, weight = int(parts[1]), int(parts[2]), int(parts[3])
             except ValueError:
-                try:
-                    src, dst, weight = map(_long_int, parts[1:])
-                except ValueError:
-                    raise GameFileError(line_no, f"non-integer field in {_quote(line)}") from None
-            for end, node, text in (("source", src, parts[1]), ("target", dst, parts[2])):
-                if not 0 <= node < n:
-                    raise GameFileError(line_no, f"edge {end} {_quote(text, str)} out of range 0..{n - 1}")
+                src, dst, weight = _ints(parts[1:], line_no, f"non-integer field in {_quote(line)}")
+            if not 0 <= src < n > dst >= 0:  # both ends in 0..n-1
+                end, text = ("target", parts[2]) if 0 <= src < n else ("source", parts[1])
+                raise GameFileError(line_no, f"edge {end} {_quote(text, str)} out of range 0..{n - 1}")
             edges.append((src, dst, weight))
         else:
             raise GameFileError(line_no, f"unknown record {_quote(parts[0])}")
@@ -186,15 +192,7 @@ def parse_energies(text: str, n: int) -> EnergyFn:
         parts = line.split()
         if len(parts) != 3 or parts[0] != "v":
             raise GameFileError(line_no, f"expected 'v <id> <value|inf>', got {_quote(line)}")
-        try:
-            node = int(parts[1])
-        except ValueError:
-            try:
-                node = _long_int(parts[1])
-            except ValueError:
-                raise GameFileError(line_no, f"non-integer node id in {_quote(line)}") from None
-        if not 0 <= node < n:
-            raise GameFileError(line_no, f"node id {_quote(parts[1], str)} out of range 0..{n - 1}")
+        node = _node_id(parts[1], line, line_no, n)
         if node != expected:
             raise GameFileError(line_no, f"node ids must ascend from 0; expected {expected}")
         expected += 1
@@ -202,14 +200,11 @@ def parse_energies(text: str, n: int) -> EnergyFn:
             values[node] = INF
         else:
             try:
-                value = int(parts[2])
+                value = _int(parts[2])
             except ValueError:
-                try:
-                    value = _long_int(parts[2])
-                except ValueError:
-                    raise GameFileError(
-                        line_no, f"energy must be a non-negative integer or 'inf', got {_quote(parts[2])}"
-                    ) from None
+                raise GameFileError(
+                    line_no, f"energy must be a non-negative integer or 'inf', got {_quote(parts[2])}"
+                ) from None
             if value < 0:
                 raise GameFileError(line_no, f"energy must be non-negative, got {_quote(parts[2], str)}")
             values[node] = value

@@ -5,7 +5,10 @@ own name so that no other suite's conftest can shadow it on import."""
 import itertools
 
 from energygames import ALICE, BOB, GameGraph
-from energygames.generators import GenSpec, SplitMix64, random_game
+from energygames.generators import GenSpec, SplitMix64, high_penalty_family, random_game, windowed_game
+
+# A 3-node game with minimal energies (9, 0, 10).
+SHALLOW_TRAP = GameGraph((ALICE, BOB, BOB), ((0, 1, -9), (0, 2, 0), (1, 0, 10), (2, 0, -1)))
 
 
 def small_random(seed: int, max_n: int = 6, max_w: int = 10, max_out: int = 3) -> GameGraph:
@@ -22,6 +25,27 @@ def small_random(seed: int, max_n: int = 6, max_w: int = 10, max_out: int = 3) -
         max_out=max_out,
     )
     return random_game(spec)
+
+
+def high_penalty_instance(seed: int, max_weight: int = 8) -> GameGraph:
+    return high_penalty_family(choices=2 + seed % 3, max_weight=max_weight, seed=seed)
+
+
+def windowed_instance(seed: int):
+    """A (spec, (graph, centers)) pair of windowed_game with n <= 5."""
+    n = 3 + seed % 3
+    spec = GenSpec(
+        "window",
+        n=n,
+        m=min(n + seed % (n + 2), n * (n - 1)),
+        max_weight=12,
+        seed=seed,
+        d=1 + seed % 2,
+        delta=seed % 3,
+        center_lo=-7,
+        center_hi=7,
+    )
+    return spec, windowed_game(spec)
 
 
 def zero_cycle_game(seed: int, n: int = 100, max_weight: int = 3) -> GameGraph:

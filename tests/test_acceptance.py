@@ -31,11 +31,16 @@ from energygames import (
     window_list,
 )
 from energygames.exact import solve
-from energygames.generators import GenSpec, high_penalty_family, random_game, windowed_game
+from energygames.generators import GenSpec, high_penalty_family, random_game
 
-from game_helpers import induced_subgraph, simple_cycles, small_random
-
-SMALL_W = 10
+from game_helpers import (
+    SHALLOW_TRAP,
+    high_penalty_instance,
+    induced_subgraph,
+    simple_cycles,
+    small_random,
+    windowed_instance,
+)
 
 
 def criterion(number: int, title: str):
@@ -55,47 +60,10 @@ def criterion(number: int, title: str):
     return wrap
 
 
-def random_small(seed: int) -> GameGraph:
-    """n <= 6, out-degree <= 3, |w| <= 10, deterministic in the seed."""
-    n = 2 + seed % 5
-    cap = min(3, n - 1)
-    m = n + seed % (n * cap - n + 1)
-    return random_game(
-        GenSpec("random", n=n, m=m, max_weight=1 + seed % SMALL_W, seed=seed, max_out=3)
-    )
-
-
-def high_penalty_instance(seed: int, max_weight: int = 8) -> GameGraph:
-    return high_penalty_family(choices=2 + seed % 3, max_weight=max_weight, seed=seed)
-
-
-def windowed_instance(seed: int):
-    n = 3 + seed % 3  # n <= 5
-    spec = GenSpec(
-        "window",
-        n=n,
-        m=min(n + seed % (n + 2), n * (n - 1)),
-        max_weight=12,
-        seed=seed,
-        d=1 + seed % 2,
-        delta=seed % 3,
-        center_lo=-7,
-        center_hi=7,
-    )
-    return spec, windowed_game(spec)
-
-
-FIG3 = GameGraph((ALICE, BOB, BOB), ((0, 1, 7), (0, 2, 2), (1, 2, 4), (2, 0, -8)))
-
-SHALLOW_TRAP = GameGraph(
-    (ALICE, BOB, BOB), ((0, 1, -9), (0, 2, 0), (1, 0, 10), (2, 0, -1))
-)
-
-
 @criterion(1, "oracle equivalence on 500 random instances")
 def test_criterion_1_oracle_equivalence():
     for seed in range(500):
-        graph = random_small(seed)
+        graph = small_random(seed)
         exact = brute_force_energies(graph)
         iterated = solve_with_list(graph, full_list(graph.default_bound()))
         assert iterated.energies == exact
@@ -103,13 +71,13 @@ def test_criterion_1_oracle_equivalence():
 
 
 @criterion(2, "reference instance: penalties (3,3,3), energies (0,4,8)")
-def test_criterion_2_reference_instance():
-    report = brute_force_penalty(FIG3)
+def test_criterion_2_reference_instance(fig3):
+    report = brute_force_penalty(fig3)
     assert report.per_node == (Fraction(3), Fraction(3), Fraction(3))
     assert report.graph_penalty == 3
-    energies = brute_force_energies(FIG3)
+    energies = brute_force_energies(fig3)
     assert energies == (0, 4, 8)
-    assert verify_minimal(FIG3, energies)
+    assert verify_minimal(fig3, energies)
 
 
 @criterion(3, "approximation band with identical infinite sets")
@@ -151,9 +119,9 @@ def test_criterion_4_windowed_lists():
 
 
 @criterion(5, "exact driver sound on every family")
-def test_criterion_5_driver_soundness():
-    instances: list[GameGraph] = [FIG3, SHALLOW_TRAP]
-    instances += [random_small(seed) for seed in range(200)]
+def test_criterion_5_driver_soundness(fig3):
+    instances: list[GameGraph] = [fig3, SHALLOW_TRAP]
+    instances += [small_random(seed) for seed in range(200)]
     instances += [high_penalty_instance(seed) for seed in range(40)]
     instances += [windowed_instance(seed)[1][0] for seed in range(40)]
     for n in (2, 3, 4, 5):  # forced cycles of penalty exactly 1/n
@@ -259,7 +227,7 @@ def test_criterion_8_structural_cycle_guarantees():
 
     # cycle totals are invariant under the potential transform
     for seed in range(60):
-        graph = random_small(seed)
+        graph = small_random(seed)
         exact = brute_force_energies(graph)
         transform = apply_potential(graph, exact)
         survivors = induced_subgraph(graph, set(transform.kept))
@@ -267,7 +235,7 @@ def test_criterion_8_structural_cycle_guarantees():
 
     # cycles with average <= -B stay strictly negative after rounding
     for seed in range(60):
-        graph = random_small(seed)
+        graph = small_random(seed)
         for granularity in (1, 2, 3, 5):
             rounded = round_weights(graph, granularity)
             before = list(simple_cycles(graph))

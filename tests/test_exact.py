@@ -32,13 +32,13 @@ from energygames.exact import (
 )
 from energygames.generators import GenSpec, high_penalty_family, multiples_game, random_game
 
-from game_helpers import induced_subgraph, small_random, zero_cycle_game
-from test_acceptance import (
-    FIG3,
+from game_helpers import (
     SHALLOW_TRAP,
     high_penalty_instance,
-    random_small,
+    induced_subgraph,
+    small_random,
     windowed_instance,
+    zero_cycle_game,
 )
 
 
@@ -608,7 +608,7 @@ def reduction_outputs_alice_wins():
 
 
 class TestStartBound:
-    def test_broken_measure_costs_time_not_the_answer(self, monkeypatch):
+    def test_broken_measure_costs_time_not_the_answer(self, monkeypatch, fig3):
         # a measure that no longer bounds e* starts the rest's guess loop
         # below e*; where a node of the rest then comes back infinite, solve
         # runs the loop again from n'W' of the rest, and the answer stays.
@@ -621,7 +621,7 @@ class TestStartBound:
             (lambda graph, top: range(graph.n), 0, 58),
             (lambda graph, top: range(graph.n), -1, 58),  # max b is clamped to 0
         )
-        instances = [FIG3, DEEP_TRAP] + [small_random(seed) for seed in range(120)]
+        instances = [fig3, DEEP_TRAP] + [small_random(seed) for seed in range(120)]
         instances.append(random_game(GenSpec("random", 200, 800, 100, 1)))
         real_trim = exact._trim
         counts = []
@@ -708,11 +708,10 @@ class TestStartBound:
 
 
 class TestLosingRegion:
-    def test_certified_region_is_the_oracles_infinite_set(self):
+    def test_certified_region_is_the_oracles_infinite_set(self, fig3):
+        # acceptance criterion 5's families; its small_random seeds are 0..199
         instances = [small_random(seed) for seed in range(500)]
-        # acceptance criterion 5's families
-        instances += [FIG3, SHALLOW_TRAP]
-        instances += [random_small(seed) for seed in range(200)]
+        instances += [fig3, SHALLOW_TRAP]
         instances += [high_penalty_instance(seed) for seed in range(40)]
         instances += [windowed_instance(seed)[1][0] for seed in range(40)]
         for n in (2, 3, 4, 5):

@@ -109,6 +109,7 @@ class TestGameFiles:
             ("p eg 2 1\nv 0 A\nv 1 B\ne 0 1\n", "expected 'e <src> <dst> <w>'"),
             ("p eg 2 1\nv 0 A\nv 1 B\ne 0 1 x\n", "non-integer field"),
             ("p eg 2 1\nv 0 A\nv 1 B\ne 5 1 1\n", "edge source 5 out of range 0..1"),
+            ("p eg 2 1\nv 0 A\nv 1 B\ne 5 7 1\n", "edge source 5 out of range 0..1"),
             ("p eg 2 1\nv 0 A\nv 1 B\n", "header promised 1 edges, found 0"),
         ],
     )
@@ -172,9 +173,11 @@ class TestGameFiles:
             ("p eg 2 1\nv " + "9" * 4000 + " A\nv 1 B\ne 0 1 1\n", 2, "node id 999"),
             ("p eg 2 1\nv " + "9" * 5000 + " A\nv 1 B\ne 0 1 1\n", 2, "node id 999"),
             ("p eg 2 1\nv 0 A\nv 1 B\ne 0 " + "9" * 4000 + " 1\n", 4, "edge target 999"),
+            ("p eg 2 1\nv 0 A\nv 1 B\ne " + "9" * 5000 + " 1 1\n", 4, "edge source 999"),
+            ("p eg 2 1\nv 0 A\nv 1 B\ne 0 " + "9" * 5000 + " 1\n", 4, "edge target 999"),
             ("p eg 50000 50000\n" + "e 0 1 1\n" * 50000, 0, "missing node declarations: 50000 of 50000 nodes, from node 0"),
         ],
-        ids=["header-count", "header-count-5000", "edge-count-5000", "node-id", "node-id-5000", "edge-target", "missing-nodes"],
+        ids=["header-count", "header-count-5000", "edge-count-5000", "node-id", "node-id-5000", "edge-target", "edge-source-5000", "edge-target-5000", "missing-nodes"],
     )
     def test_long_numbers_and_lists_are_bounded(self, text, line_no, prefix):
         with pytest.raises(GameFileError) as err:
