@@ -12,7 +12,7 @@ import functools
 import sys
 from fractions import Fraction
 
-from .core import GameGraph, INF, validate
+from .core import GameGraph, INF, _check_node, validate
 from .exact import solve
 from .fileio import GameFileError, emit_energies, emit_game, parse_energies, parse_game
 from .generators import GenSpec, generate, windowed_game
@@ -139,7 +139,7 @@ def _cmd_solve(args) -> int:
     _write(emit_energies(report.energies), args.out)
     region = report.region
     print(
-        f"losing region: size={region.size} certified={'yes' if region.certified else 'no'} "
+        f"losing region: size={region.size} ended={region.ended} "
         f"rounds={region.rounds} updates={sum(p.updates for p in region.phases)}",
         file=sys.stderr,
     )
@@ -166,8 +166,7 @@ def _cmd_approx(args) -> int:
 
 def _cmd_decide(args) -> int:
     graph = _load_game(args.game)
-    if not 0 <= args.node < graph.n:
-        raise ValueError(f"node {args.node} out of range 0..{graph.n - 1}")
+    _check_node(graph, args.node)
     report = solve(graph)
     print("ALICE" if report.energies[args.node] != INF else "BOB")
     return EXIT_OK

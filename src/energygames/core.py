@@ -137,6 +137,14 @@ class GameGraph:
         return self.n * self.max_weight
 
 
+def _check_node(graph: GameGraph, node: int) -> None:
+    """Raise ValueError unless ``node`` is a node of ``graph``; a negative
+    index would alias a node from the end."""
+    if not 0 <= node < graph.n:
+        where = f" 0..{graph.n - 1}" if graph.n else ": the game has no nodes"
+        raise ValueError(f"node {node} out of range{where}")
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     problems: tuple[str, ...]

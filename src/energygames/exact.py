@@ -6,10 +6,10 @@ inside it with one budgeted run of a dual game and drops it
 (:func:`_losing_region`), since losing nodes would otherwise climb to the
 first level's bound in every guess.  The trim carries the pre-pass's
 progress measure to the rest, and its max is that bound there in place
-of the a-priori bound n*W; should a node of the rest come back infinite,
-the loop runs again from the rest's n*W.  On the rest it guesses a lower
-bound D on the game's penalty, halving it until a guess is accepted
-(:func:`_guess_loop`).  A guess runs levels on one graph
+of the a-priori bound n*W; should a node of the rest come back infinite
+from below the rest's n*W, the loop runs again from there.  On the rest it
+guesses a lower bound D on the game's penalty, halving it until a guess is
+accepted (:func:`_guess_loop`).  A guess runs levels on one graph
 (:func:`_solve_level`): each level solves the game re-weighted by the
 potential so far, its weights rounded up to a multiple of the level's
 granularity, and adds the result to the potential, until the potential is
@@ -42,17 +42,15 @@ from .value_iteration import ViterResult, solve_with_list
 @dataclass(frozen=True)
 class PhaseRecord:
     """One kernel call of a solve (:func:`_run_phase`): value iteration on
-    ``nodes`` nodes over the multiples of B = error_budget // nodes up to
-    ``bound``.  A guess level's budget is the next level's bound."""
+    ``nodes`` nodes over the multiples of ``granularity`` up to ``bound``."""
 
     nodes: int
     bound: int
-    error_budget: int
     granularity: int  # B; a guess ends at its first level that rounds nothing, or sooner
     updates: int
     steps: int
     edge_work: int
-    dropped: int  # nodes the call left infinite; only a guess's first level drops them
+    dropped: int  # nodes the call left infinite; of a guess's levels, only the first drops them
 
 
 @dataclass(frozen=True)
@@ -68,7 +66,7 @@ class RegionRecord:
     """The pre-pass that finds and certifies the losing region."""
 
     size: int  # |L| when certified, else nodes in the last round's trap S'
-    certified: bool
+    ended: str  # "empty" (no trap S'), "dual" (a completed dual run) or "given-up" (at n*W)
     rounds: int
     phases: tuple[PhaseRecord, ...]  # one per kernel call, primal and dual
 
@@ -150,22 +148,18 @@ def _error_budget(bound: int, n: int, floor: Fraction | None) -> int:
 
 
 def _run_phase(
-    graph: GameGraph, bound: int, floor: Fraction | None, phases: list[PhaseRecord],
+    graph: GameGraph, bound: int, granularity: int, phases: list[PhaseRecord],
     potential: list[int] | None = None, limit: int | None = None,
 ) -> ViterResult:
     """One kernel call on ``graph``: value iteration over the multiples of
-    B = budget // n up to ``bound``, where budget is the
-    :func:`_error_budget` under ``floor``.  It runs on the graph's own
-    weights, or with a ``potential`` on the rounded re-weighted ones
+    ``granularity`` up to ``bound``.  It runs on the graph's own weights, or
+    with a ``potential`` on the rounded re-weighted ones
     (:func:`_rounded_weights`), under the kernel's edge-work ``limit``;
     appends the call's record to ``phases``."""
-    n = graph.n
-    budget = _error_budget(bound, n, floor)
-    granularity = budget // n
     weights = None if potential is None else _rounded_weights(graph, potential, granularity)
     result = solve_with_list(graph, multiples_list(granularity, bound), weights, limit)
     phases.append(PhaseRecord(
-        n, bound, budget, granularity, result.total_updates, result.steps, result.edge_work,
+        graph.n, bound, granularity, result.total_updates, result.steps, result.edge_work,
         result.energies.count(INF),
     ))
     return result
@@ -180,9 +174,9 @@ def _solve_level(
     nothing.  Returns the energies, or None when a level below the first
     refutes D.
 
-    Each level is one :func:`_run_phase` under D: a level with bound M on
-    n nodes runs over the multiples of B = budget // n up to M, where budget
-    is its :func:`_error_budget`, the next level's bound.
+    Each level is one :func:`_run_phase`: a level with bound M on n nodes
+    runs over the multiples of B = budget // n up to M, where budget is its
+    :func:`_error_budget` under D, the next level's bound.
 
     A level is a potential pi, the sum of the results so far, and a
     granularity B.  Its rounded game keeps the edges of ``graph`` with the
@@ -203,7 +197,8 @@ def _solve_level(
     potential = [0] * graph.n
     first = True
     while graph.n:
-        result = _run_phase(graph, bound, floor, phases, potential)
+        budget = _error_budget(bound, graph.n, floor)
+        result = _run_phase(graph, bound, budget // graph.n, phases, potential)
         phase = phases[-1]
         if phase.dropped and not first:
             return None
@@ -214,7 +209,7 @@ def _solve_level(
             transform = apply_potential(graph, tuple(potential))
             graph = transform.graph
             potential = [0] * graph.n
-        bound = phase.error_budget
+        bound = budget
         first = False
     energies = tuple(potential)
     return energies if transform is None else transform.lift(energies)
@@ -283,26 +278,29 @@ def _trap_dual(graph: GameGraph, trap: list[int]) -> GameGraph:
     )
 
 
-def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[Energy] | None]:
-    """Find the losing region L and certify it.  Returns, for a certified
-    region, the primal measure carried through Alice's attractor
-    (:func:`_trim`), whose infinite set is L, and None otherwise.  Why a
-    certified L is the losing region is parts (a)-(c) of :func:`solve`.
+def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[Energy]]:
+    """Find the losing region L and certify it.  Returns the region's record
+    and a measure b whose finite values cap e*: when the region ended
+    "empty" or "dual", the primal measure carried through Alice's attractor
+    (:func:`_trim`), whose infinite set is L; when it ended "given-up", n*W
+    at every node, which drops nothing.  Why a certified L is the losing
+    region is parts (a)-(c) of :func:`solve`.
 
-    Round by round, a primal :func:`_run_phase` with no floor runs on the
-    true weights over the multiples of max(1, M // 2n) up to its cap M, which
-    doubles from max(W, 1); its infinite set S gives S' = S minus Alice's
-    attractor to the rest (:func:`_trim`).  An empty S' is certified at once.
-    Otherwise one full-range run of the dual of S' (:func:`_trap_dual`) up to
-    the dual's own bound n'W' stops once its edge work is past the primal
-    work so far minus the dual work so far.  A run that completes certifies
-    its finite set as L, and the nodes of S' it leaves infinite, which win,
-    get n*W in the measure; a stopped run goes on to the next M, which adds
-    primal work.  The rounds end with no L once M reaches n*W.
+    Round by round, a primal :func:`_run_phase` runs on the true weights over
+    the multiples of max(1, M // 2n) up to its cap M, which doubles from
+    max(W, 1); its infinite set S gives S' = S minus Alice's attractor to the
+    rest (:func:`_trim`).  An empty S' ends the region "empty".  Otherwise
+    one full-range run of the dual of S' (:func:`_trap_dual`) up to the
+    dual's own bound n'W' stops once its edge work is past the primal work
+    so far minus the dual work so far.  A run that completes certifies its
+    finite set as L, and the nodes of S' it leaves infinite, which win, get
+    n*W in the measure: the region ended "dual".  A stopped run goes on to
+    the next M, which adds primal work; the region has "given-up" once M
+    reaches n*W.
     """
     n = graph.n
     if n == 0:
-        return RegionRecord(0, True, 0, ()), []
+        return RegionRecord(0, "empty", 0, ()), []
     cap = graph.default_bound()
     bound = max(graph.max_weight, 1)
     phases: list[PhaseRecord] = []
@@ -310,24 +308,23 @@ def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[Energy] | None]
     rounds = 0
     while True:
         rounds += 1
-        primal = _run_phase(graph, bound, None, phases)
+        primal = _run_phase(graph, bound, max(1, bound // (2 * n)), phases)
         primal_work += primal.edge_work
         measure = _trim(graph, primal.energies)
         trap = [v for v in range(n) if measure[v] == INF]
         if not trap:
-            return RegionRecord(0, True, rounds, tuple(phases)), measure
+            return RegionRecord(0, "empty", rounds, tuple(phases)), measure
         dual = _trap_dual(graph, trap)
-        # A floor of 1 gives granularity 1: the full list up to n'W'.
-        run = _run_phase(dual, dual.default_bound(), Fraction(1), phases, limit=primal_work - dual_work)
+        run = _run_phase(dual, dual.default_bound(), 1, phases, limit=primal_work - dual_work)
         dual_work += run.edge_work
         if run.complete:
             for v, e in zip(trap, run.energies):
                 if e == INF:
                     measure[v] = cap
-            return RegionRecord(len(trap) - phases[-1].dropped, True, rounds, tuple(phases)), measure
+            return RegionRecord(len(trap) - phases[-1].dropped, "dual", rounds, tuple(phases)), measure
         bound *= 2
         if bound >= cap:
-            return RegionRecord(len(trap), False, rounds, tuple(phases)), None
+            return RegionRecord(len(trap), "given-up", rounds, tuple(phases)), [cap] * n
 
 
 def _guess_loop(
@@ -406,27 +403,28 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
     S by (b).  The nodes of S' minus L get b = n*W, which caps the energy of
     any winning node.  So e* <= b on the rest, and the rerun in (i) does not
     happen.  A dual run that passes its edge-work limit (see
-    :func:`_losing_region`) certifies nothing; without a certified L the
-    guess loop runs on the whole graph.
+    :func:`_losing_region`) certifies nothing; a region that gives up has
+    b = n*W at every node, which drops nothing and caps every finite energy.
 
-    The guess loop (:func:`_guess_loop`) starts at a first bound M of the
-    graph it is given: max b, clamped at 0, when L is certified, else the
-    a-priori bound n*W.  It tries error budgets c from max(M // 2, n) down (a
-    hint only lowers the first to floor(n*penalty), never below n; see
-    :func:`_error_budget`), halving until a guess is accepted.  A guess is
-    accepted iff no level below the first makes a node infinite;
-    :func:`_solve_level` stops at the first level that does, or after its
-    first level whose potential pi is a fixed point, pi = N(pi) for the
-    one-step operator N (:func:`verify_minimal`).  This is exact and ends:
+    The guess loop (:func:`_guess_loop`) runs on the rest, the graph minus
+    b's infinite set, from a first bound M = max b, clamped at 0.  It tries
+    error budgets c from max(M // 2, n) down (a hint only lowers the first
+    to floor(n*penalty), never below n; see :func:`_error_budget`), halving
+    until a guess is accepted.  A guess is accepted iff no level below the
+    first makes a node infinite; :func:`_solve_level` stops at the first
+    level that does, or after its first level whose potential pi is a fixed
+    point, pi = N(pi) for the one-step operator N (:func:`verify_minimal`).
+    This is exact and ends:
 
     (i) rounding up only helps Alice, so the rounded game's energies are at
         most e*, and a first bound M >= e*, such as n*W, caps the finite
         ones: the first phase drops only truly losing nodes.  A result with
         no ``INF`` entry made no node infinite at any level, so by (ii) and
-        (iii) it is e* whatever M was.  Every node of a certified rest wins,
-        by (a)-(c), so an ``INF`` entry there can only come from an M below
-        e*; then the loop runs again from the rest's own n*W, and the report
-        lists those guesses after the first run's;
+        (iii) it is e* whatever M was.  The loop runs again from the rest's
+        own n'W' iff the result has an ``INF`` entry and M < n'W', and the
+        report lists those guesses after the first run's.  Every node of a
+        certified rest wins, by (a)-(c), so an ``INF`` entry there can only
+        come from an M below e*; a region that gives up starts at n*W;
     (ii) a capped value iteration that makes no node infinite is the least
         fixed point of the uncapped operator, so each later level adds the
         exact energies of a rounded residual game, lower bounds: 0 <= pi <= e*;
@@ -443,8 +441,8 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
         nothing: full-range value iteration.  It is accepted, after an M
         below e* too (a level after a drop then returns 0, a fixed point),
         and halving from c >= 2n reaches it.
-    No caller can pass a bound: a run starts at n*W of the graph it is
-    given, or at max b, which (i)'s rerun replaces if it is below e*.  No
+    No caller can pass a bound: a run starts at max b, which (i)'s rerun
+    replaces if it is below e*, or at n*W of the graph it is given.  No
     guess can raise PotentialContractError: the first level's approximation
     is a fixed point of the rounded game, which keeps the graph's edges, so
     it meets the contract of :func:`apply_potential`.
@@ -452,14 +450,13 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
     started = time.perf_counter()
     floor = _penalty_floor(penalty)
     region, measure = _losing_region(graph)
-    rest, transform, bound = graph, None, graph.default_bound()
-    if measure is not None:
-        bound = max([0, *(b for b in measure if b != INF)])
-        if INF in measure:
-            transform = apply_potential(graph, tuple(INF if b == INF else 0 for b in measure))
-            rest = transform.graph
+    rest, transform = graph, None
+    if INF in measure:
+        transform = apply_potential(graph, tuple(INF if b == INF else 0 for b in measure))
+        rest = transform.graph
+    bound = max([0, *(b for b in measure if b != INF)])
     energies, guesses = _guess_loop(rest, floor, bound)
-    if measure is not None and INF in energies:
+    if INF in energies and bound < rest.default_bound():
         energies, rerun = _guess_loop(rest, floor, rest.default_bound())
         guesses += rerun
     if transform is not None:

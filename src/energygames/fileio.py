@@ -113,6 +113,12 @@ def _ints(texts: list[str], line_no: int, message: str) -> list[int]:
         raise GameFileError(line_no, message) from None
 
 
+def _out_of_range(n: int) -> str:
+    """The end of a node-id error on n nodes: the range 0..n-1, or that
+    there is none."""
+    return f"out of range 0..{n - 1}" if n else "out of range: the header declares no nodes"
+
+
 def _node_id(text: str, line: str, line_no: int, n: int) -> int:
     """The node id in text, a field of line, checked to lie in 0..n-1."""
     try:
@@ -120,7 +126,7 @@ def _node_id(text: str, line: str, line_no: int, n: int) -> int:
     except ValueError:
         raise GameFileError(line_no, f"non-integer node id in {_quote(line)}") from None
     if not 0 <= node < n:
-        raise GameFileError(line_no, f"node id {_quote(text, str)} out of range 0..{n - 1}")
+        raise GameFileError(line_no, f"node id {_quote(text, str)} {_out_of_range(n)}")
     return node
 
 
@@ -161,7 +167,7 @@ def parse_game(text: str) -> GameGraph:
                 src, dst, weight = _ints(parts[1:], line_no, f"non-integer field in {_quote(line)}")
             if not 0 <= src < n > dst >= 0:  # both ends in 0..n-1
                 end, text = ("target", parts[2]) if 0 <= src < n else ("source", parts[1])
-                raise GameFileError(line_no, f"edge {end} {_quote(text, str)} out of range 0..{n - 1}")
+                raise GameFileError(line_no, f"edge {end} {_quote(text, str)} {_out_of_range(n)}")
             edges.append((src, dst, weight))
         else:
             raise GameFileError(line_no, f"unknown record {_quote(parts[0])}")

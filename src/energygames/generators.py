@@ -79,6 +79,8 @@ def _random_structure(
 ) -> tuple[tuple[str, ...], list[tuple[int, int]]]:
     """Owners plus m distinct non-loop directed pairs, one outgoing edge per
     node guaranteed."""
+    if not 0 <= alice_pct <= 100:
+        raise ValueError(f"alice_pct must be in 0..100, got {alice_pct}")
     if n < 2:
         raise ValueError("need at least two nodes (self-loops are not allowed)")
     if m < n:

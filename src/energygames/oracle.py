@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ALICE, BOB, INF, Energy, EnergyFn, GameGraph
+from .core import ALICE, BOB, INF, Energy, EnergyFn, GameGraph, _check_node
 
 Penalty = Fraction | float  # the only float is INF
 
@@ -47,8 +47,7 @@ def eval_pair(graph: GameGraph, choice: Sequence[int], start: int) -> Energy:
     ValueError unless ``start`` is a node in 0..n-1 and ``choice`` names, for
     each of the n nodes, an edge index in 0..m-1 that leaves that node.
     """
-    if not 0 <= start < graph.n:  # values[-1] would alias node n-1
-        raise ValueError(f"node {start} out of range 0..{graph.n - 1}")
+    _check_node(graph, start)
     if len(choice) != graph.n:
         raise ValueError(f"expected {graph.n} edge choices, got {len(choice)}")
     for node, edge in enumerate(choice):

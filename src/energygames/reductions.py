@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ALICE, BOB, Edge, GameGraph, opponent
+from .core import ALICE, BOB, Edge, GameGraph, _check_node, opponent
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,7 @@ def to_win_everywhere(
     (weight -nW), Bob generously (weight +nW).  Node and weight parameters are
     read from the input graph.  The start keeps its index.
     """
-    if not 0 <= start < graph.n:
-        raise ValueError(f"node {start} out of range 0..{graph.n - 1}")
+    _check_node(graph, start)
     n = graph.n
     cap = graph.max_weight
     owners = list(graph.owners)

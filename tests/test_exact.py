@@ -23,6 +23,7 @@ from energygames import (
 from energygames import exact
 from energygames.exact import (
     PhaseRecord,
+    _error_budget,
     _losing_region,
     _solve_level,
     _trap_dual,
@@ -129,9 +130,9 @@ class TestPenaltyBoundRecursion:
             assert (capped.region, capped.guesses) == (report.region, report.guesses)
 
 
-def _phase(n, bound, viter, granularity=None, budget=None, dropped=0):
+def _phase(n, bound, viter, granularity=None, dropped=0):
     return PhaseRecord(
-        nodes=n, bound=bound, error_budget=budget, granularity=granularity,
+        nodes=n, bound=bound, granularity=granularity,
         updates=viter.total_updates, steps=viter.steps, edge_work=viter.edge_work,
         dropped=dropped,
     )
@@ -154,14 +155,14 @@ def reference_level(graph, bound, floor, phases):
     approx = approximate_energies(graph, bound, budget)
     transform = apply_potential(graph, approx.energies)
     dropped = n - len(transform.kept)
-    phases.append(_phase(n, bound, approx, budget // n, budget, dropped))
+    phases.append(_phase(n, bound, approx, budget // n, dropped))
     return transform.lift(reference_level(transform.graph, budget, floor, phases))
 
 
 def against_reference(graph, floor, bound):
     """Run the level loop and the reference recursion at ``floor`` on
     ``graph`` from a first ``bound``; a reference base case reads as a level
-    of granularity 1 with budget n.  The loop's phases are a prefix of the
+    of granularity 1.  The loop's phases are a prefix of the
     reference's: a refuted run stops at the first level below the first that
     drops a node; an accepted one stops after its first level whose
     potential is a fixed point, with the same energies.  Seen from the
@@ -171,10 +172,7 @@ def against_reference(graph, floor, bound):
     mine, theirs = [], []
     energies = _solve_level(graph, floor, mine, bound)
     reference = reference_level(graph, bound, floor, theirs)
-    theirs = [
-        p if p.granularity else replace(p, error_budget=p.nodes, granularity=1)
-        for p in theirs
-    ]
+    theirs = [p if p.granularity else replace(p, granularity=1) for p in theirs]
     assert mine == theirs[: len(mine)]
     assert all(p.granularity >= 2 for p in mine[:-1])
     if energies is not None:
@@ -197,13 +195,11 @@ FIXED_FLOORS = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(
 
 def guessed_graph(graph):
     """The graph ``solve``'s guess loop runs on, what is left once the
-    certified losing region is dropped, and the loop's first bound: the max
-    of the measure carried from the pre-pass, clamped at 0, when the region
-    is certified, else n*W.  Either caps the graph's finite energies (part
-    (i) of ``solve``), so ``solve`` runs no second loop there."""
+    losing region is dropped, and the loop's first bound: the max of the
+    region's measure, clamped at 0, which is n*W when the region gave up.
+    Either caps the graph's finite energies (part (i) of ``solve``), so
+    ``solve`` runs no second loop there."""
     _, measure = _losing_region(graph)
-    if measure is None:
-        return graph, graph.default_bound()
     bound = max([0, *(b for b in measure if b != INF)])
     rest = graph
     if INF in measure:
@@ -338,7 +334,7 @@ class TestLevelLoop:
         for seed, granularities in cases.items():
             graph = multiples_game(GenSpec("multiples", 30, 120, 1024, seed, granularity=64))
             report = solve(graph)
-            assert report.region.certified
+            assert report.region.ended == "dual"
             assert report.energies == full_range(graph)
             phases = report.guesses[-1].phases
             assert [p.granularity for p in phases] == granularities
@@ -445,7 +441,7 @@ class TestSolveDriver:
     def test_worst_case_penalty_is_certified_losing(self, neg_two_cycle):
         report = solve(neg_two_cycle)
         assert report.energies == (INF, INF)
-        assert report.region.certified and report.region.size == 2
+        assert report.region.ended == "dual" and report.region.size == 2
         assert not report.guesses and not report.fallback_used
 
     def test_worst_case_penalty_certified_under_large_bound(self):
@@ -455,7 +451,7 @@ class TestSolveDriver:
         graph = GameGraph((ALICE, BOB), ((0, 1, -1), (1, 0, -1), (1, 0, 32)))
         report = solve(graph)
         assert report.energies == brute_force_energies(graph) == (INF, INF)
-        assert report.region.certified and report.region.rounds == 1
+        assert report.region.ended == "dual" and report.region.rounds == 1
         assert report.region.phases[0].bound == 32
         assert not report.guesses and not report.fallback_used
 
@@ -489,16 +485,24 @@ class TestSolveDriver:
         assert full_range_guesses == 74
 
     def test_report_totals_sum_the_phases(self):
+        # and each phase ran at the granularity its rule gives: a primal
+        # round at max(1, M // 2n), a dual run at 1, a guess level at its
+        # error budget under the guess, divided by n
         saw_dual = False
         for seed in range(120):
             report = solve(small_random(seed))
             phases = list(report.region.phases)
             saw_dual |= len(phases) > report.region.rounds
-            phases += [p for g in report.guesses for p in g.phases]
+            primal, dual = phases[::2], phases[1::2]
+            assert all(p.granularity == max(1, p.bound // (2 * p.nodes)) for p in primal)
+            assert all(p.granularity == 1 for p in dual)
+            for guess in report.guesses:
+                for p in guess.phases:
+                    assert p.granularity == _error_budget(p.bound, p.nodes, guess.penalty_guess) // p.nodes
+                phases += guess.phases
             assert report.total_updates == sum(p.updates for p in phases)
             assert report.total_steps == sum(p.steps for p in phases)
             assert report.total_edge_work == sum(p.edge_work for p in phases)
-            assert all(p.granularity == p.error_budget // p.nodes for p in phases)
             assert report.region.phases and report.region.rounds >= 1
         assert saw_dual, "some instance must run the dual"
 
@@ -529,7 +533,7 @@ class TestSolveDriver:
             if report.fallback_used:
                 continue
             # the guess loop runs on the nodes outside the certified region
-            solved = graph.n - report.region.size if report.region.certified else graph.n
+            solved = graph.n if report.region.ended == "given-up" else graph.n - report.region.size
             if solved == 0:
                 assert not report.guesses  # nothing left to guess on
                 continue
@@ -643,7 +647,7 @@ class TestStartBound:
                 with monkeypatch.context() as patch:
                     patch.setattr(exact, "_trim", trim_breaking)
                     report = solve(graph)
-                if not report.region.certified:
+                if report.region.ended == "given-up":
                     continue
                 if report.guesses[0].phases[0].bound == graph.default_bound():
                     continue
@@ -693,7 +697,7 @@ class TestStartBound:
         for alice_pct, weight, seed in ((50, 10**5, 24), (80, 10**5, 30), (50, 10**3, 15), (80, 10**5, 31)):
             graph = random_game(GenSpec("random", 200, 800, weight, seed, alice_pct=alice_pct))
             report = solve(graph)
-            assert report.region.certified
+            assert report.region.ended == "dual"
             assert report.guesses[0].phases[0].bound < graph.default_bound()
             assert report.energies == full_range(graph)
         carried = 0
@@ -721,10 +725,13 @@ class TestLosingRegion:
         for graph in instances:
             exact = brute_force_energies(graph)
             region, measure = _losing_region(graph)
-            if region.certified:
+            # the carried measure bounds e* from above; a region that gave
+            # up carries n*W everywhere
+            assert all(e <= b for e, b in zip(exact, measure))
+            if region.ended == "given-up":
+                assert measure == [graph.default_bound()] * graph.n
+            else:
                 assert infinite_set(measure) == [v for v in range(graph.n) if exact[v] == INF]
-                # the carried measure bounds e* from above
-                assert all(e <= b for e, b in zip(exact, measure))
                 certified_losing += bool(region.size)
             assert solve(graph).energies == exact
         assert certified_losing >= 100
@@ -736,7 +743,7 @@ class TestLosingRegion:
         # whole graph is then a trap and only the dual can reject it
         graph = GameGraph((ALICE, ALICE, BOB), ((0, 1, -1), (1, 0, 1), (2, 0, heavy)))
         report = solve(graph)
-        assert report.region.size == 3 and not report.region.certified
+        assert report.region.size == 3 and report.region.ended == "given-up"
         assert report.energies == brute_force_energies(graph) == (1, 0, 0)
 
     def test_set_alice_can_leave_is_not_certified(self):
@@ -751,7 +758,7 @@ class TestLosingRegion:
         report = solve(graph)
         assert report.energies == brute_force_energies(graph) == (200, 201, 100, 0, 0)
         region = report.region
-        assert region.certified and region.rounds == 1 and region.size == 0
+        assert region.ended == "empty" and region.rounds == 1 and region.size == 0
 
     def test_attractor_covers_a_set_alice_can_leave(self):
         # Alice leaves S = {0, 1} from 0, and Bob's 1 can only move to 0
@@ -834,7 +841,7 @@ class TestLosingRegion:
         for graph, size, left in games:
             region, measure = _losing_region(graph)
             dual = region.phases[-1]
-            assert region.certified and len(region.phases) == 2 * region.rounds
+            assert region.ended == "dual" and len(region.phases) == 2 * region.rounds
             assert (region.size, dual.nodes, dual.dropped) == (size, size + left, left)
             exact = brute_force_energies(graph)
             assert infinite_set(measure) == infinite_set(exact)
@@ -850,7 +857,7 @@ class TestLosingRegion:
         reduced, _, _ = to_win_everywhere(graph, 1)
         completed, _ = to_complete_bipartite(to_bipartite(reduced)[0])
         report = solve(completed)
-        assert report.region.size == completed.n and not report.region.certified
+        assert report.region.size == completed.n and report.region.ended == "given-up"
         assert report.guesses and report.energies == full_range(completed)
         assert INF not in report.energies
         # a 12-node random game floods the same way through four rounds but
@@ -860,7 +867,7 @@ class TestLosingRegion:
         # guess below 2, drops all 8
         graph = random_game(GenSpec("random", 12, 30, 100, 3663))
         report = solve(graph)
-        assert (report.region.size, report.region.certified, report.region.rounds) == (12, False, 4)
+        assert (report.region.size, report.region.ended, report.region.rounds) == (12, "given-up", 4)
         assert [guess.phases[0].dropped for guess in report.guesses] == [0, 0, 3, 3, 3, 8]
         assert [guess.accepted for guess in report.guesses] == [False] * 5 + [True]
         assert report.fallback_used
@@ -871,35 +878,33 @@ class TestLosingRegion:
         "graph, outcome, stopped, rounds, size",
         [
             (random_game(GenSpec("random", 12, 30, 100, 1)), "empty", 0, 1, 0),
-            (random_game(GenSpec("random", 12, 30, 100, 5)), "inside", 0, 1, 4),
-            (zero_cycle_game(1), "whole", 4, 5, 100),
-            (random_game(GenSpec("random", 12, 30, 100, 6)), "left", 0, 1, 0),
+            (random_game(GenSpec("random", 12, 30, 100, 5)), "dual: inside", 0, 1, 4),
+            (zero_cycle_game(1), "dual: whole", 4, 5, 100),
+            (random_game(GenSpec("random", 12, 30, 100, 6)), "dual: left", 0, 1, 0),
             (random_game(GenSpec("random", 12, 30, 100, 4)), "empty", 1, 2, 0),
-            (random_game(GenSpec("random", 12, 30, 100, 14)), "given up", 4, 4, 12),
+            (random_game(GenSpec("random", 12, 30, 100, 14)), "given-up", 4, 4, 12),
         ],
         ids=["empty-trap", "inside", "whole-graph", "left-infinite", "stopped-by-limit", "given-up"],
     )
     def test_region_ends_every_way_it_can(self, graph, outcome, stopped, rounds, size):
-        # Each round runs the primal and, on a non-empty trap S', the dual, so
-        # a certified region whose last round holds two phases ended at a
-        # completed dual run; every other dual run was stopped by its
-        # edge-work limit.  A completed run certifies L strictly inside the
-        # graph, or the whole graph, or leaves some of S' infinite; a region
-        # with no dual run certified an empty S'; the rounds give up at n*W.
+        # Each round runs the primal and, on a non-empty trap S', the dual.  A
+        # region ends at an empty S' ("empty"), at a completed dual run
+        # ("dual"), or gives up at n*W ("given-up"); every other dual run was
+        # stopped by its edge-work limit.  A completed run certifies L
+        # strictly inside the graph, or the whole graph, or leaves some of S'
+        # infinite.
         region, measure = _losing_region(graph)
-        completed = region.certified and len(region.phases) == 2 * region.rounds
-        if not region.certified:
-            ended = "given up"
-        elif not completed:
-            ended = "empty"
-        elif region.phases[-1].dropped:
-            ended = "left"
-        else:
-            ended = "whole" if region.size == graph.n else "inside"
+        completed = region.ended == "dual"
+        ended = region.ended
+        if completed:
+            kind = "left" if region.phases[-1].dropped else "whole" if region.size == graph.n else "inside"
+            ended += ": " + kind
         assert (ended, len(region.phases) - region.rounds - completed) == (outcome, stopped)
         assert (region.rounds, region.size) == (rounds, size)
         expected = full_range(graph)
-        if region.certified:
+        if region.ended == "given-up":
+            assert measure == [graph.default_bound()] * graph.n
+        else:
             assert infinite_set(measure) == infinite_set(expected)
         assert solve(graph).energies == expected
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from energygames import ALICE, BOB, INF, GameGraph
+from energygames import ALICE, BOB, INF, GameGraph, full_list, solve_with_list
 from energygames.cli import build_parser, main
 from energygames.fileio import (
     GameFileError,
@@ -14,7 +14,7 @@ from energygames.fileio import (
     parse_energies,
     parse_game,
 )
-from energygames.generators import GenSpec
+from energygames.generators import GenSpec, random_game
 
 from game_helpers import small_random
 
@@ -111,6 +111,8 @@ class TestGameFiles:
             ("p eg 2 1\nv 0 A\nv 1 B\ne 5 1 1\n", "edge source 5 out of range 0..1"),
             ("p eg 2 1\nv 0 A\nv 1 B\ne 5 7 1\n", "edge source 5 out of range 0..1"),
             ("p eg 2 1\nv 0 A\nv 1 B\n", "header promised 1 edges, found 0"),
+            ("p eg 0 1\ne 0 0 1\n", "edge source 0 out of range: the header declares no nodes"),
+            ("p eg 0 0\nv 0 A\n", "node id 0 out of range: the header declares no nodes"),
         ],
     )
     def test_malformed_inputs_rejected(self, mutation, fragment):
@@ -287,6 +289,7 @@ class TestEnergyFiles:
             ("x 0 1\n", 1, "expected 'v <id> <value|inf>'"),
             ("v x 0\n", 1, "non-integer node id"),
             ("v 1 0\n", 1, "node id 1 out of range 0..0"),
+            ("v 0 0\n", 0, "node id 0 out of range: the header declares no nodes"),
             ("v 0 ten\n", 1, "energy must be a non-negative integer or 'inf'"),
             ("v 0 0\n", 2, "expected 2 energy lines, found 1"),
         ],
@@ -429,14 +432,30 @@ class TestCli:
         assert main(argv) == 0
         assert parse_energies(capsys.readouterr().out, 2) == (5, 0)
 
-    def test_solve_reports_the_losing_region(self, tmp_path, capsys):
-        path = tmp_path / "lost.eg"
-        path.write_text("p eg 2 2\nv 0 A\nv 1 B\ne 0 1 -1\ne 1 0 -1\n")
+    @pytest.mark.parametrize(
+        "graph, region, guesses, fallback",
+        [
+            (GameGraph((ALICE, BOB), ((0, 1, -1), (1, 0, -1))), "size=2 ended=dual rounds=1 updates=3", 0, "no"),
+            (random_game(GenSpec("random", 12, 30, 100, 1)), "size=0 ended=empty rounds=1 updates=4", 1, "no"),
+            (random_game(GenSpec("random", 12, 30, 100, 5)), "size=4 ended=dual rounds=1 updates=18", 1, "no"),
+            (
+                random_game(GenSpec("random", 12, 30, 100, 3663)),
+                "size=12 ended=given-up rounds=4 updates=874", 6, "yes",
+            ),
+        ],
+        ids=["two-cycle", "empty", "dual", "given-up"],
+    )
+    def test_solve_reports_the_losing_region(self, tmp_path, capsys, graph, region, guesses, fallback):
+        path = tmp_path / "game.eg"
+        path.write_text(emit_game(graph))
         assert main(["solve", str(path)]) == 0
         captured = capsys.readouterr()
-        assert parse_energies(captured.out, 2) == (INF, INF)
-        assert "losing region: size=2 certified=yes rounds=1 updates=3\n" in captured.err
-        assert "guess" not in captured.err and "fallback=no" in captured.err
+        expected = solve_with_list(graph, full_list(graph.default_bound())).energies
+        assert parse_energies(captured.out, graph.n) == expected
+        lines = captured.err.splitlines()
+        assert [line for line in lines if line.startswith("losing region:")] == [f"losing region: {region}"]
+        assert sum(line.startswith("guess ") for line in lines) == guesses
+        assert lines[-1].startswith(f"fallback={fallback} ")
 
     def test_decide(self, tmp_path, capsys):
         game = self._write_fig1(tmp_path)
@@ -510,16 +529,21 @@ class TestCli:
             ["decide", "{game}", "--node", "-1"],
             ["reduce", "winall", "{game}", "--node", "7"],
             ["reduce", "winall", "{game}", "--node", "-1"],
+            ["decide", "{empty}", "--node", "0"],
+            ["reduce", "winall", "{empty}", "--node", "0"],
         ],
         ids=" ".join,
     )
     def test_node_out_of_range_is_a_usage_error(self, tmp_path, capsys, argv):
         game = tmp_path / "two.eg"
         game.write_text("p eg 2 2\nv 0 A\nv 1 B\ne 0 1 1\ne 1 0 -1\n")
-        argv = [a.format(game=game) for a in argv]
+        empty = tmp_path / "empty.eg"
+        empty.write_text("p eg 0 0\n")
+        where = ": the game has no nodes" if "{empty}" in argv else " 0..1"
+        argv = [a.format(game=game, empty=empty) for a in argv]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert f"node {argv[-1]} out of range 0..1" in err
+        assert f"node {argv[-1]} out of range{where}\n" in err
         assert "line" not in err
 
     def test_oracle_and_penalty(self, tmp_path, capsys):
@@ -659,6 +683,14 @@ class TestCli:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err == "energygames: need at least two nodes (self-loops are not allowed)\n"
+
+    @pytest.mark.parametrize("share", ["200", "-20"])
+    def test_gen_alice_share_out_of_range_exit_code(self, tmp_path, capsys, share):
+        out = tmp_path / "g.eg"
+        argv = ["gen", "--family", "random", "--seed", "1", f"--alice-pct={share}", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"energygames: alice_pct must be in 0..100, got {share}\n"
+        assert not out.exists()
 
     def test_reduce_pipeline_via_files(self, tmp_path, capsys):
         def node_lines(n):

@@ -148,6 +148,27 @@ class TestRandomStructure:
         with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
             _random_structure(SplitMix64(0), n, m, 50, max_out)
 
+    @pytest.mark.parametrize(
+        "family, knobs",
+        [
+            ("random", {}),
+            ("multiples", {"granularity": 3}),
+            ("window", {"d": 2, "delta": 1, "center_lo": -4, "center_hi": 4}),
+        ],
+        ids=["random", "multiples", "window"],
+    )
+    def test_alice_share_outside_0_to_100_rejected(self, family, knobs):
+        # every family drawn through the structure checks the share; its
+        # ends give all-Bob and all-Alice owners
+        def spec(alice_pct):
+            return GenSpec(family, n=4, m=8, max_weight=9, seed=0, alice_pct=alice_pct, **knobs)
+
+        for alice_pct in (-20, -1, 101, 200):
+            with pytest.raises(ValueError, match=f"^alice_pct must be in 0..100, got {alice_pct}$"):
+                generate(spec(alice_pct))
+        for alice_pct, owner in ((0, BOB), (100, ALICE)):
+            assert set(generate(spec(alice_pct)).owners) == {owner}
+
 
 class TestHighPenaltyFamily:
     def test_structure(self):

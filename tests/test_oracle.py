@@ -49,11 +49,18 @@ class TestEvalPair:
         with pytest.raises(ValueError, match=fragment):
             eval_pair(fig1, choice, 0)
 
-    @pytest.mark.parametrize("start", [-1, 3])
-    def test_start_out_of_range_rejected(self, fig1, start):
-        # -1 would alias node 2; 3 would index past the end
-        with pytest.raises(ValueError, match=f"^node {start} out of range 0..2$"):
-            eval_pair(fig1, (0, 3, 4), start)
+    @pytest.mark.parametrize(
+        "game, start, message",
+        [
+            pytest.param("fig1", -1, "node -1 out of range 0..2", id="-1"),  # would alias node 2
+            pytest.param("fig1", 3, "node 3 out of range 0..2", id="3"),  # would index past the end
+            pytest.param("empty", 0, "node 0 out of range: the game has no nodes", id="empty-0"),
+        ],
+    )
+    def test_start_out_of_range_rejected(self, fig1, game, start, message):
+        graph, choice = (fig1, (0, 3, 4)) if game == "fig1" else (GameGraph((), ()), ())
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            eval_pair(graph, choice, start)
 
     def test_matches_simple_path_enumeration(self):
         for seed in range(60):
