@@ -291,11 +291,11 @@ def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[Energy]]:
     max(W, 1); its infinite set S gives S' = S minus Alice's attractor to the
     rest (:func:`_trim`).  An empty S' ends the region "empty".  Otherwise
     one full-range run of the dual of S' (:func:`_trap_dual`) up to the
-    dual's own bound n'W' stops once its edge work is past the primal work
-    so far minus the dual work so far.  A run that completes certifies its
-    finite set as L, and the nodes of S' it leaves infinite, which win, get
-    n*W in the measure: the region ended "dual".  A stopped run goes on to
-    the next M, which adds primal work; the region has "given-up" once M
+    dual's own bound n'W' stops once its edge work is past that round's
+    primal's.  A run that completes certifies its finite set as L, and the
+    nodes of S' it leaves infinite, which win, get n*W in the measure: the
+    region ended "dual".  A stopped run goes on to the next M, whose primal
+    spends more and so allows more; the region has "given-up" once M
     reaches n*W.
     """
     n = graph.n
@@ -304,19 +304,16 @@ def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[Energy]]:
     cap = graph.default_bound()
     bound = max(graph.max_weight, 1)
     phases: list[PhaseRecord] = []
-    primal_work = dual_work = 0
     rounds = 0
     while True:
         rounds += 1
         primal = _run_phase(graph, bound, max(1, bound // (2 * n)), phases)
-        primal_work += primal.edge_work
         measure = _trim(graph, primal.energies)
         trap = [v for v in range(n) if measure[v] == INF]
         if not trap:
             return RegionRecord(0, "empty", rounds, tuple(phases)), measure
         dual = _trap_dual(graph, trap)
-        run = _run_phase(dual, dual.default_bound(), 1, phases, limit=primal_work - dual_work)
-        dual_work += run.edge_work
+        run = _run_phase(dual, dual.default_bound(), 1, phases, limit=primal.edge_work)
         if run.complete:
             for v, e in zip(trap, run.energies):
                 if e == INF:

@@ -73,14 +73,16 @@ class GenSpec:
     center_hi: int | None = None
     choices: int | None = None  # high-penalty family
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.alice_pct <= 100:
+            raise ValueError(f"alice_pct must be in 0..100, got {self.alice_pct}")
+
 
 def _random_structure(
     rng: SplitMix64, n: int, m: int, alice_pct: int, max_out: int | None
 ) -> tuple[tuple[str, ...], list[tuple[int, int]]]:
     """Owners plus m distinct non-loop directed pairs, one outgoing edge per
     node guaranteed."""
-    if not 0 <= alice_pct <= 100:
-        raise ValueError(f"alice_pct must be in 0..100, got {alice_pct}")
     if n < 2:
         raise ValueError("need at least two nodes (self-loops are not allowed)")
     if m < n:

@@ -238,3 +238,7 @@ class TestApplyPotential:
         assert dropped_all.graph.n == 0
         assert dropped_all.lift(()) == (INF,) * graph.n
 
+
+def test_every_exported_name_resolves():
+    # a star import raises AttributeError on a name in __all__ that is missing
+    exec("from energygames import *", {})

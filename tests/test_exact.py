@@ -99,7 +99,8 @@ class TestPenaltyBoundRecursion:
 
     def test_floors_from_one_give_the_full_range_energies(self, fig1, fig3):
         # INF caps nothing; 1 and 3/2 give granularity 1 at the first level.
-        for graph in (fig1, fig3, high_penalty_family(40, 1024, 1)):
+        # The empty game runs no level at all.
+        for graph in (fig1, fig3, high_penalty_family(40, 1024, 1), GameGraph((), ())):
             expected = solve_with_list(graph, full_list(graph.default_bound())).energies
             for floor in (INF, 1, Fraction(3, 2)):
                 assert minimal_energy_with_penalty_bound(graph, floor) == expected
@@ -907,6 +908,22 @@ class TestLosingRegion:
         else:
             assert infinite_set(measure) == infinite_set(expected)
         assert solve(graph).energies == expected
+
+    def test_stopped_dual_spends_more_than_its_rounds_primal(self):
+        # a dual run is stopped only once its edge work passes the work of
+        # its own round's primal: no budget carries over between rounds.  The
+        # region's phases pair up round by round, primal then dual, and every
+        # dual but a completed last one was stopped.
+        stopped = 0
+        for seed in range(500):
+            region, _ = _losing_region(small_random(seed, max_n=12, max_w=1000, max_out=4))
+            rounds = list(zip(region.phases[0::2], region.phases[1::2]))
+            if region.ended == "dual":
+                rounds.pop()
+            for primal, dual in rounds:
+                assert dual.edge_work > primal.edge_work, seed
+            stopped += len(rounds)
+        assert stopped == 55
 
     def test_zero_cycle_family_matches_full_range(self):
         outcomes = []

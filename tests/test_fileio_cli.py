@@ -440,7 +440,7 @@ class TestCli:
             (random_game(GenSpec("random", 12, 30, 100, 5)), "size=4 ended=dual rounds=1 updates=18", 1, "no"),
             (
                 random_game(GenSpec("random", 12, 30, 100, 3663)),
-                "size=12 ended=given-up rounds=4 updates=874", 6, "yes",
+                "size=12 ended=given-up rounds=4 updates=875", 6, "yes",
             ),
         ],
         ids=["two-cycle", "empty", "dual", "given-up"],
@@ -685,9 +685,10 @@ class TestCli:
         assert err == "energygames: need at least two nodes (self-loops are not allowed)\n"
 
     @pytest.mark.parametrize("share", ["200", "-20"])
-    def test_gen_alice_share_out_of_range_exit_code(self, tmp_path, capsys, share):
+    @pytest.mark.parametrize("family", [["random"], ["penalty", "--choices", "3"]], ids=["random", "penalty"])
+    def test_gen_alice_share_out_of_range_exit_code(self, tmp_path, capsys, family, share):
         out = tmp_path / "g.eg"
-        argv = ["gen", "--family", "random", "--seed", "1", f"--alice-pct={share}", "--out", str(out)]
+        argv = ["gen", "--family", *family, "--seed", "1", f"--alice-pct={share}", "--out", str(out)]
         assert main(argv) == 1
         assert capsys.readouterr().err == f"energygames: alice_pct must be in 0..100, got {share}\n"
         assert not out.exists()

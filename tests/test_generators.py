@@ -158,8 +158,8 @@ class TestRandomStructure:
         ids=["random", "multiples", "window"],
     )
     def test_alice_share_outside_0_to_100_rejected(self, family, knobs):
-        # every family drawn through the structure checks the share; its
-        # ends give all-Bob and all-Alice owners
+        # the spec checks the share, so every family rejects it; its ends
+        # give all-Bob and all-Alice owners
         def spec(alice_pct):
             return GenSpec(family, n=4, m=8, max_weight=9, seed=0, alice_pct=alice_pct, **knobs)
 
