@@ -10,17 +10,18 @@ of the a-priori bound n*W; should a node of the rest come back infinite
 from below the rest's n*W, the loop runs again from there.  On the rest it
 guesses a lower bound D on the game's penalty, halving it until a guess is
 accepted (:func:`_guess_loop`).  A guess runs levels on one graph
-(:func:`_solve_level`): each level solves the game re-weighted by the
-potential so far, its weights rounded up to a multiple of the level's
-granularity, and adds the result to the potential, until the potential is
-a fixed point.  Why the region is exact is parts (a)-(c) of :func:`solve`'s
-docstring; why an accepted guess is exact and the loop ends is (i)-(iv).
+(:func:`_solve_level`): each level solves the game re-weighted by one
+running potential, its weights rounded up to a multiple of the level's
+granularity, and adds the result to it, until it is a fixed point.  The
+nodes a first level makes infinite are cut as the region is (:func:`_cut`).
+Why the region is exact is parts (a)-(c) of :func:`solve`'s docstring; why
+an accepted guess is exact and the loop ends is (i)-(iv).
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -165,6 +166,11 @@ def _run_phase(
     return result
 
 
+def _cut(graph: GameGraph, energies: Sequence[Energy]) -> PotentialTransform:
+    """``graph`` without the nodes where ``energies`` is infinite, weights kept."""
+    return apply_potential(graph, tuple(INF if e == INF else 0 for e in energies))
+
+
 def _solve_level(
     graph: GameGraph, floor: Fraction | None, phases: list[PhaseRecord], bound: int
 ) -> EnergyFn | None:
@@ -183,36 +189,33 @@ def _solve_level(
     weights round_up(w(u,v) + pi(u) - pi(v), B), which is the game that
     applying pi with :func:`apply_potential` and rounding would build, so the
     kernel reuses the graph's adjacency.  After the kernel, pi grows by its
-    result e.  Only the first level may make nodes infinite: it applies pi to
-    drop them, and the loop goes on with the kept subgraph and pi = 0.  Any
+    result e.  Only the first level may make nodes infinite: it cuts them
+    (:func:`_cut`), and the loop goes on with pi on the nodes kept.  Any
     later level that makes a node infinite refutes D.  The first level whose
-    pi passes :func:`verify_minimal` on the graph it ran on is the last and
-    runs no transform: pi is then exact, and a level that rounds nothing
-    passes (part (iii) of :func:`solve`).  A first level that drops nodes is
-    checked on its own graph, infinite entries included, before the
-    transform.  The result is pi, lifted back through the first level's
-    transform if it dropped nodes.
+    pi passes :func:`verify_minimal` on the graph left after its cut is the
+    last: pi is then exact, and a level that rounds nothing passes (part
+    (iii) of :func:`solve`).  The result is pi, lifted back through the cut
+    if the first level made one.
     """
-    transform: PotentialTransform | None = None
+    cut: PotentialTransform | None = None
     potential = [0] * graph.n
     first = True
     while graph.n:
         budget = _error_budget(bound, graph.n, floor)
         result = _run_phase(graph, bound, budget // graph.n, phases, potential)
-        phase = phases[-1]
-        if phase.dropped and not first:
-            return None
         potential = [p + e for p, e in zip(potential, result.energies)]
+        if phases[-1].dropped:
+            if not first:
+                return None
+            cut = _cut(graph, potential)
+            graph = cut.graph
+            potential = [p for p in potential if p != INF]
         if verify_minimal(graph, potential):
             break
-        if phase.dropped:
-            transform = apply_potential(graph, tuple(potential))
-            graph = transform.graph
-            potential = [0] * graph.n
         bound = budget
         first = False
     energies = tuple(potential)
-    return energies if transform is None else transform.lift(energies)
+    return energies if cut is None else cut.lift(energies)
 
 
 def _trim(graph: GameGraph, energies: EnergyFn) -> list[Energy]:
@@ -388,7 +391,7 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
         take it and win, and an Alice node there has an edge to a winning
         node, which lies in S' minus L.  So no Bob node outside L has an
         edge into L and every Alice node outside L keeps an edge out of it:
-        dropping L with :func:`apply_potential` cannot raise, and since Bob
+        cutting L (:func:`_cut`) cannot raise, and since Bob
         cannot enter L and Alice loses there, the rest is a subgame whose
         energies are the true ones.
     The trim also carries p into the attractor (:func:`_trim`): an Alice
@@ -415,7 +418,7 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
 
     (i) rounding up only helps Alice, so the rounded game's energies are at
         most e*, and a first bound M >= e*, such as n*W, caps the finite
-        ones: the first phase drops only truly losing nodes.  A result with
+        ones: the first level cuts only truly losing nodes.  A result with
         no ``INF`` entry made no node infinite at any level, so by (ii) and
         (iii) it is e* whatever M was.  The loop runs again from the rest's
         own n'W' iff the result has an ``INF`` entry and M < n'W', and the
@@ -427,37 +430,35 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
         exact energies of a rounded residual game, lower bounds: 0 <= pi <= e*;
     (iii) pi = N(pi) certifies pi: e* is the least fixed point of N, so
         e* <= pi, and pi <= e* by (i) and (ii); on the subgraph a first
-        level's transform keeps, it certifies energies that lift to the
-        graph's.  A level whose granularity B divides every residual weight
-        w(u,v) + pi(u) - pi(v) rounds nothing: every value the kernel reaches
-        is a multiple of B, so it makes a full-list run's updates and by (i)
-        and (ii) adds e* of the game re-weighted by pi, and e*(G) = pi + e*(G
-        re-weighted by pi) when 0 <= pi <= e*.  So a guess ends there at
-        the latest;
+        level's cut keeps, these are the graph's energies, as Bob has no
+        edge out of it and Alice loses at the nodes it drops.  A level
+        whose granularity B divides every residual weight w(u,v) + pi(u) -
+        pi(v) rounds nothing: every value the kernel reaches is a multiple
+        of B, so it makes a full-list run's updates and by (i) and (ii) adds
+        e* of the game re-weighted by pi, and e*(G) = pi + e*(G re-weighted
+        by pi) when 0 <= pi <= e*.  So a guess ends there at the latest;
     (iv) a guess below 2 has granularity 1 at its first level, which rounds
-        nothing: full-range value iteration.  It is accepted, after an M
-        below e* too (a level after a drop then returns 0, a fixed point),
-        and halving from c >= 2n reaches it.
+        nothing: full-range value iteration.  It is accepted at that
+        level, after an M below e* too (pi is then a fixed point on the
+        subgraph its cut keeps), and halving from c >= 2n reaches it.
     No caller can pass a bound: a run starts at max b, which (i)'s rerun
     replaces if it is below e*, or at n*W of the graph it is given.  No
-    guess can raise PotentialContractError: the first level's approximation
+    level's cut can raise PotentialContractError: the first level's result
     is a fixed point of the rounded game, which keeps the graph's edges, so
-    it meets the contract of :func:`apply_potential`.
+    its infinite set meets the contract of :func:`apply_potential`.
     """
     started = time.perf_counter()
     floor = _penalty_floor(penalty)
     region, measure = _losing_region(graph)
-    rest, transform = graph, None
-    if INF in measure:
-        transform = apply_potential(graph, tuple(INF if b == INF else 0 for b in measure))
-        rest = transform.graph
+    cut = _cut(graph, measure) if INF in measure else None
+    rest = graph if cut is None else cut.graph
     bound = max([0, *(b for b in measure if b != INF)])
     energies, guesses = _guess_loop(rest, floor, bound)
     if INF in energies and bound < rest.default_bound():
         energies, rerun = _guess_loop(rest, floor, rest.default_bound())
         guesses += rerun
-    if transform is not None:
-        energies = transform.lift(energies)
+    if cut is not None:
+        energies = cut.lift(energies)
     return SolveReport(
         energies=energies,
         region=region,

@@ -41,7 +41,9 @@ both raises his best and, on an unqueued node, says that the edge held and
 now fails (I1), so it queues him.  On a unit-step list a finite new
 value is the min target itself, so the out-edges that hold at an Alice node
 are exactly those that reach the min: the min pass counts them, and no
-second pass over the out-edges is needed.  At INF every out-edge holds.
+second pass over the out-edges is needed.  An Alice node that reaches INF
+is never queued again, as old <= e(t) + w < new fails at e(t) = INF, so no
+one reads her count; both ways of setting it leave it at least 1 (I2).
 The list steps are derived after the loop: every node starts at position 0
 and only rises, so the positions advanced sum to the final positions.  None
 of this changes the order of updates, the energies or any counter.
@@ -170,10 +172,8 @@ def solve_with_list(
             edge_work += work[u]
             if not alice:
                 best[u] = new  # new >= target: every out-edge holds
-            elif new == INF:
-                count[u] = len(out)
             elif unit:
-                count[u] = ties  # new == target: the edges that hold
+                count[u] = ties  # the edges that hold, as new == target below INF
             else:
                 c = 0
                 for v, i in out:

@@ -23,6 +23,7 @@ from energygames import (
 from energygames import exact
 from energygames.exact import (
     PhaseRecord,
+    _cut,
     _error_budget,
     _losing_region,
     _solve_level,
@@ -204,7 +205,7 @@ def guessed_graph(graph):
     bound = max([0, *(b for b in measure if b != INF)])
     rest = graph
     if INF in measure:
-        rest = apply_potential(graph, tuple(INF if b == INF else 0 for b in measure)).graph
+        rest = _cut(graph, measure).graph
     assert all(e <= bound for e in full_range(rest) if e != INF)
     return rest, bound
 
@@ -266,6 +267,35 @@ class TestLevelLoop:
         # already a fixed point, and the reference recursion runs 2,127 levels
         # that do nothing past the accepted runs' last
         assert (runs, first_drops, refuted, coarse, idle) == (2500, 989, 92, 534, 2127)
+
+    def test_first_level_from_n_times_w_leaves_a_closed_infinite_set(self):
+        # a finite energy of the rounded game is at most (n-1)*W, so a first
+        # level from n*W makes only losing nodes infinite: every such Alice
+        # node has only infinite successors and every such Bob node at least
+        # one.  Checking pi on the graph the level's cut keeps is then the
+        # same as checking it with its infinite entries on the whole graph.
+        levels = drops = 0
+        for seed in range(500):
+            graph = small_random(seed)
+            cap = graph.default_bound()
+            for floor in (*FIXED_FLOORS, None):
+                phases = []
+                _solve_level(graph, floor, phases, cap)
+                first = approximate_energies(graph, cap, _error_budget(cap, graph.n, floor))
+                energies = first.energies
+                assert (phases[0].updates, phases[0].steps, phases[0].edge_work) == (
+                    first.total_updates, first.steps, first.edge_work
+                )
+                assert phases[0].dropped == energies.count(INF)
+                levels += 1
+                if INF not in energies:
+                    continue
+                drops += 1
+                for u in range(graph.n):
+                    if energies[u] == INF:
+                        successors = (energies[graph.edges[i][1]] == INF for i in graph.out_edges[u])
+                        assert (all if graph.is_alice(u) else any)(successors), (seed, floor, u)
+        assert (levels, drops) == (3000, 1167)
 
     def test_exact_or_refuted(self):
         # whatever the floor, a run at n*W either returns the exact energies
@@ -506,6 +536,34 @@ class TestSolveDriver:
             assert report.total_edge_work == sum(p.edge_work for p in phases)
             assert report.region.phases and report.region.rounds >= 1
         assert saw_dual, "some instance must run the dual"
+
+    def test_twelve_node_set_matches_full_range(self):
+        # the one set here where solve reaches a guess's first-level cut: 12
+        # regions give up, so their guess loops run from n*W on the whole
+        # graph, and in 2 of those solves a guess's first level drops nodes
+        given_up = first_drops = 0
+        for seed in range(500):
+            graph = small_random(seed, max_n=12, max_w=1000, max_out=4)
+            report = solve(graph)
+            assert report.energies == full_range(graph), seed
+            given_up += report.region.ended == "given-up"
+            first_drops += any(guess.phases[0].dropped for guess in report.guesses)
+        assert (given_up, first_drops) == (12, 2)
+
+    @pytest.mark.parametrize(
+        "graph, message",
+        [
+            (GameGraph((ALICE, BOB), ((0, 0, 1), (1, 0, -1))), "self-loops"),
+            (GameGraph((ALICE, BOB), ((1, 0, -1),)), "out-edge"),
+        ],
+        ids=["self-loop", "sink"],
+    )
+    def test_unplayable_graphs_rejected(self, graph, message):
+        for _ in range(2):  # the graph caches its adjacency, but not a failure
+            with pytest.raises(ValueError, match=message):
+                solve(graph)
+            with pytest.raises(ValueError, match=message):
+                minimal_energy_with_penalty_bound(graph, 1)
 
     def test_low_penalty_instances_match_oracle(self):
         # a forced cycle of total -1 over n nodes has penalty exactly 1/n
