@@ -90,17 +90,17 @@ class GameGraph:
         return tuple(tuple(ids) for ids in out)
 
     @cached_property
-    def _adjacency(self) -> tuple[Adjacency, Adjacency, list[int], list[bool], list[int]]:
+    def _adjacency(self) -> tuple[Adjacency, Adjacency, list[int], list[bool], list[int], list[int]]:
         """The value-iteration kernel's view of the graph, built once per
         graph: the successor and predecessor lists of every node, the source
-        of every edge in edge-list order, every node's Alice flag, and every
-        node's edge work (out- plus in-degree).
+        of every edge in edge-list order, every node's Alice flag, every
+        node's edge work (out- plus in-degree) and the graph's own weights in
+        edge-list order, which a call may replace.
 
-        None of it depends on the weights, which a call may replace.  Raises
-        ValueError on a self-loop or a sink; a raising cached property stores
-        nothing, so every access raises again.  The lists are shared by every
-        call and never mutated; they stay lists because converting them to
-        tuples costs a one-call solve about a tenth of its time.
+        Raises ValueError on a self-loop or a sink; a raising cached property
+        stores nothing, so every access raises again.  The lists are shared
+        by every call and never mutated; they stay lists because converting
+        them to tuples costs a one-call solve about a tenth of its time.
         """
         succ: Adjacency = [[] for _ in range(self.n)]
         pred: Adjacency = [[] for _ in range(self.n)]
@@ -115,16 +115,7 @@ class GameGraph:
             raise ValueError("every node needs an out-edge before value iteration")
         alice = [owner == ALICE for owner in self.owners]
         work = [len(out) + len(inc) for out, inc in zip(succ, pred)]
-        return succ, pred, sources, alice, work
-
-    @cached_property
-    def _weights(self) -> list[int]:
-        """The edge weights in edge-list order: the value-iteration kernel's
-        weights when a call passes none.  Built on the first such call, not
-        with ``_adjacency``: many graphs are only ever solved with weights
-        that their caller passes.  Shared by every later call and never
-        mutated."""
-        return [weight for _, _, weight in self.edges]
+        return succ, pred, sources, alice, work, [weight for _, _, weight in self.edges]
 
     def out_degree(self, node: int) -> int:
         return len(self.out_edges[node])

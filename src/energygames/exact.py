@@ -150,14 +150,16 @@ def _error_budget(bound: int, n: int, floor: Fraction | None) -> int:
 
 def _run_phase(
     graph: GameGraph, bound: int, granularity: int, phases: list[PhaseRecord],
-    potential: list[int] | None = None, limit: int | None = None,
+    weights: list[int] | None = None, limit: int | None = None,
 ) -> ViterResult:
     """One kernel call on ``graph``: value iteration over the multiples of
-    ``granularity`` up to ``bound``.  It runs on the graph's own weights, or
-    with a ``potential`` on the rounded re-weighted ones
-    (:func:`_rounded_weights`), under the kernel's edge-work ``limit``;
-    appends the call's record to ``phases``."""
-    weights = None if potential is None else _rounded_weights(graph, potential, granularity)
+    ``granularity`` up to ``bound`` on ``weights``, by default the graph's
+    own, under the kernel's edge-work ``limit``; appends the call's record to
+    ``phases``.  On the graph's own weights the values round up, so a run
+    that completes gives a progress measure, at least e*; on weights rounded
+    up to multiples of ``granularity`` (:func:`_rounded_weights`), even
+    under a zero potential, it gives the rounded game's energies, at most
+    e*."""
     result = solve_with_list(graph, multiples_list(granularity, bound), weights, limit)
     phases.append(PhaseRecord(
         graph.n, bound, granularity, result.total_updates, result.steps, result.edge_work,
@@ -180,9 +182,10 @@ def _solve_level(
     nothing.  Returns the energies, or None when a level below the first
     refutes D.
 
-    Each level is one :func:`_run_phase`: a level with bound M on n nodes
-    runs over the multiples of B = budget // n up to M, where budget is its
-    :func:`_error_budget` under D, the next level's bound.
+    Each level is one :func:`_run_phase` on its own rounded weights: a level
+    with bound M on n nodes runs over the multiples of B = budget // n up to
+    M, where budget is its :func:`_error_budget` under D, the next level's
+    bound.
 
     A level is a potential pi, the sum of the results so far, and a
     granularity B.  Its rounded game keeps the edges of ``graph`` with the
@@ -202,7 +205,9 @@ def _solve_level(
     first = True
     while graph.n:
         budget = _error_budget(bound, graph.n, floor)
-        result = _run_phase(graph, bound, budget // graph.n, phases, potential)
+        granularity = budget // graph.n
+        weights = _rounded_weights(graph, potential, granularity)
+        result = _run_phase(graph, bound, granularity, phases, weights)
         potential = [p + e for p, e in zip(potential, result.energies)]
         if phases[-1].dropped:
             if not first:
@@ -236,8 +241,7 @@ def _trim(graph: GameGraph, energies: EnergyFn) -> list[Energy]:
     measure = list(energies)
     if INF not in measure:
         return measure
-    succ, pred, _, alice, _ = graph._adjacency
-    edges = graph.edges
+    succ, pred, _, alice, _, weights = graph._adjacency
     left = [len(out) for out in succ]
     need = [0] * graph.n  # a Bob node's max over the edges counted so far
     frontier = [v for v in range(graph.n) if measure[v] != INF]
@@ -246,7 +250,7 @@ def _trim(graph: GameGraph, energies: EnergyFn) -> list[Energy]:
         for u, i in pred[v]:
             if measure[u] != INF:
                 continue
-            value = max(0, measure[v] - edges[i][2])
+            value = max(0, measure[v] - weights[i])
             if not alice[u]:
                 need[u] = value = max(need[u], value)
                 left[u] -= 1
@@ -289,17 +293,17 @@ def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[Energy]]:
     at every node, which drops nothing.  Why a certified L is the losing
     region is parts (a)-(c) of :func:`solve`.
 
-    Round by round, a primal :func:`_run_phase` runs on the true weights over
-    the multiples of max(1, M // 2n) up to its cap M, which doubles from
-    max(W, 1); its infinite set S gives S' = S minus Alice's attractor to the
-    rest (:func:`_trim`).  An empty S' ends the region "empty".  Otherwise
-    one full-range run of the dual of S' (:func:`_trap_dual`) up to the
-    dual's own bound n'W' stops once its edge work is past that round's
-    primal's.  A run that completes certifies its finite set as L, and the
-    nodes of S' it leaves infinite, which win, get n*W in the measure: the
-    region ended "dual".  A stopped run goes on to the next M, whose primal
-    spends more and so allows more; the region has "given-up" once M
-    reaches n*W.
+    Round by round, a primal :func:`_run_phase` runs on the true weights up
+    to its cap M, which doubles from max(W, 1), at a level's granularity
+    with no floor, :func:`_error_budget` // n; its infinite set S gives
+    S' = S minus Alice's attractor to the rest (:func:`_trim`).  An empty S'
+    ends the region "empty".  Otherwise one full-range run of the dual of S'
+    (:func:`_trap_dual`) up to the dual's own bound n'W' stops once its edge
+    work is past that round's primal's.  A run that completes certifies its
+    finite set as L, and the nodes of S' it leaves infinite, which win, get
+    n*W in the measure: the region ended "dual".  A stopped run goes on to
+    the next M, whose primal spends more and so allows more; the region has
+    "given-up" once M reaches n*W.
     """
     n = graph.n
     if n == 0:
@@ -310,7 +314,7 @@ def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[Energy]]:
     rounds = 0
     while True:
         rounds += 1
-        primal = _run_phase(graph, bound, max(1, bound // (2 * n)), phases)
+        primal = _run_phase(graph, bound, _error_budget(bound, n, None) // n, phases)
         measure = _trim(graph, primal.energies)
         trap = [v for v in range(n) if measure[v] == INF]
         if not trap:

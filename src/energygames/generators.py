@@ -76,6 +76,8 @@ class GenSpec:
     def __post_init__(self) -> None:
         if not 0 <= self.alice_pct <= 100:
             raise ValueError(f"alice_pct must be in 0..100, got {self.alice_pct}")
+        if self.max_out is not None and self.max_out < 1:
+            raise ValueError(f"max_out must be at least 1, got {self.max_out}")
 
 
 def _random_structure(

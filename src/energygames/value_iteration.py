@@ -52,8 +52,8 @@ The successor and predecessor lists carry edge indices, not weights: a call
 takes the weights as a list in edge-list order, so callers that re-weight one
 graph many times, as the exact solver's levels do, pay no rebuild.  The
 per-graph constants (adjacency, edge sources, owners, per-node edge work and
-the graph's own weights) are built once (see ``GameGraph._adjacency`` and
-``GameGraph._weights``); the rounding to a list member is inline.
+the graph's own weights) are built once (see ``GameGraph._adjacency``); the
+rounding to a list member is inline.
 """
 
 from __future__ import annotations
@@ -93,9 +93,9 @@ def solve_with_list(
     ``complete`` False: lower bounds and the counters of the rounds it ran.
     """
     n = graph.n
-    succ, pred, sources, is_alice, work = graph._adjacency
+    succ, pred, sources, is_alice, work, own = graph._adjacency
     if weights is None:
-        weights = graph._weights
+        weights = own
     elif len(weights) != graph.m:
         raise ValueError(f"{len(weights)} weights for {graph.m} edges")
     # Rounding up to a list member is inline.  A node is updated only while

@@ -26,6 +26,7 @@ from energygames.exact import (
     _cut,
     _error_budget,
     _losing_region,
+    _run_phase,
     _solve_level,
     _trap_dual,
     _trim,
@@ -33,6 +34,7 @@ from energygames.exact import (
     solve,
 )
 from energygames.generators import GenSpec, high_penalty_family, multiples_game, random_game
+from energygames.rounding import _rounded_weights
 
 from game_helpers import (
     SHALLOW_TRAP,
@@ -388,6 +390,20 @@ class TestLevelLoop:
                 scaled = GameGraph(graph.owners, tuple((u, v, k * w) for u, v, w in graph.edges))
                 assert solve(scaled).energies == tuple(k * e for e in energies), (seed, k)
 
+    def test_zero_potential_still_rounds(self):
+        # The same list on two kinds of weights bounds e* from opposite
+        # sides: the graph's own weights with values rounded up give a
+        # progress measure, at least e*, and weights rounded up, even under a
+        # zero potential, the rounded game's energies, at most e*.
+        graph = GameGraph((ALICE, BOB), ((0, 1, -3), (1, 0, 3)))
+        assert brute_force_energies(graph) == (3, 0)
+        phases = []
+        assert _run_phase(graph, 6, 2, phases).energies == (INF, INF)
+        rounded = _rounded_weights(graph, [0, 0], 2)
+        assert rounded == [-2, 4]
+        assert _run_phase(graph, 6, 2, phases, rounded).energies == (2, 0)
+        assert [(p.bound, p.granularity, p.dropped) for p in phases] == [(6, 2, 2), (6, 2, 0)]
+
 
 class TestPotentialRecursionProperties:
     def test_penalty_never_drops_under_potential_transform(self):
@@ -517,15 +533,16 @@ class TestSolveDriver:
 
     def test_report_totals_sum_the_phases(self):
         # and each phase ran at the granularity its rule gives: a primal
-        # round at max(1, M // 2n), a dual run at 1, a guess level at its
-        # error budget under the guess, divided by n
+        # round and a guess level at their error budget divided by n, with
+        # no floor for the primal and under the guess for a level, and a
+        # dual run at 1
         saw_dual = False
         for seed in range(120):
             report = solve(small_random(seed))
             phases = list(report.region.phases)
             saw_dual |= len(phases) > report.region.rounds
             primal, dual = phases[::2], phases[1::2]
-            assert all(p.granularity == max(1, p.bound // (2 * p.nodes)) for p in primal)
+            assert all(p.granularity == _error_budget(p.bound, p.nodes, None) // p.nodes for p in primal)
             assert all(p.granularity == 1 for p in dual)
             for guess in report.guesses:
                 for p in guess.phases:

@@ -693,6 +693,13 @@ class TestCli:
         assert capsys.readouterr().err == f"energygames: alice_pct must be in 0..100, got {share}\n"
         assert not out.exists()
 
+    def test_gen_out_degree_cap_below_1_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "g.eg"
+        argv = ["gen", "--family", "random", "--seed", "1", "--nodes", "5", "--edges", "10"]
+        assert main([*argv, "--max-out", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "energygames: max_out must be at least 1, got -1\n"
+        assert not out.exists()
+
     def test_reduce_pipeline_via_files(self, tmp_path, capsys):
         def node_lines(n):
             return "".join(f"{v} <- node {v}\n" for v in range(n))

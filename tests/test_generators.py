@@ -169,6 +169,24 @@ class TestRandomStructure:
         for alice_pct, owner in ((0, BOB), (100, ALICE)):
             assert set(generate(spec(alice_pct)).owners) == {owner}
 
+    @pytest.mark.parametrize(
+        "family, knobs",
+        [
+            ("random", {}),
+            ("multiples", {"granularity": 3}),
+            ("window", {"d": 2, "delta": 1, "center_lo": -4, "center_hi": 4}),
+            ("penalty", {"choices": 3}),
+        ],
+        ids=["random", "multiples", "window", "penalty"],
+    )
+    def test_out_degree_cap_below_1_rejected(self, family, knobs):
+        # the spec checks the cap, so no family reads it as an edge count
+        for max_out in (-1, 0):
+            with pytest.raises(ValueError, match=f"^max_out must be at least 1, got {max_out}$"):
+                GenSpec(family, n=5, m=10, max_weight=9, seed=1, max_out=max_out, **knobs)
+        graph = generate(GenSpec("random", n=5, m=5, max_weight=9, seed=1, max_out=1))
+        assert all(graph.out_degree(v) == 1 for v in range(graph.n))
+
 
 class TestHighPenaltyFamily:
     def test_structure(self):
