@@ -11,7 +11,8 @@ around d center values within a jitter of delta.
 The full and multiples lists are arithmetic progressions, so they are stored
 as ``range`` objects: O(1) memory whatever the bound.  Only windowed lists
 are materialized as tuples.  Rounding a value up to a member is the kernel's
-(see :func:`energygames.value_iteration.solve_with_list`).
+(see :func:`energygames.value_iteration.solve_with_list`): arithmetic on a
+range from 0, as these two are, and a bisection on any other list.
 """
 
 from __future__ import annotations

@@ -90,32 +90,29 @@ class GameGraph:
         return tuple(tuple(ids) for ids in out)
 
     @cached_property
-    def _adjacency(self) -> tuple[Adjacency, Adjacency, list[int], list[bool], list[int], list[int]]:
-        """The value-iteration kernel's view of the graph, built once per
-        graph: the successor and predecessor lists of every node, the source
-        of every edge in edge-list order, every node's Alice flag, every
-        node's edge work (out- plus in-degree) and the graph's own weights in
-        edge-list order, which a call may replace.
-
-        Raises ValueError on a self-loop or a sink; a raising cached property
-        stores nothing, so every access raises again.  The lists are shared
-        by every call and never mutated; they stay lists because converting
-        them to tuples costs a one-call solve about a tenth of its time.
+    def _adjacency(self) -> tuple[Adjacency, Adjacency, list[int], list[bool], list[int], list[int], list[int]]:
+        """The graph's view for :func:`validate` and the value-iteration
+        kernel, built once per graph: the successor and predecessor lists of
+        every node (self-loops included), the source of every edge, every
+        node's Alice flag and edge work (out- plus in-degree), the graph's
+        own weights, which a call may replace, and the self-loops' indices.
+        Edges are in edge-list order.  The lists are shared by every call
+        and never mutated; they stay lists because converting them to tuples
+        costs a one-call solve about a tenth of its time.
         """
         succ: Adjacency = [[] for _ in range(self.n)]
         pred: Adjacency = [[] for _ in range(self.n)]
         sources: list[int] = []
+        loops: list[int] = []
         for i, (src, dst, _) in enumerate(self.edges):
             if src == dst:
-                raise ValueError("self-loops must be eliminated before value iteration")
+                loops.append(i)
             succ[src].append((dst, i))
             pred[dst].append((src, i))
             sources.append(src)
-        if not all(succ):
-            raise ValueError("every node needs an out-edge before value iteration")
         alice = [owner == ALICE for owner in self.owners]
         work = [len(out) + len(inc) for out, inc in zip(succ, pred)]
-        return succ, pred, sources, alice, work, [weight for _, _, weight in self.edges]
+        return succ, pred, sources, alice, work, [weight for _, _, weight in self.edges], loops
 
     def out_degree(self, node: int) -> int:
         return len(self.out_edges[node])
@@ -151,19 +148,12 @@ def validate(graph: GameGraph) -> ValidationReport:
     A graph is playable when every node has at least one outgoing edge, no
     self-loops remain (see :func:`eliminate_self_loops`), and weights leave
     enough signed 64-bit headroom for the n^2*W values reductions can create.
+    Sinks and then self-loops are read from the graph's view, which the
+    kernel reuses (``GameGraph._adjacency``).
     """
-    out_degree = [0] * graph.n
-    loops: list[str] = []
-    for i, (src, dst, _) in enumerate(graph.edges):
-        out_degree[src] += 1
-        if src == dst:
-            loops.append(f"edge {i} ({src}->{dst}): self-loop (normalize first)")
-    problems = [
-        f"node {node}: sink node (out-degree 0)"
-        for node, degree in enumerate(out_degree)
-        if degree == 0
-    ]
-    problems += loops
+    succ, _, sources, _, _, _, loops = graph._adjacency
+    problems = [f"node {node}: sink node (out-degree 0)" for node, out in enumerate(succ) if not out]
+    problems += [f"edge {i} ({sources[i]}->{sources[i]}): self-loop (normalize first)" for i in loops]
     headroom = graph.n * graph.n * graph.max_weight
     if headroom > INT64_MAX:  # a bit count: n^2*W itself can have thousands of digits
         problems.append(

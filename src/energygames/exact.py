@@ -241,7 +241,7 @@ def _trim(graph: GameGraph, energies: EnergyFn) -> list[Energy]:
     measure = list(energies)
     if INF not in measure:
         return measure
-    succ, pred, _, alice, _, weights = graph._adjacency
+    succ, pred, _, alice, _, weights, _ = graph._adjacency
     left = [len(out) for out in succ]
     need = [0] * graph.n  # a Bob node's max over the edges counted so far
     frontier = [v for v in range(graph.n) if measure[v] != INF]

@@ -29,6 +29,8 @@ _MAX_PARTITION_NODES = 10
 
 
 def _check_pair_budget(graph: GameGraph, max_pairs: int) -> None:
+    if max_pairs < 1:  # every game has at least one strategy pair
+        raise ValueError(f"max_pairs must be at least 1, got {max_pairs}")
     degrees = [graph.out_degree(node) for node in range(graph.n)]
     if 0 in degrees:
         raise ValueError(f"node {degrees.index(0)} has no out-edge; every node needs one")
@@ -108,7 +110,7 @@ def _choice_space(graph: GameGraph, owner: str) -> tuple[list[int], list[tuple[i
 
 def brute_force_energies(graph: GameGraph, max_pairs: int = DEFAULT_MAX_PAIRS) -> EnergyFn:
     """Minimal energies by full min-max enumeration over strategy pairs;
-    raises BudgetExceeded above ``max_pairs`` pairs."""
+    raises BudgetExceeded above ``max_pairs`` pairs, ValueError below 1."""
     _check_pair_budget(graph, max_pairs)
     alice_nodes, alice_opts = _choice_space(graph, ALICE)
     bob_nodes, bob_opts = _choice_space(graph, BOB)
@@ -145,7 +147,7 @@ class PenaltyReport:
 
 def brute_force_penalty(graph: GameGraph, max_pairs: int = DEFAULT_MAX_PAIRS) -> PenaltyReport:
     """Exact per-node penalties by enumerating Bob's strategies; raises
-    BudgetExceeded above ``max_pairs`` strategy pairs.
+    BudgetExceeded above ``max_pairs`` strategy pairs, ValueError below 1.
 
     For a fixed Bob strategy tau and start s, the defended bound D(tau, s) is
     the minimum of -total/length over the negative cycles Alice can steer s

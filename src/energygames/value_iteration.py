@@ -38,22 +38,25 @@ would neither change a count nor queue a node, and the loop skips it.  The
 skip does not cover Bob's predecessors: an edge that already fails still
 rises to new - w, which his best must follow (I3).  There, new - w > best[t]
 both raises his best and, on an unqueued node, says that the edge held and
-now fails (I1), so it queues him.  On a unit-step list a finite new
-value is the min target itself, so the out-edges that hold at an Alice node
-are exactly those that reach the min: the min pass counts them, and no
+now fails (I1), so it queues him.  On a unit-step range from 0 a finite
+new value is the min target itself, so the out-edges that hold at an Alice
+node are exactly those that reach the min: the min pass counts them, and no
 second pass over the out-edges is needed.  An Alice node that reaches INF
 is never queued again, as old <= e(t) + w < new fails at e(t) = INF, so no
 one reads her count; both ways of setting it leave it at least 1 (I2).
 The list steps are derived after the loop: every node starts at position 0
-and only rises, so the positions advanced sum to the final positions.  None
-of this changes the order of updates, the energies or any counter.
+and only rises, so the positions advanced sum to the final positions, x //
+step on a range from 0 and found by bisection on any other list.  None of
+this changes the order of updates, the energies or any counter.
 
 The successor and predecessor lists carry edge indices, not weights: a call
 takes the weights as a list in edge-list order, so callers that re-weight one
 graph many times, as the exact solver's levels do, pay no rebuild.  The
 per-graph constants (adjacency, edge sources, owners, per-node edge work and
-the graph's own weights) are built once (see ``GameGraph._adjacency``); the
-rounding to a list member is inline.
+the graph's own weights) are built once (see ``GameGraph._adjacency``); a
+view with a self-loop or a sink is refused on every call.  Rounding to a
+member is inline: arithmetic on the ranges from 0 that ``full_list`` and
+``multiples_list`` build, bisection on any other list.
 """
 
 from __future__ import annotations
@@ -91,26 +94,29 @@ def solve_with_list(
 
     A run whose edge work is past ``limit`` stops before its next round, with
     ``complete`` False: lower bounds and the counters of the rounds it ran.
+    Raises ValueError on a self-loop or a sink, self-loops checked first.
     """
     n = graph.n
-    succ, pred, sources, is_alice, work, own = graph._adjacency
+    succ, pred, sources, is_alice, work, own, loops = graph._adjacency
+    if loops:
+        raise ValueError("self-loops must be eliminated before value iteration")
+    if not all(succ):
+        raise ValueError("every node needs an out-edge before value iteration")
     if weights is None:
         weights = own
     elif len(weights) != graph.m:
         raise ValueError(f"{len(weights)} weights for {graph.m} edges")
-    # Rounding up to a list member is inline.  A node is updated only while
-    # violated, so its target exceeds its value, which is at least the first
-    # member: no clamp at the bottom is needed, and the assert below guards
-    # that invariant.  Anything above the top member rounds to INF.
+    # A node is updated only while violated, so its target exceeds its
+    # value, which is at least the first member: no clamp at the bottom is
+    # needed, and the assert below guards that invariant.  Anything above
+    # the top member rounds to INF.
     finite = admissible.finite
     length = len(finite)
     first = finite[0]
     top = finite[-1]
-    arithmetic = isinstance(finite, range)
-    start = finite.start if arithmetic else 0
+    arithmetic = isinstance(finite, range) and first == 0
     step = finite.step if arithmetic else 1
-    unit = arithmetic and step == 1  # every integer from start to top is a member
-    ceil_shift = step - 1 - start  # (x + ceil_shift) // step = ceil((x - start) / step)
+    unit = arithmetic and step == 1  # every integer from 0 to top is a member
     e: list[Energy] = [first] * n
 
     # Every node starts at the first member, where an edge (u,v,w) holds iff
@@ -163,7 +169,7 @@ def solve_with_list(
             elif unit:
                 new = target
             elif arithmetic:
-                new = start + (target + ceil_shift) // step * step
+                new = -(-target // step) * step  # ceil to a multiple of step
             else:
                 new = finite[bisect_left(finite, target)]
             assert new > old, f"update at node {u} must strictly increase ({old} -> {new})"
@@ -203,8 +209,7 @@ def solve_with_list(
 
     # Every node starts at position 0 and only rises.
     if arithmetic:
-        total = sum(filter(INF.__ne__, e)) if infinite else sum(e)
-        steps = (total - (n - infinite) * start) // step
+        steps = (sum(filter(INF.__ne__, e)) if infinite else sum(e)) // step
     else:
         steps = sum(bisect_left(finite, x) for x in e if x != INF)
     steps += infinite * length

@@ -576,7 +576,7 @@ class TestSolveDriver:
         ids=["self-loop", "sink"],
     )
     def test_unplayable_graphs_rejected(self, graph, message):
-        for _ in range(2):  # the graph caches its adjacency, but not a failure
+        for _ in range(2):  # the graph caches its view, and the kernel refuses it on every call
             with pytest.raises(ValueError, match=message):
                 solve(graph)
             with pytest.raises(ValueError, match=message):

@@ -559,6 +559,12 @@ class TestCli:
     def test_oracle_budget_exit_code(self, tmp_path, capsys):
         game = self._write_fig1(tmp_path)
         assert main(["oracle", game, "--max-pairs", "2"]) == 4
+        assert capsys.readouterr().err == "energygames: 8 strategy pairs exceed the budget 2\n"
+        # a budget below one strategy pair is a usage error
+        for command in ("oracle", "penalty"):
+            for budget in ("0", "-1"):
+                assert main([command, game, "--max-pairs", budget]) == 1
+                assert capsys.readouterr().err == f"energygames: max_pairs must be at least 1, got {budget}\n"
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "broken.eg"

@@ -92,6 +92,11 @@ class TestBruteForceEnergies:
         with pytest.raises(BudgetExceeded, match="^8 strategy pairs exceed the budget 7$"):
             brute_force_energies(fig1, 7)
         assert brute_force_energies(fig1, 8) == (0, 4, 8)
+        # no game has fewer than one strategy pair
+        for enumerate_ in (brute_force_energies, brute_force_penalty):
+            for budget in (0, -1):
+                with pytest.raises(ValueError, match=f"^max_pairs must be at least 1, got {budget}$"):
+                    enumerate_(fig1, budget)
 
     @pytest.mark.parametrize("owners", [(ALICE, BOB), (BOB, ALICE)], ids=["bob-sink", "alice-sink"])
     @pytest.mark.parametrize("enumerate_", [brute_force_energies, brute_force_penalty])

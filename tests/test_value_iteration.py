@@ -13,6 +13,7 @@ from energygames import (
     full_list,
     multiples_list,
     solve_with_list,
+    validate,
     verify_minimal,
     window_list,
 )
@@ -120,7 +121,9 @@ def _windowed(seed):
 def _list_shapes(graph):
     """A full, a multiples and three hand-built lists that start above 0, one
     of them unit-step, and a full list capped one below the largest finite
-    energy, so that the nodes there go infinite at the cap."""
+    energy, so that the nodes there go infinite at the cap.  The kernel
+    rounds the full and multiples lists, ranges from 0, arithmetically and
+    the others, the shifted ranges among them, by bisection."""
     bound = graph.default_bound()
     finite = [x for x in reference_solve_with_list(graph, full_list(bound)).energies if x != INF]
     return (
@@ -197,15 +200,25 @@ class TestSolveWithList:
             assert result.energies == brute_force_energies(graph)
 
     def test_self_loops_rejected(self):
-        graph = GameGraph((ALICE,), ((0, 0, 1),))
-        for _ in range(2):  # the graph caches its adjacency, but not a failure
+        # Node 1 is a sink too, but self-loops are checked first.
+        graph = GameGraph((ALICE, BOB, ALICE), ((2, 2, 1), (0, 1, -1), (0, 0, 1)))
+        for _ in range(2):  # the graph caches its view, and the kernel refuses it on every call
             with pytest.raises(ValueError, match="self-loops"):
                 solve_with_list(graph, full_list(1))
+        # validate reads the view the refused calls built and cached: sinks
+        # first, then the self-loops in edge-list order.
+        view = graph.__dict__["_adjacency"]
+        assert validate(graph).problems == (
+            "node 1: sink node (out-degree 0)",
+            "edge 0 (2->2): self-loop (normalize first)",
+            "edge 2 (0->0): self-loop (normalize first)",
+        )
+        assert graph._adjacency is view
 
     @pytest.mark.parametrize("owners", [(ALICE, BOB), (BOB, ALICE)])
     def test_sinks_rejected(self, owners):
         graph = GameGraph(owners, ((1, 0, -1),))
-        for _ in range(2):
+        for _ in range(2):  # the graph caches its view, and the kernel refuses it on every call
             with pytest.raises(ValueError, match="out-edge"):
                 solve_with_list(graph, full_list(2))
 
@@ -352,6 +365,8 @@ class TestReferenceKernel:
             graph = small_random(seed)
             weights = [3 * w - seed % 7 for _, _, w in graph.edges]
             lst = full_list(graph.n * max(map(abs, weights)))
+            # two ranges from 0, rounded arithmetically, and a shifted one,
+            # rounded by bisection
             for shape in (lst, multiples_list(2, lst.finite[-1]), AdmissibleList(range(3, 400, 7))):
                 expected = reference_solve_with_list(graph, shape, weights)
                 assert solve_with_list(graph, shape, weights) == expected
