@@ -2,7 +2,8 @@
 
 :func:`solve` first finds a trap that holds the losing region under small
 caps, trims it by Alice's attractor to the rest, finds the losing region
-inside it with one budgeted run of a dual game and drops it
+inside it, from that run itself when it was full-range value iteration or
+else with one budgeted run of a dual game, and drops it
 (:func:`_losing_region`), since losing nodes would otherwise climb to the
 first level's bound in every guess.  The trim carries the pre-pass's
 progress measure to the rest, and its max is that bound there in place
@@ -14,7 +15,7 @@ accepted (:func:`_guess_loop`).  A guess runs levels on one graph
 running potential, its weights rounded up to a multiple of the level's
 granularity, and adds the result to it, until it is a fixed point.  The
 nodes a first level makes infinite are cut as the region is (:func:`_cut`).
-Why the region is exact is parts (a)-(c) of :func:`solve`'s docstring; why
+Why the region is exact is parts (a)-(d) of :func:`solve`'s docstring; why
 an accepted guess is exact and the loop ends is (i)-(iv).
 """
 
@@ -64,10 +65,21 @@ class GuessRecord:
 
 @dataclass(frozen=True)
 class RegionRecord:
-    """The pre-pass that finds and certifies the losing region."""
+    """The pre-pass that finds and certifies the losing region.
 
-    size: int  # |L| when certified, else nodes in the last round's trap S'
-    ended: str  # "empty" (no trap S'), "dual" (a completed dual run) or "given-up" (at n*W)
+    ``ended`` says how it ended, and ``size`` means, for each:
+
+    - "empty": the last round's trap S' was empty; size 0, as L is empty;
+    - "primal": the last round's primal was full-range value iteration;
+      size |L|, which equals |S'|;
+    - "dual": a dual run on S' completed; size |L|, its finite set, which
+      may be smaller than S';
+    - "given-up": M reached n*W and nothing is certified; size |S'| of the
+      last round, an upper bound on |L|.
+    """
+
+    size: int
+    ended: str  # "empty", "primal", "dual" or "given-up"
     rounds: int
     phases: tuple[PhaseRecord, ...]  # one per kernel call, primal and dual
 
@@ -288,16 +300,21 @@ def _trap_dual(graph: GameGraph, trap: list[int]) -> GameGraph:
 def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[Energy]]:
     """Find the losing region L and certify it.  Returns the region's record
     and a measure b whose finite values cap e*: when the region ended
-    "empty" or "dual", the primal measure carried through Alice's attractor
-    (:func:`_trim`), whose infinite set is L; when it ended "given-up", n*W
-    at every node, which drops nothing.  Why a certified L is the losing
-    region is parts (a)-(c) of :func:`solve`.
+    "empty", "primal" or "dual", the primal measure carried through Alice's
+    attractor (:func:`_trim`), whose infinite set is L; when it ended
+    "given-up", n*W at every node, which drops nothing.  Why a certified L
+    is the losing region is parts (a)-(d) of :func:`solve`.
 
     Round by round, a primal :func:`_run_phase` runs on the true weights up
     to its cap M, which doubles from max(W, 1), at a level's granularity
     with no floor, :func:`_error_budget` // n; its infinite set S gives
     S' = S minus Alice's attractor to the rest (:func:`_trim`).  An empty S'
-    ends the region "empty".  Otherwise one full-range run of the dual of S'
+    ends the region "empty".  A primal whose kernel run reports
+    ``full_range``, at granularity 1 with M at or above the deficit bound D,
+    computed e* itself: S' is L, and the region ends "primal" with no dual
+    run.  Once M passes D the primal's work stops growing, so without this
+    every later round would repeat the same primal and the same stopped
+    dual up to n*W.  Otherwise one full-range run of the dual of S'
     (:func:`_trap_dual`) up to the dual's own bound n'W' stops once its edge
     work is past that round's primal's.  A run that completes certifies its
     finite set as L, and the nodes of S' it leaves infinite, which win, get
@@ -319,6 +336,8 @@ def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[Energy]]:
         trap = [v for v in range(n) if measure[v] == INF]
         if not trap:
             return RegionRecord(0, "empty", rounds, tuple(phases)), measure
+        if primal.full_range:
+            return RegionRecord(len(trap), "primal", rounds, tuple(phases)), measure
         dual = _trap_dual(graph, trap)
         run = _run_phase(dual, dual.default_bound(), 1, phases, limit=primal.edge_work)
         if run.complete:
@@ -370,7 +389,8 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
     S', with the owners swapped and each weight w re-weighted to
     -(k*w + 1), k = |S'| + 1 (:func:`_trap_dual`): a completed full-range
     run of it up to its own bound n'W' certifies its finite set as L, and
-    the nodes of S' it leaves infinite win:
+    the nodes of S' it leaves infinite win.  A primal that was itself
+    full-range value iteration needs no dual run (d):
 
     (a) S' is a trap for Alice by construction (her nodes in S' have every
         successor in S', Bob's at least one), and by (b) every node outside
@@ -397,16 +417,25 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
         edge into L and every Alice node outside L keeps an edge out of it:
         cutting L (:func:`_cut`) cannot raise, and since Bob
         cannot enter L and Alice loses there, the rest is a subgame whose
-        energies are the true ones.
+        energies are the true ones;
+    (d) a primal at granularity 1 whose kernel run reports ``full_range``
+        went up to a cap M at or above D, the sum of the n - 1 largest
+        per-node deficits max(0, max -w), which caps the deficit of every
+        simple path and so every finite energy (see
+        :mod:`energygames.value_iteration`).  Its list is then admissible,
+        so p = e* and S is exactly L.  Alice cannot force a play out of L
+        from a node of L, so her attractor to the rest takes none of it:
+        S' = S = L, and the trim leaves b = p = e* on the rest.  This
+        certifies L with no dual run, and (c) holds for it as for any L.
     The trim also carries p into the attractor (:func:`_trim`): an Alice
     node there gets b = max(0, b(v) - w) from the successor v that attracted
     it along an edge of weight w, a Bob node the max of that over its
     out-edges, and b = p outside S.  So b is finite and non-negative off S',
     every Alice node there has an edge with b(u) + w >= b(v) and every Bob
     node has it on every edge: at an attracted node by construction, outside
-    S by (b).  The nodes of S' minus L get b = n*W, which caps the energy of
-    any winning node.  So e* <= b on the rest, and the rerun in (i) does not
-    happen.  A dual run that passes its edge-work limit (see
+    S by (b).  After a dual run, the nodes of S' minus L get b = n*W, which
+    caps the energy of any winning node.  So e* <= b on the rest, and the
+    rerun in (i) does not happen.  A dual run that passes its edge-work limit (see
     :func:`_losing_region`) certifies nothing; a region that gives up has
     b = n*W at every node, which drops nothing and caps every finite energy.
 
@@ -427,7 +456,7 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
         (iii) it is e* whatever M was.  The loop runs again from the rest's
         own n'W' iff the result has an ``INF`` entry and M < n'W', and the
         report lists those guesses after the first run's.  Every node of a
-        certified rest wins, by (a)-(c), so an ``INF`` entry there can only
+        certified rest wins, by (a)-(d), so an ``INF`` entry there can only
         come from an M below e*; a region that gives up starts at n*W;
     (ii) a capped value iteration that makes no node infinite is the least
         fixed point of the uncapped operator, so each later level adds the

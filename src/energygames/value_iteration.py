@@ -14,6 +14,20 @@ Every update strictly increases the updated node and never overshoots the
 true minimal energy as long as the list is admissible, so the final energies
 are exactly minimal.
 
+A target above the list's top goes to INF.  On a unit range from 0, as
+``full_list`` builds, a target above D goes there too, where D is the sum of
+the n - 1 largest per-node deficits max(0, max -w) of the weights the call
+runs on.  Every finite minimal energy is the deficit of a simple path,
+whose at most n - 1 edges leave distinct nodes, so it is at most D and the
+list up to D is still admissible: a losing node goes to INF once it passes
+D instead of climbing to the top by one cycle's total per pass.  After the
+initial pass, best holds max(0, max -w) at every node, so D is an O(n) sum.
+Energies and list steps are those of the uncapped run (an INF node counts
+the list's length in positions); only updates and edge work drop.  A coarse
+or shifted list keeps its top: it rounds values up, so they may pass D.  A
+result reports ``full_range`` when the cap reached D: a complete run is then
+full-range value iteration, the exact energies of the game on its weights.
+
 Violated nodes are processed first in, first out, in rounds: the loop walks
 this round's list and appends the nodes an update violates to the next
 round's, which is the order a queue would pop them in.  Outside the node
@@ -76,6 +90,7 @@ class ViterResult:
     steps: int  # list positions advanced, summed over all updates
     edge_work: int  # out- plus in-degree summed over updates
     complete: bool = True  # False when a limit stopped the run before its fixed point
+    full_range: bool = False  # a unit range from 0 whose cap reached D: full-range value iteration
 
     @property
     def total_updates(self) -> int:
@@ -94,7 +109,10 @@ def solve_with_list(
 
     A run whose edge work is past ``limit`` stops before its next round, with
     ``complete`` False: lower bounds and the counters of the rounds it ran.
-    Raises ValueError on a self-loop or a sink, self-loops checked first.
+    On a unit range from 0, targets above the deficit bound D go to INF,
+    and ``full_range`` says whether the top reached D (see the module
+    docstring).  Raises ValueError on a self-loop or a sink, self-loops
+    checked first.
     """
     n = graph.n
     succ, pred, sources, is_alice, work, own, loops = graph._adjacency
@@ -131,6 +149,16 @@ def solve_with_list(
         elif first - weight > best[src]:
             best[src] = first - weight
 
+    # D caps every finite energy (see the module docstring); on a range from
+    # 0, best holds each node's deficit max(0, max -w).  Only a unit range
+    # stops there: a coarse list rounds up, and its values may pass D.
+    cap = top
+    full_range = False
+    if unit:
+        deficit = sum(best) - min(best) if n else 0
+        full_range = deficit <= top
+        cap = min(top, deficit)
+
     pending: list[int] = []
     queued = [False] * n
     for u in range(n):
@@ -163,7 +191,7 @@ def solve_with_list(
                         ties += 1
             else:
                 target = best[u]  # the max over his out-edges (I3)
-            if target > top:
+            if target > cap:
                 new = INF
                 infinite += 1
             elif unit:
@@ -213,4 +241,4 @@ def solve_with_list(
     else:
         steps = sum(bisect_left(finite, x) for x in e if x != INF)
     steps += infinite * length
-    return ViterResult(tuple(e), tuple(updates), steps, edge_work, not pending)
+    return ViterResult(tuple(e), tuple(updates), steps, edge_work, not pending, full_range)

@@ -75,11 +75,19 @@ class TestImplicitLists:
     def test_range_agrees_with_tuple(self, seed, granularity, bound, start):
         # The kernel rounds by arithmetic on a range and by bisection on a
         # tuple: the same values must give the same run, counters included.
+        # Only a unit range from 0 stops at the deficit bound D, which the
+        # tuple's run does not: those two runs differ in updates and edge
+        # work, but not in energies or list steps.
         graph = small_random(seed)
         implicit = AdmissibleList(range(start, start + bound + 1, granularity))
         explicit = AdmissibleList(tuple(implicit.finite))
         assert len(implicit) == len(explicit)
-        assert solve_with_list(graph, implicit) == solve_with_list(graph, explicit)
+        ranged = solve_with_list(graph, implicit)
+        listed = solve_with_list(graph, explicit)
+        if start == 0 and granularity == 1:
+            assert (ranged.energies, ranged.steps) == (listed.energies, listed.steps)
+        else:
+            assert ranged == listed
         for value in (-1, start, start + granularity - 1, start + bound, start + bound + 1, INF):
             assert (value in implicit) == (value in explicit)
 

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd, nan
@@ -488,7 +489,8 @@ class TestSolveDriver:
     def test_worst_case_penalty_is_certified_losing(self, neg_two_cycle):
         report = solve(neg_two_cycle)
         assert report.energies == (INF, INF)
-        assert report.region.ended == "dual" and report.region.size == 2
+        assert report.region.ended == "primal" and report.region.size == 2
+        assert len(report.region.phases) == 1
         assert not report.guesses and not report.fallback_used
 
     def test_worst_case_penalty_certified_under_large_bound(self):
@@ -955,20 +957,21 @@ class TestLosingRegion:
         [
             (random_game(GenSpec("random", 12, 30, 100, 1)), "empty", 0, 1, 0),
             (random_game(GenSpec("random", 12, 30, 100, 5)), "dual: inside", 0, 1, 4),
-            (zero_cycle_game(1), "dual: whole", 4, 5, 100),
+            (random_game(GenSpec("random", 12, 30, 100, 95)), "dual: whole", 3, 4, 12),
             (random_game(GenSpec("random", 12, 30, 100, 6)), "dual: left", 0, 1, 0),
             (random_game(GenSpec("random", 12, 30, 100, 4)), "empty", 1, 2, 0),
+            (zero_cycle_game(1), "primal", 3, 4, 100),
             (random_game(GenSpec("random", 12, 30, 100, 14)), "given-up", 4, 4, 12),
         ],
-        ids=["empty-trap", "inside", "whole-graph", "left-infinite", "stopped-by-limit", "given-up"],
+        ids=["empty-trap", "inside", "whole-graph", "left-infinite", "stopped-by-limit", "primal", "given-up"],
     )
     def test_region_ends_every_way_it_can(self, graph, outcome, stopped, rounds, size):
         # Each round runs the primal and, on a non-empty trap S', the dual.  A
-        # region ends at an empty S' ("empty"), at a completed dual run
-        # ("dual"), or gives up at n*W ("given-up"); every other dual run was
-        # stopped by its edge-work limit.  A completed run certifies L
-        # strictly inside the graph, or the whole graph, or leaves some of S'
-        # infinite.
+        # region ends at an empty S' ("empty"), at a full-range primal with no
+        # dual run ("primal"), at a completed dual run ("dual"), or gives up
+        # at n*W ("given-up"); every other dual run was stopped by its
+        # edge-work limit.  A completed run certifies L strictly inside the
+        # graph, or the whole graph, or leaves some of S' infinite.
         region, measure = _losing_region(graph)
         completed = region.ended == "dual"
         ended = region.ended
@@ -984,11 +987,28 @@ class TestLosingRegion:
             assert infinite_set(measure) == infinite_set(expected)
         assert solve(graph).energies == expected
 
+    def test_primal_region_carries_the_exact_energies(self):
+        # A primal at granularity 1 whose cap reached D is full-range value
+        # iteration: its infinite set is L and it runs no dual.  Nothing is
+        # attracted out of L, so the trim leaves e* on every other node.
+        primal = 0
+        for seed in range(500):
+            graph = small_random(seed)
+            region, measure = _losing_region(graph)
+            if region.ended == "primal":
+                primal += 1
+                assert region.phases[-1].granularity == 1
+                assert len(region.phases) == 2 * region.rounds - 1
+                assert region.size == measure.count(INF)
+                assert tuple(measure) == brute_force_energies(graph)
+        assert primal == 49
+
     def test_stopped_dual_spends_more_than_its_rounds_primal(self):
         # a dual run is stopped only once its edge work passes the work of
         # its own round's primal: no budget carries over between rounds.  The
         # region's phases pair up round by round, primal then dual, and every
-        # dual but a completed last one was stopped.
+        # dual but a completed last one was stopped; a region that ended
+        # "primal" has no last dual, so its last primal pairs with nothing.
         stopped = 0
         for seed in range(500):
             region, _ = _losing_region(small_random(seed, max_n=12, max_w=1000, max_out=4))
@@ -998,7 +1018,7 @@ class TestLosingRegion:
             for primal, dual in rounds:
                 assert dual.edge_work > primal.edge_work, seed
             stopped += len(rounds)
-        assert stopped == 55
+        assert stopped == 48
 
     def test_zero_cycle_family_matches_full_range(self):
         outcomes = []
@@ -1008,3 +1028,45 @@ class TestLosingRegion:
             assert solve(graph).energies == reference
             outcomes.append(reference.count(INF))
         assert outcomes == [0, 100, 0]
+
+
+def _digest(graphs):
+    """SHA-256 of the concatenated ``repr`` of each graph's solved energies."""
+    return hashlib.sha256("".join(repr(solve(g).energies) for g in graphs).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "graphs, digest",
+    [
+        (
+            lambda: [small_random(seed) for seed in range(500)],
+            "3da1e8cd27718df0b316cd1a529f964138d3c0ddff6509387261320f40d6bd57",
+        ),
+        (
+            lambda: [small_random(seed, max_n=12, max_w=1000, max_out=4) for seed in range(500)],
+            "3e85165bd0cb246f9aa3ed8bfe42044b0d4a13fb4608e0428945f6e19d7cf4c0",
+        ),
+        (
+            lambda: [zero_cycle_game(seed) for seed in range(3)],
+            "9cd1b386b89a9c2dbb11b7f18b84d8889f582408431a4ec7b968897a47f8209c",
+        ),
+        (
+            lambda: [random_game(GenSpec("random", 12, 30, 100, 3663))],
+            "6d3042cff43230f3a236f104c9bb0681d9bb12c4c8f6c0c736736671cc7018f5",
+        ),
+        (
+            lambda: [
+                random_game(GenSpec("random", 200, 800, weight, seed, alice_pct=alice))
+                for alice in (20, 50, 80)
+                for weight in (10, 10**3, 10**5)
+                for seed in range(40)
+            ],
+            "9bc48fb9b877d84d107c3a0fed9425e76262ed76251a2f266b69b41d87f820af",
+        ),
+    ],
+    ids=["small-random", "twelve-node", "zero-cycle", "game-3663", "sweep"],
+)
+def test_energies_keep_their_digest(graphs, digest):
+    # Fixed sets whose energies must not change, byte for byte, whatever a
+    # change does to the solver's work.
+    assert _digest(graphs()) == digest

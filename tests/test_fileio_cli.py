@@ -435,7 +435,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "graph, region, guesses, fallback",
         [
-            (GameGraph((ALICE, BOB), ((0, 1, -1), (1, 0, -1))), "size=2 ended=dual rounds=1 updates=3", 0, "no"),
+            (GameGraph((ALICE, BOB), ((0, 1, -1), (1, 0, -1))), "size=2 ended=primal rounds=1 updates=3", 0, "no"),
             (random_game(GenSpec("random", 12, 30, 100, 1)), "size=0 ended=empty rounds=1 updates=4", 1, "no"),
             (random_game(GenSpec("random", 12, 30, 100, 5)), "size=4 ended=dual rounds=1 updates=18", 1, "no"),
             (
