@@ -1,18 +1,18 @@
 """Admissible value lists for the list-driven value iteration.
 
-An admissible list for a game is any sorted set of values, terminated by
-infinity, that contains every minimal energy the game can realize.  The value
-iteration in :mod:`energygames.value_iteration` only ever moves node values
-upward to the next list member, so smaller lists mean less work.  Three
-constructions are provided: the full range {0..M}, the multiples of a common
-weight divisor B, and the windowed list for games whose weights cluster
-around d center values within a jitter of delta.
+An admissible list for a game is any sorted set of values from 0, terminated
+by infinity, that contains every minimal energy the game can realize.  The
+value iteration in :mod:`energygames.value_iteration` only ever moves node
+values upward to the next list member, so smaller lists mean less work.
+Three constructions are provided: the full range {0..M}, the multiples of a
+common weight divisor B, and the windowed list for games whose weights
+cluster around d center values within a jitter of delta.
 
 The full and multiples lists are arithmetic progressions, so they are stored
 as ``range`` objects: O(1) memory whatever the bound.  Only windowed lists
 are materialized as tuples.  Rounding a value up to a member is the kernel's
 (see :func:`energygames.value_iteration.solve_with_list`): arithmetic on a
-range from 0, as these two are, and a bisection on any other list.
+range and a bisection on a tuple.
 """
 
 from __future__ import annotations
@@ -24,20 +24,21 @@ from .core import INF, Energy
 
 @dataclass(frozen=True)
 class AdmissibleList:
-    """Strictly increasing non-negative values with an implicit terminal INF.
+    """Strictly increasing values from 0 with an implicit terminal INF.
 
     ``finite`` is a ``range`` for arithmetic progressions and a tuple
     otherwise; both are sorted sequences with O(1) ``len`` and indexing.
+    A list admissible for a game with a finite node must hold 0: lowering
+    every finite energy by the least keeps a progress measure, so by
+    minimality the least is 0.
     """
 
     finite: tuple[int, ...] | range
 
     def __post_init__(self) -> None:
         finite = self.finite
-        if not finite:
-            raise ValueError("an admissible list needs at least one finite value")
-        if finite[0] < 0:
-            raise ValueError("admissible values must be non-negative")
+        if not finite or finite[0] != 0:
+            raise ValueError("an admissible list starts at 0")
         if isinstance(finite, range):
             increasing = finite.step > 0
         else:

@@ -9,7 +9,7 @@ from energygames.admissible import AdmissibleList
 from energygames.generators import GenSpec, multiples_game, windowed_game
 from energygames.oracle import brute_force_energies
 
-from game_helpers import small_random
+from game_helpers import high_penalty_instance, small_random, windowed_instance, zero_cycle_game
 
 
 class TestFullList:
@@ -70,25 +70,24 @@ class TestImplicitLists:
         st.integers(min_value=0, max_value=199),
         st.integers(min_value=1, max_value=50),
         st.integers(min_value=0, max_value=500),
-        st.integers(min_value=0, max_value=20),
     )
-    def test_range_agrees_with_tuple(self, seed, granularity, bound, start):
+    def test_range_agrees_with_tuple(self, seed, granularity, bound):
         # The kernel rounds by arithmetic on a range and by bisection on a
         # tuple: the same values must give the same run, counters included.
-        # Only a unit range from 0 stops at the deficit bound D, which the
-        # tuple's run does not: those two runs differ in updates and edge
-        # work, but not in energies or list steps.
+        # Only a unit range stops at the deficit bound D, which the tuple's
+        # run does not: those two runs differ in updates and edge work, but
+        # not in energies or list steps.
         graph = small_random(seed)
-        implicit = AdmissibleList(range(start, start + bound + 1, granularity))
+        implicit = AdmissibleList(range(0, bound + 1, granularity))
         explicit = AdmissibleList(tuple(implicit.finite))
         assert len(implicit) == len(explicit)
         ranged = solve_with_list(graph, implicit)
         listed = solve_with_list(graph, explicit)
-        if start == 0 and granularity == 1:
+        if granularity == 1:
             assert (ranged.energies, ranged.steps) == (listed.energies, listed.steps)
         else:
             assert ranged == listed
-        for value in (-1, start, start + granularity - 1, start + bound, start + bound + 1, INF):
+        for value in (-1, 0, granularity - 1, granularity, bound, bound + 1, INF):
             assert (value in implicit) == (value in explicit)
 
     def test_full_list_is_not_materialized(self, fig1):
@@ -201,15 +200,31 @@ class TestLookup:
             assert INF in lst
 
     def test_malformed_lists_rejected(self):
-        with pytest.raises(ValueError):
-            AdmissibleList(())
-        with pytest.raises(ValueError):
-            AdmissibleList((3, 3))
-        with pytest.raises(ValueError):
-            AdmissibleList((-1, 2))
-        for bad in (range(0), range(-1, 3), range(5, 0, -1)):
-            with pytest.raises(ValueError):
+        for bad in ((), (3, 3), (-1, 2), (2, 5), range(0), range(-1, 3), range(5, 0, -1), range(3, 400, 7)):
+            with pytest.raises(ValueError, match="^an admissible list starts at 0$"):
                 AdmissibleList(bad)
+        for bad in ((0, 3, 3), (0, 2, 1), range(0, -5, -1)):
+            with pytest.raises(ValueError, match="^admissible values must be strictly increasing$"):
+                AdmissibleList(bad)
+
+
+class TestStartsAtZero:
+    def test_a_game_with_a_finite_energy_has_a_zero_energy(self):
+        # The lemma every list's start rests on: lowering every finite
+        # energy by the least one keeps a progress measure, so by minimality
+        # the least is 0, and an admissible list must hold it.
+        graphs = [small_random(seed) for seed in range(500)]
+        graphs += [small_random(seed, max_n=12, max_w=1000, max_out=4) for seed in range(500)]
+        graphs += [high_penalty_instance(seed) for seed in range(40)]
+        graphs += [windowed_instance(seed)[1][0] for seed in range(40)]
+        graphs += [zero_cycle_game(seed) for seed in range(3)]
+        with_finite = 0
+        for graph in graphs:
+            energies = solve_with_list(graph, full_list(graph.default_bound())).energies
+            if energies.count(INF) < graph.n:
+                with_finite += 1
+                assert 0 in energies
+        assert (len(graphs), with_finite) == (1083, 659)
 
 
 def _with_edges(spec: GenSpec) -> GenSpec:

@@ -137,19 +137,19 @@ def _windowed(seed):
 
 
 def _list_shapes(graph):
-    """A full, a multiples and three hand-built lists that start above 0, one
-    of them unit-step, and a full list capped one below the largest finite
-    energy, so that the nodes there go infinite at the cap.  The kernel
-    rounds the full and multiples lists, ranges from 0, arithmetically and
-    the others, the shifted ranges among them, by bisection."""
+    """A full, a multiples and three hand-built tuples, one coarse, one
+    irregular and one unit-step, and a full list capped one below the
+    largest finite energy, so that the nodes there go infinite at the cap.
+    The kernel rounds the full and multiples lists, ranges, arithmetically
+    and the tuples by bisection."""
     bound = graph.default_bound()
     finite = [x for x in reference_solve_with_list(graph, full_list(bound)).energies if x != INF]
     return (
         full_list(bound),
         multiples_list(3, bound),
-        AdmissibleList(range(3, 400, 7)),
-        AdmissibleList((2, 5, 6, 11, 17, 40, 41, 100)),
-        AdmissibleList(range(3, 400)),
+        AdmissibleList(tuple(range(0, 400, 7))),
+        AdmissibleList((0, 2, 5, 6, 11, 17, 40, 41, 100)),
+        AdmissibleList(tuple(range(400))),
         full_list(max(max(finite, default=0) - 1, 0)),
     )
 
@@ -360,11 +360,13 @@ class TestDeficitBound:
         assert result == ViterResult((), (), 0, 0, True, True)
 
     def test_coarse_and_tuple_lists_keep_their_top(self):
-        # A coarse or shifted list rounds up past e*, so its values may pass
-        # D: no cap, and the run is not full-range value iteration.
+        # A coarse list rounds up past e*, so its values may pass D, and a
+        # tuple is never taken for a unit range: no cap, and the run is not
+        # full-range value iteration.
         graph = GameGraph((ALICE, BOB, ALICE), ((0, 1, -5), (1, 2, -3), (2, 1, 3)))
         assert solve_with_list(graph, multiples_list(3, 15)).energies == (9, 3, 0)
-        for lst in (multiples_list(3, 15), AdmissibleList(tuple(range(16))), AdmissibleList(range(1, 16))):
+        assert solve_with_list(graph, AdmissibleList((0, 3, 8, 9, 15))).energies == (8, 3, 0)
+        for lst in (multiples_list(3, 15), AdmissibleList(tuple(range(16))), AdmissibleList((0, 3, 8, 9, 15))):
             assert not solve_with_list(graph, lst).full_range
 
 
@@ -411,7 +413,7 @@ class TestReferenceKernel:
                     all_updates[alice_pct] += result.total_updates
         # Bob's nodes take 88% of the updates in the Bob-heavy games, 23% in
         # the Alice-heavy ones
-        assert (bob_updates, all_updates) == ({10: 38301, 90: 1345}, {10: 43601, 90: 5739})
+        assert (bob_updates, all_updates) == ({10: 38446, 90: 1346}, {10: 43765, 90: 5742})
 
     def test_win_everywhere_outputs_on_every_list_shape(self):
         # An input edge that enters the start node gives its Bob relay two
@@ -432,15 +434,25 @@ class TestReferenceKernel:
             assert solve_with_list(graph, lst) == reference_solve_with_list(graph, lst)
 
     def test_weights_override(self):
+        even_updates = 0
         for seed in range(60):
             graph = small_random(seed)
             weights = [3 * w - seed % 7 for _, _, w in graph.edges]
-            lst = full_list(graph.n * max(map(abs, weights)))
-            # two ranges from 0, rounded arithmetically, and a shifted one,
-            # rounded by bisection
-            for shape in (lst, multiples_list(2, lst.finite[-1]), AdmissibleList(range(3, 400, 7))):
-                expected = reference_solve_with_list(graph, shape, weights)
-                assert solve_with_list(graph, shape, weights) == expected
+            bound = graph.n * max(map(abs, weights))
+            even = [2 * w for w in weights]
+            # two ranges, rounded arithmetically, and a coarse tuple, rounded
+            # by bisection; then even weights on the multiples of 2, where
+            # every target is a member and Alice's count is her ties
+            for shape, override in (
+                (full_list(bound), weights),
+                (multiples_list(2, bound), weights),
+                (AdmissibleList(tuple(range(0, 400, 7))), weights),
+                (multiples_list(2, 2 * bound), even),
+            ):
+                expected = reference_solve_with_list(graph, shape, override)
+                assert solve_with_list(graph, shape, override) == expected
+            even_updates += expected.total_updates
+        assert even_updates
 
     def test_penalty_hubs(self):
         for seed in (1, 2):
