@@ -9,7 +9,6 @@ from .core import (
     EnergyFn,
     GameGraph,
     PotentialContractError,
-    ValidationReport,
     apply_potential,
     eliminate_self_loops,
     validate,
@@ -63,7 +62,6 @@ __all__ = [
     "ReductionTrace",
     "SolveReport",
     "SplitMix64",
-    "ValidationReport",
     "ViterResult",
     "apply_potential",
     "approximate_energies",

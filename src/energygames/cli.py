@@ -38,7 +38,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_game(path: str) -> GameGraph:
     with open(path, encoding="utf-8") as handle:
         graph = parse_game(handle.read())
-    problems = validate(graph).problems
+    problems = validate(graph)
     if problems:  # the first few: a game can have a sink at every node
         more = f"; and {len(problems) - 3} more" if len(problems) > 3 else ""
         raise GameFileError(0, "; ".join(problems[:3]) + more)

@@ -55,6 +55,11 @@ class GameGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
+        # Stored as tuples, so that a game built from lists is a value too.
+        if type(self.owners) is not tuple:
+            object.__setattr__(self, "owners", tuple(self.owners))
+        if type(self.edges) is not tuple or not set(map(type, self.edges)) <= {tuple}:
+            object.__setattr__(self, "edges", tuple(tuple(edge) for edge in self.edges))
         n = len(self.owners)
         for owner in self.owners:
             if owner not in (ALICE, BOB):
@@ -91,11 +96,12 @@ class GameGraph:
 
     @cached_property
     def _adjacency(self) -> tuple[Adjacency, Adjacency, list[int], list[bool], list[int], list[int], list[int]]:
-        """The graph's view for :func:`validate` and the value-iteration
-        kernel, built once per graph: the successor and predecessor lists of
-        every node (self-loops included), the source of every edge, every
-        node's Alice flag and edge work (out- plus in-degree), the graph's
-        own weights, which a call may replace, and the self-loops' indices.
+        """The graph's view for :func:`validate`, :func:`verify_minimal` and
+        the value-iteration kernel, built once per graph: the successor and
+        predecessor lists of every node (self-loops included), the source of
+        every edge, every node's Alice flag and edge work (out- plus
+        in-degree), the graph's own weights, which a call may replace, and
+        the self-loops' indices.
         Edges are in edge-list order.  The lists are shared by every call
         and never mutated; they stay lists because converting them to tuples
         costs a one-call solve about a tenth of its time.
@@ -114,9 +120,6 @@ class GameGraph:
         work = [len(out) + len(inc) for out, inc in zip(succ, pred)]
         return succ, pred, sources, alice, work, [weight for _, _, weight in self.edges], loops
 
-    def out_degree(self, node: int) -> int:
-        return len(self.out_edges[node])
-
     def is_alice(self, node: int) -> bool:
         return self.owners[node] == ALICE
 
@@ -133,17 +136,9 @@ def _check_node(graph: GameGraph, node: int) -> None:
         raise ValueError(f"node {node} out of range{where}")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    problems: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-
-def validate(graph: GameGraph) -> ValidationReport:
-    """Check the game-graph invariants, reporting every violation found.
+def validate(graph: GameGraph) -> tuple[str, ...]:
+    """Check the game-graph invariants: every violation found, one message
+    each, or none when the game is playable.
 
     A graph is playable when every node has at least one outgoing edge, no
     self-loops remain (see :func:`eliminate_self_loops`), and weights leave
@@ -159,7 +154,7 @@ def validate(graph: GameGraph) -> ValidationReport:
         problems.append(
             f"weights: n^2*W has {headroom.bit_length()} bits, over the 64-bit headroom {INT64_MAX}"
         )
-    return ValidationReport(tuple(problems))
+    return tuple(problems)
 
 
 def eliminate_self_loops(graph: GameGraph) -> GameGraph:
@@ -187,14 +182,19 @@ def eliminate_self_loops(graph: GameGraph) -> GameGraph:
     return GameGraph(tuple(owners), tuple(edges + appended))
 
 
-def _one_step(graph: GameGraph, e: EnergyFn) -> list[Energy]:
-    """The one-step operator N: per node u, the min (Alice) or max (Bob) over
-    the out-edges (u,v) of max(e(v) - w(u,v), 0), with infinity absorbing the
-    subtraction.  Raises ValueError unless e has one entry per node and every
-    node an out-edge."""
+def verify_minimal(graph: GameGraph, e: EnergyFn) -> bool:
+    """Check the local fixed-point equations of the minimal energy function:
+    True iff e = N(e) for the one-step operator N, which takes each node u to
+    the min (Alice) or max (Bob) over its out-edges (u,v) of
+    max(e(v) - w(u,v), 0), with infinity absorbing the subtraction.  Raises
+    ValueError unless e has one entry per node and every node an out-edge.
+    The minimal energy function always satisfies the equations; so do some
+    inflated functions (the all-infinite function among them), so a passing
+    check alone does not certify minimality.
+    """
     if len(e) != graph.n:
         raise ValueError(f"expected {graph.n} energies, got {len(e)}")
-    alice = [owner == ALICE for owner in graph.owners]
+    _, _, _, alice, _, _, _ = graph._adjacency
     best: list[Energy | None] = [None] * graph.n
     for src, dst, weight in graph.edges:
         target = e[dst] - weight
@@ -205,17 +205,7 @@ def _one_step(graph: GameGraph, e: EnergyFn) -> list[Energy]:
             best[src] = target
     if None in best:
         raise ValueError("every node needs an out-edge to check the fixed-point equations")
-    return best  # type: ignore[return-value]
-
-
-def verify_minimal(graph: GameGraph, e: EnergyFn) -> bool:
-    """Check the local fixed-point equations of the minimal energy function:
-    True iff e = N(e) for the one-step operator N (:func:`_one_step`), whose
-    ValueErrors it raises.  The minimal energy function always satisfies the
-    equations; so do some inflated functions (the all-infinite function among
-    them), so a passing check alone does not certify minimality.
-    """
-    return list(e) == _one_step(graph, e)
+    return list(e) == best
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ _MAX_PARTITION_NODES = 10
 def _check_pair_budget(graph: GameGraph, max_pairs: int) -> None:
     if max_pairs < 1:  # every game has at least one strategy pair
         raise ValueError(f"max_pairs must be at least 1, got {max_pairs}")
-    degrees = [graph.out_degree(node) for node in range(graph.n)]
+    degrees = [len(out) for out in graph.out_edges]
     if 0 in degrees:
         raise ValueError(f"node {degrees.index(0)} has no out-edge; every node needs one")
     pairs = math.prod(degrees)

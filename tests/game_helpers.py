@@ -4,8 +4,9 @@ own name so that no other suite's conftest can shadow it on import."""
 
 import itertools
 
-from energygames import ALICE, BOB, GameGraph
+from energygames import ALICE, BOB, INF, GameGraph, brute_force_energies
 from energygames.generators import GenSpec, SplitMix64, high_penalty_family, random_game, windowed_game
+from energygames.reductions import to_bipartite, to_complete_bipartite, to_win_everywhere
 
 # A 3-node game with minimal energies (9, 0, 10).
 SHALLOW_TRAP = GameGraph((ALICE, BOB, BOB), ((0, 1, -9), (0, 2, 0), (1, 0, 10), (2, 0, -1)))
@@ -60,6 +61,65 @@ def zero_cycle_game(seed: int, n: int = 100, max_weight: int = 3) -> GameGraph:
         edges.append((src, dst, rng.randint(-max_weight, max_weight)))
     owners = tuple(ALICE if rng.randint(0, 1) else BOB for _ in range(n))
     return GameGraph(owners, tuple(edges))
+
+
+def pool_seeds(count: int) -> list[int]:
+    """The first ``count`` instance seeds the benchmark's workloads draw at
+    seed 1."""
+    rng = SplitMix64(1)
+    return [rng.next_u64() >> 1 for _ in range(count)]
+
+
+def random_cli_pool() -> list[GameGraph]:
+    """The benchmark's seed-1 ``random-cli`` games: 200 random games with
+    n = 96, m = 4n and W alternating 10^2 and 10^3."""
+    weights = (10**2, 10**3)
+    return [
+        random_game(GenSpec("random", 96, 384, weights[i % 2], s))
+        for i, s in enumerate(pool_seeds(200))
+    ]
+
+
+def penalty_hub_pool() -> list[GameGraph]:
+    """The benchmark's seed-1 ``penalty-hub`` games: 20 hubs of 2,000
+    branches, W = 2^16."""
+    return [high_penalty_family(2000, 2**16, s) for s in pool_seeds(20)]
+
+
+def reduction_batch_pool() -> list[GameGraph]:
+    """The benchmark's seed-1 ``reduction-batch`` games: the first 100
+    distinct complete-bipartite reduction outputs of seeded 2-node games
+    whose start Alice wins, then the first 6 of W = 1 inputs that Bob wins,
+    drawing at least 600 inputs."""
+    rng = SplitMix64(1)
+    seen: set[GameGraph] = set()
+    fast: list[GameGraph] = []
+    slow: list[GameGraph] = []
+    draws = 0
+    while draws < 600 or len(fast) < 100 or len(slow) < 6:
+        draws += 1
+        cap = (1, 2)[rng.randint(0, 1)]
+        graph = random_game(GenSpec("random", 2, 2, cap, rng.next_u64() >> 1))
+        start = rng.randint(0, 1)
+        reduced, _, _ = to_win_everywhere(graph, start)
+        completed, _ = to_complete_bipartite(to_bipartite(reduced)[0])
+        if completed in seen:
+            continue
+        seen.add(completed)
+        if brute_force_energies(graph)[start] != INF:
+            fast.append(completed)
+        elif cap == graph.max_weight == 1:
+            slow.append(completed)
+    return fast[:100] + slow[:6]
+
+
+def fullrange_vi_pool() -> list[GameGraph]:
+    """The benchmark's seed-1 ``fullrange-vi`` games: 12 hubs of 250
+    branches with W = 2^12, then 288 random games with n = 64, m = 4n and
+    W = 10^2."""
+    seeds = pool_seeds(300)
+    hubs = [high_penalty_family(250, 2**12, s) for s in seeds[:12]]
+    return hubs + [random_game(GenSpec("random", 64, 256, 10**2, s)) for s in seeds[12:]]
 
 
 def all_edge_choices(graph: GameGraph):

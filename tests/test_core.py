@@ -13,6 +13,8 @@ from energygames import (
     eliminate_self_loops,
     full_list,
     solve_with_list,
+    to_bipartite,
+    to_complete_bipartite,
     validate,
     verify_minimal,
 )
@@ -22,25 +24,20 @@ from game_helpers import induced_subgraph, simple_cycles, small_random
 
 class TestValidate:
     def test_reference_graph_is_valid(self, fig1):
-        assert validate(fig1).ok
+        assert validate(fig1) == ()
 
     def test_sink_node_reported(self):
         graph = GameGraph((ALICE, BOB), ((0, 1, 3),))
-        report = validate(graph)
-        assert not report.ok
-        assert any("sink" in p and "1" in p for p in report.problems)
+        assert any("sink" in p and "1" in p for p in validate(graph))
 
     def test_self_loop_reported(self):
         graph = GameGraph((ALICE, BOB), ((0, 0, 1), (0, 1, 1), (1, 0, 2)))
-        report = validate(graph)
-        assert not report.ok
-        assert any("self-loop" in p for p in report.problems)
+        assert any("self-loop" in p for p in validate(graph))
 
     def test_weight_headroom_checked(self):
         huge = 2**62
         graph = GameGraph((ALICE, BOB), ((0, 1, huge), (1, 0, -huge)))
-        report = validate(graph)
-        assert any("headroom" in p for p in report.problems)
+        assert any("headroom" in p for p in validate(graph))
 
     def test_problems_listed_sinks_then_self_loops_then_headroom(self):
         huge = 2**62
@@ -48,7 +45,7 @@ class TestValidate:
             (ALICE, BOB, ALICE, BOB),
             ((2, 2, huge), (0, 0, 1), (0, 2, -huge), (2, 0, 1)),
         )
-        assert validate(graph).problems == (
+        assert validate(graph) == (
             "node 1: sink node (out-degree 0)",
             "node 3: sink node (out-degree 0)",
             "edge 0 (2->2): self-loop (normalize first)",
@@ -66,6 +63,17 @@ class TestValidate:
             with pytest.raises(ValueError):
                 GameGraph((ALICE, BOB), edges)
 
+    def test_list_built_game_is_a_value(self):
+        owners, edges = (ALICE, BOB), ((0, 1, 1), (1, 0, -1))
+        twin = GameGraph(owners, edges)
+        assert twin.owners is owners and twin.edges is edges  # tuples are kept, not copied
+        graph = GameGraph([ALICE, BOB], [[0, 1, 1], (1, 0, -1)])
+        assert graph == twin and hash(graph) == hash(twin)
+        completed, _ = to_complete_bipartite(twin)
+        assert to_complete_bipartite(graph)[0] == completed
+        split, _ = to_bipartite(graph)
+        assert to_complete_bipartite(split)[0] == to_complete_bipartite(to_bipartite(twin)[0])[0]
+
 
 class TestEliminateSelfLoops:
     def test_loop_free_graph_unchanged(self, fig1):
@@ -77,7 +85,7 @@ class TestEliminateSelfLoops:
         assert fixed.n == 2 and fixed.m == 2
         assert sorted(fixed.edges) == [(0, 1, -1), (1, 0, -1)]
         assert fixed.owners == (ALICE, BOB)
-        assert validate(fixed).ok
+        assert validate(fixed) == ()
 
     def test_zero_loop_keeps_zero_energy(self):
         graph = GameGraph((ALICE,), ((0, 0, 0),))
@@ -91,7 +99,7 @@ class TestEliminateSelfLoops:
             base = small_random(seed, max_n=4)
             graph = GameGraph(base.owners, base.edges + ((0, 0, seed % 5 - 2),))
             fixed = eliminate_self_loops(graph)
-            assert validate(fixed).ok
+            assert validate(fixed) == ()
             assert eliminate_self_loops(fixed) is fixed
             with_loop = brute_force_energies(graph)
             without_loop = brute_force_energies(fixed)
@@ -199,8 +207,7 @@ class TestApplyPotential:
         for seed in range(30):
             graph = small_random(seed)
             result = apply_potential(graph, brute_force_energies(graph))
-            for v in range(result.graph.n):
-                assert result.graph.out_degree(v) >= 1
+            assert all(result.graph.out_edges)
 
     def test_bob_edge_into_infinite_region_rejected(self):
         graph = GameGraph((BOB, ALICE, BOB), ((0, 1, 0), (1, 0, 0), (0, 2, 0), (2, 0, 0)))

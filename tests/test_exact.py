@@ -39,8 +39,12 @@ from energygames.rounding import _rounded_weights
 
 from game_helpers import (
     SHALLOW_TRAP,
+    fullrange_vi_pool,
     high_penalty_instance,
     induced_subgraph,
+    penalty_hub_pool,
+    random_cli_pool,
+    reduction_batch_pool,
     small_random,
     windowed_instance,
     zero_cycle_game,
@@ -1063,8 +1067,23 @@ def _digest(graphs):
             ],
             "9bc48fb9b877d84d107c3a0fed9425e76262ed76251a2f266b69b41d87f820af",
         ),
+        # The benchmark's seed-1 pools, rebuilt here from their recipes.
+        (random_cli_pool, "d32287642858e67606b03f7bdd2c9c65e2d0527cc27652f40bd047cc037ce8ec"),
+        (penalty_hub_pool, "f26644134c37391919d11f2718daccdaa43046b86f2101281f3597f170df072a"),
+        (reduction_batch_pool, "d1878eea2916b97da853171696f307f76d33cebdd47dbafb7e63201bab9a8c62"),
+        (fullrange_vi_pool, "1ca5ec9ad1c286d08c21e857701a28b36dc5121c560551295e2eca5e9df3e2ea"),
     ],
-    ids=["small-random", "twelve-node", "zero-cycle", "game-3663", "sweep"],
+    ids=[
+        "small-random",
+        "twelve-node",
+        "zero-cycle",
+        "game-3663",
+        "sweep",
+        "random-cli",
+        "penalty-hub",
+        "reduction-batch",
+        "fullrange-vi",
+    ],
 )
 def test_energies_keep_their_digest(graphs, digest):
     # Fixed sets whose energies must not change, byte for byte, whatever a

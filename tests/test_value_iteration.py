@@ -226,7 +226,7 @@ class TestSolveWithList:
         # validate reads the view the refused calls built and cached: sinks
         # first, then the self-loops in edge-list order.
         view = graph.__dict__["_adjacency"]
-        assert validate(graph).problems == (
+        assert validate(graph) == (
             "node 1: sink node (out-degree 0)",
             "edge 0 (2->2): self-loop (normalize first)",
             "edge 2 (0->0): self-loop (normalize first)",
