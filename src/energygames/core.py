@@ -15,6 +15,7 @@ lower bound on its minimal energies.
 from __future__ import annotations
 
 import math
+from collections.abc import Sized
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,20 +59,31 @@ class GameGraph:
         # Stored as tuples, so that a game built from lists is a value too.
         if type(self.owners) is not tuple:
             object.__setattr__(self, "owners", tuple(self.owners))
-        if type(self.edges) is not tuple or not set(map(type, self.edges)) <= {tuple}:
-            object.__setattr__(self, "edges", tuple(tuple(edge) for edge in self.edges))
         n = len(self.owners)
         for owner in self.owners:
             if owner not in (ALICE, BOB):
                 raise ValueError(f"unknown owner {owner!r}")
-        for src, dst, weight in self.edges:
-            # Exact type checks: bool is an int subclass, and True emits as "True".
-            if type(src) is not int or type(dst) is not int:
-                raise ValueError(f"edge ({src!r},{dst!r}) endpoint is not an integer")
-            if not (0 <= src < n and 0 <= dst < n):
-                raise ValueError(f"edge ({src},{dst}) endpoint out of range")
-            if type(weight) is not int:
-                raise ValueError(f"edge ({src},{dst}) weight {weight!r} is not an integer")
+        try:
+            if type(self.edges) is not tuple or not set(map(type, self.edges)) <= {tuple}:
+                object.__setattr__(self, "edges", tuple(tuple(edge) for edge in self.edges))
+            for src, dst, weight in self.edges:
+                # Exact type checks: bool is an int subclass, and True emits as "True".
+                if type(src) is not int or type(dst) is not int:
+                    raise ValueError(f"edge ({src!r},{dst!r}) endpoint is not an integer")
+                if not (0 <= src < n and 0 <= dst < n):
+                    raise ValueError(f"edge ({src},{dst}) endpoint out of range")
+                if type(weight) is not int:
+                    raise ValueError(f"edge ({src},{dst}) weight {weight!r} is not an integer")
+        except (TypeError, ValueError):
+            # Unpacking a malformed edge fails with Python's own message.  On
+            # this path only, the first malformed edge in the list is named
+            # instead of any other edge problem.
+            for index, edge in enumerate(self.edges):
+                if not (isinstance(edge, Sized) and len(edge) == 3):
+                    raise ValueError(
+                        f"edge {index} {edge!r} is not a (source, target, weight) triple"
+                    ) from None
+            raise
 
     @property
     def n(self) -> int:

@@ -62,8 +62,65 @@ that reaches INF is never queued again, as old <= e(t) + w < new fails at
 e(t) = INF, so no one reads her count; both ways of setting it leave it at
 least 1 (I2).  The list steps are derived after the loop: every node starts
 at position 0 and only rises, so the positions advanced sum to the final
-positions, x // step on a range and found by bisection on a tuple.  None of
-this changes the order of updates, the energies or any counter.
+positions, x // step on a range and found by bisection on a tuple.  On any
+list but a unit range, none of this changes the order of updates, the
+energies or any counter.
+
+On a unit range the loop also lifts sets, an idea from the quasi-dominion
+lifts of Benerecetti, Dell'Erba and Mogavero (TACAS 2020) and the set lifts
+of Dorfman, Kaplan and Zwick (ICALP 2019).  A losing node climbs by one
+cycle's total per pass, so after the cap at D most updates still go to nodes
+that end infinite; a lift raises a whole set at once.  It is tried after a
+round that leaves nodes pending, once the edge work since the last try
+reaches 4m (the first try comes at 4m), and before the edge-work limit is
+tested, so a lift may complete a run that would have stopped.  A try makes
+a few O(n + m) passes, so the tries' cost stays within a small multiple of
+the run's own edge work.  One lift:
+
+- X is the tight attractor of the queued nodes.  It starts with them, and
+  a walk backwards over tight edges, where e(t) + w = e(v), adds a Bob node
+  with one tight edge into X and an Alice node once every edge that holds
+  for her is a tight edge into X, which her exact count tells.  A node's
+  rank is the order in which it joined X.
+- X splits into components.  An added node joins the component of the
+  tight edge that added him (Bob), or of all her tight edges (Alice).  A
+  queued Bob node joins the targets of his failing edges inside X; he is
+  held if he has none.
+- Each component C is raised by delta_C, the least of: gamma = e(v) - w -
+  e(x) over Alice's nodes x in C and edges (x,v) leaving X; gamma +
+  delta_C' over her edges into another component C'; and best(x) - e(x)
+  over held Bob nodes x in C.  An edge of Alice's that leaves C fails,
+  as every edge that holds for her is tight inside C, so gamma >= 1, and
+  delta is a shortest distance over the components, found by Dijkstra's
+  algorithm.  A node goes to INF when delta_C is INF or the raised value
+  passes the cap.
+- count and best are recounted on the lifted nodes and their predecessors,
+  and exactly the violated ones are queued, so I1-I3 hold again.  A lifted
+  node counts one update and adds its edge work; list steps are still
+  derived from the final positions, so they do not change.
+
+Why a lift never passes e*, the least fixed point of the capped operator,
+which e never passes before it (read an INF delta as any number above the
+cap, which lifts to INF all the same).  Let g = e* - e, and h = g - delta_C
+on each C.  Suppose h < 0 somewhere, and among the nodes of least h take x,
+the one of least delta_C and then of least rank.  Then x has an out-edge
+(x,v) with e*(v) - w > e*(x) = e(x) + h(x) + delta_C:
+
+- x is Alice, and this holds for every out-edge, so e* is not her min.  A
+  tight edge leads to an earlier node of C, whose h is larger by the
+  choice of x.  A failing edge inside C has e(v) - w > e(x) and
+  h(v) >= h(x).  A failing edge into another component has
+  gamma + delta_C' >= delta_C and h(v) >= h(x), one of them strict, since
+  equality in the first gives delta_C' < delta_C.  An edge leaving X has
+  e*(v) - w >= e(x) + gamma >= e(x) + delta_C > e*(x).
+- x is a queued Bob node: he has a failing edge inside C, which works as
+  Alice's does, or he is held, and his best edge gives
+  e*(v) - w >= best(x) >= e(x) + delta_C > e*(x).
+- x is a Bob node added to X: the tight edge that added him leads to an
+  earlier node of C, whose h is larger.
+
+Each case contradicts e* being a fixed point, so e + delta_C <= e* on C,
+and a raised value past the cap, D or the list's top, means e* = INF there.
 
 The successor and predecessor lists carry edge indices, not weights: a call
 takes the weights as a list in edge-list order, so callers that re-weight one
@@ -80,8 +137,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
-from .core import INF, Energy, EnergyFn, GameGraph
+from .core import INF, Adjacency, Energy, EnergyFn, GameGraph
 from .admissible import AdmissibleList
 
 
@@ -112,9 +170,9 @@ def solve_with_list(
     A run whose edge work is past ``limit`` stops before its next round, with
     ``complete`` False: lower bounds and the counters of the rounds it ran.
     On a unit range, targets above the deficit bound D go to INF, and
-    ``full_range`` says whether the top reached D (see the module
-    docstring).  Raises ValueError on a self-loop or a sink, self-loops
-    checked first.
+    ``full_range`` says whether the top reached D, and set lifts raise
+    whole sets of violated nodes at once (see the module docstring).
+    Raises ValueError on a self-loop or a sink, self-loops checked first.
     """
     n = graph.n
     succ, pred, sources, is_alice, work, own, loops = graph._adjacency
@@ -169,6 +227,7 @@ def solve_with_list(
     updates = [0] * n
     infinite = 0
     edge_work = 0
+    lift_at = 4 * graph.m  # edge work at which the next lift is tried (unit ranges)
     while pending and (limit is None or edge_work <= limit):
         next_round: list[int] = []
         for u in pending:
@@ -232,6 +291,13 @@ def solve_with_list(
                             next_round.append(t)
                             queued[t] = True
         pending = next_round
+        if unit and pending and edge_work >= lift_at:
+            pending, work_lifted, infinite_lifted = _lift(
+                pending, queued, e, count, best, updates, succ, pred, is_alice, weights, work, cap
+            )
+            edge_work += work_lifted
+            infinite += infinite_lifted
+            lift_at = edge_work + 4 * graph.m
 
     # Every node starts at position 0 and only rises.
     if arithmetic:
@@ -240,3 +306,147 @@ def solve_with_list(
         steps = sum(bisect_left(finite, x) for x in e if x != INF)
     steps += infinite * len(finite)
     return ViterResult(tuple(e), tuple(updates), steps, edge_work, not pending, full_range)
+
+
+def _lift(
+    pending: list[int], queued: list[bool], e: list[Energy], count: list[int], best: list[Energy],
+    updates: list[int], succ: Adjacency, pred: Adjacency, is_alice: list[bool],
+    weights: Sequence[int], work: list[int], cap: Energy,
+) -> tuple[list[int], int, int]:
+    """One set lift on a unit range (see the module docstring): raise each
+    component C of the tight attractor X of the queued nodes by its least
+    escape delta[C], then restore I1-I3 on the lifted nodes and their
+    predecessors.  Returns the new pending list, the lift's edge work and
+    the number of nodes it sent to INF."""
+    n = len(e)
+    # root[v] is -1 outside X and a union-find parent inside it.
+    root = [-1] * n
+    for u in pending:
+        root[u] = u
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    def union(x: int, y: int) -> None:
+        x, y = find(x), find(y)
+        if x != y:
+            root[x] = y
+
+    members = list(pending)  # X in attractor order; the walk below extends it
+    hits = [0] * n  # an Alice node's tight edges into X so far
+    for v in members:
+        ev = e[v]
+        for t, i in pred[v]:
+            if root[t] >= 0 or e[t] + weights[i] != ev:
+                continue
+            if not is_alice[t]:
+                root[t] = root[v]  # one tight edge into X forces Bob
+            else:
+                h = hits[t] + 1
+                hits[t] = h
+                if h < count[t]:
+                    continue
+                # Every edge that holds for her is tight into X.
+                root[t] = t
+                et = e[t]
+                for x, j in succ[t]:
+                    if et + weights[j] >= e[x]:
+                        union(t, x)
+            members.append(t)
+
+    # A queued Bob node joins the targets of his failing edges inside X; one
+    # with none is held back by his target, best (I3).
+    held: list[int] = []
+    for x in members:
+        if queued[x] and not is_alice[x]:
+            ex = e[x]
+            inside = False
+            for v, i in succ[x]:
+                if root[v] >= 0 and e[v] - weights[i] > ex:
+                    union(x, v)
+                    inside = True
+            if not inside:
+                held.append(x)
+    for x in members:
+        r = root[x]
+        if root[r] != r:
+            root[x] = find(r)
+
+    # delta[C] starts at C's escapes out of X: Alice's edges, all of which
+    # fail, and held Bob nodes.  An Alice edge into another component C'
+    # allows its gap plus delta[C']: shortest distances, by Dijkstra.
+    delta: dict[int, Energy] = dict.fromkeys((root[x] for x in members), INF)
+    into: dict[int, list[tuple[Energy, int]]] = {}  # C' -> (gap, C) per edge
+    for x in held:
+        c = root[x]
+        delta[c] = min(delta[c], best[x] - e[x])
+    for x in members:
+        if is_alice[x]:
+            c = root[x]
+            d = delta[c]
+            ex = e[x]
+            for v, i in succ[x]:
+                r = root[v]
+                if r != c:
+                    gap = e[v] - weights[i] - ex
+                    if r >= 0:
+                        into.setdefault(r, []).append((gap, c))
+                    elif gap < d:
+                        d = gap
+            delta[c] = d
+    if into:
+        heap = [(d, c) for c, d in delta.items()]
+        heapify(heap)
+        while heap:
+            d, c = heappop(heap)
+            if d == delta[c]:
+                for gap, source in into.get(c, ()):
+                    if gap + d < delta[source]:
+                        delta[source] = gap + d
+                        heappush(heap, (gap + d, source))
+
+    infinite = lifted_work = 0
+    for x in members:
+        new = e[x] + delta[root[x]]
+        if new > cap:
+            new = INF
+            infinite += 1
+        e[x] = new
+        updates[x] += 1
+        lifted_work += work[x]
+
+    # Recount the lifted nodes and their predecessors from scratch, and
+    # queue exactly the violated ones.
+    touched = list(members)
+    for x in members:
+        root[x] = -2
+    for x in members:
+        for t, _ in pred[x]:
+            if root[t] != -2:
+                root[t] = -2
+                touched.append(t)
+    added: list[int] = []
+    for t in touched:
+        et = e[t]
+        if is_alice[t]:
+            c = 0
+            for v, i in succ[t]:
+                if et + weights[i] >= e[v]:
+                    c += 1
+            count[t] = c
+            violated = not c
+        else:
+            b = et
+            for v, i in succ[t]:
+                x = e[v] - weights[i]
+                if x > b:
+                    b = x
+            best[t] = b
+            violated = b > et
+        if violated != queued[t]:
+            queued[t] = violated
+            if violated:
+                added.append(t)
+    return [u for u in pending if queued[u]] + added, lifted_work, infinite

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -62,6 +63,21 @@ class TestValidate:
         for edges in (((0, 3, 1),), ((0, True, 1),), ((0, 1, True),)):
             with pytest.raises(ValueError):
                 GameGraph((ALICE, BOB), edges)
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            (((0, 1),), "edge 0 (0, 1) is not a (source, target, weight) triple"),
+            (((0, 1, 1, 5),), "edge 0 (0, 1, 1, 5) is not a (source, target, weight) triple"),
+            ((5,), "edge 0 5 is not a (source, target, weight) triple"),
+            # named before an earlier edge's out-of-range endpoint
+            ([[0, 3, 1], [1, 0]], "edge 1 (1, 0) is not a (source, target, weight) triple"),
+        ],
+        ids=["two-fields", "four-fields", "not-a-sequence", "after-a-range-error"],
+    )
+    def test_malformed_edge_named(self, edges, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GameGraph((ALICE, BOB), edges)
 
     def test_list_built_game_is_a_value(self):
         owners, edges = (ALICE, BOB), ((0, 1, 1), (1, 0, -1))

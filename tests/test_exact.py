@@ -561,9 +561,10 @@ class TestSolveDriver:
         assert saw_dual, "some instance must run the dual"
 
     def test_twelve_node_set_matches_full_range(self):
-        # the one set here where solve reaches a guess's first-level cut: 12
-        # regions give up, so their guess loops run from n*W on the whole
-        # graph, and in 2 of those solves a guess's first level drops nodes
+        # the kernel's set lifts let every region certify: none gives up,
+        # so no guess loop runs from n*W on the whole graph and no guess's
+        # first level drops nodes (game 1553 of the 12-node random family
+        # still does; see test_flooded_reduction_output_still_exact)
         given_up = first_drops = 0
         for seed in range(500):
             graph = small_random(seed, max_n=12, max_w=1000, max_out=4)
@@ -571,7 +572,7 @@ class TestSolveDriver:
             assert report.energies == full_range(graph), seed
             given_up += report.region.ended == "given-up"
             first_drops += any(guess.phases[0].dropped for guess in report.guesses)
-        assert (given_up, first_drops) == (12, 2)
+        assert (given_up, first_drops) == (0, 0)
 
     @pytest.mark.parametrize(
         "graph, message",
@@ -773,14 +774,18 @@ class TestStartBound:
 
     def test_low_penalty_tail_and_reduction_outputs_match_full_range(self):
         # four low-penalty sweep games with 6 to 106 losing nodes: each region
-        # is certified in one or two rounds and carries a bound below n*W; of
-        # the 58 reduction outputs whose input Alice wins, 26 carry one below
-        # n*W
-        for alice_pct, weight, seed in ((50, 10**5, 24), (80, 10**5, 30), (50, 10**3, 15), (80, 10**5, 31)):
+        # is certified in round 1.  Three carry a bound below n*W; in the
+        # third game the dual leaves 10 winning nodes of S' infinite, which
+        # carry n*W.  Of the 58 reduction outputs whose input Alice wins, 26
+        # carry a bound below n*W
+        for alice_pct, weight, seed, left in (
+            (50, 10**5, 24, 0), (80, 10**5, 30, 0), (50, 10**3, 15, 10), (80, 10**5, 31, 0),
+        ):
             graph = random_game(GenSpec("random", 200, 800, weight, seed, alice_pct=alice_pct))
             report = solve(graph)
-            assert report.region.ended == "dual"
-            assert report.guesses[0].phases[0].bound < graph.default_bound()
+            assert (report.region.ended, report.region.rounds) == ("dual", 1)
+            assert report.region.phases[-1].dropped == left
+            assert (report.guesses[0].phases[0].bound < graph.default_bound()) == (not left)
             assert report.energies == full_range(graph)
         carried = 0
         outputs = reduction_outputs_alice_wins()
@@ -822,10 +827,13 @@ class TestLosingRegion:
     def test_trap_with_a_zero_alice_cycle_is_never_certified(self, heavy):
         # Alice's cycle 0 -> 1 -> 0 totals 0 through a -1 edge, so she wins
         # everywhere, but the primal's coarse list climbs it to infinity; the
-        # whole graph is then a trap and only the dual can reject it
+        # whole graph is then a trap and only the dual can reject it.  Its
+        # run completes in round 1 and leaves all three nodes infinite, so
+        # no node is certified losing
         graph = GameGraph((ALICE, ALICE, BOB), ((0, 1, -1), (1, 0, 1), (2, 0, heavy)))
         report = solve(graph)
-        assert report.region.size == 3 and report.region.ended == "given-up"
+        region = report.region
+        assert (region.size, region.ended, region.rounds, region.phases[-1].dropped) == (0, "dual", 1, 3)
         assert report.energies == brute_force_energies(graph) == (1, 0, 0)
 
     def test_set_alice_can_leave_is_not_certified(self):
@@ -933,39 +941,41 @@ class TestLosingRegion:
 
     def test_flooded_reduction_output_still_exact(self):
         # an output whose input Alice wins: the primal's coarse list climbs its
-        # zero-total mixed-weight cycles to infinity, so nothing is certified
+        # zero-total mixed-weight cycles to infinity, so S' is the whole
+        # graph.  Its dual run completes in round 1 and leaves every node
+        # infinite, so nothing is certified losing, every node carries n*W
         # and the guess loop solves the whole graph
         graph = random_game(GenSpec("random", n=2, m=2, max_weight=2, seed=1))
         reduced, _, _ = to_win_everywhere(graph, 1)
         completed, _ = to_complete_bipartite(to_bipartite(reduced)[0])
         report = solve(completed)
-        assert report.region.size == completed.n and report.region.ended == "given-up"
-        assert report.guesses and report.energies == full_range(completed)
+        region = report.region
+        assert (region.size, region.ended, region.rounds) == (0, "dual", 1)
+        assert region.phases[-1].dropped == completed.n
+        assert report.guesses[0].phases[0].bound == completed.default_bound()
+        assert report.energies == full_range(completed)
         assert INF not in report.energies
-        # a 12-node random game floods the same way through four rounds but
-        # has 8 losing nodes, so the guess loop on the whole graph drops them
-        # at a guess's first level: a deeper level refutes five coarse
-        # guesses, three of which dropped 3 nodes first, and the fallback, a
-        # guess below 2, drops all 8
-        graph = random_game(GenSpec("random", 12, 30, 100, 3663))
+        # a 12-node random game floods through four rounds and gives up, and
+        # all 12 of its nodes lose, so its one guess's first level, on the
+        # whole graph from n*W, drops them all
+        graph = random_game(GenSpec("random", 12, 30, 100, 1553))
         report = solve(graph)
         assert (report.region.size, report.region.ended, report.region.rounds) == (12, "given-up", 4)
-        assert [guess.phases[0].dropped for guess in report.guesses] == [0, 0, 3, 3, 3, 8]
-        assert [guess.accepted for guess in report.guesses] == [False] * 5 + [True]
-        assert report.fallback_used
-        assert report.energies == full_range(graph)
-        assert report.energies.count(INF) == 8
+        assert [guess.phases[0].dropped for guess in report.guesses] == [12]
+        assert [guess.accepted for guess in report.guesses] == [True]
+        assert not report.fallback_used
+        assert report.energies == full_range(graph) == (INF,) * 12
 
     @pytest.mark.parametrize(
         "graph, outcome, stopped, rounds, size",
         [
             (random_game(GenSpec("random", 12, 30, 100, 1)), "empty", 0, 1, 0),
             (random_game(GenSpec("random", 12, 30, 100, 5)), "dual: inside", 0, 1, 4),
-            (random_game(GenSpec("random", 12, 30, 100, 95)), "dual: whole", 3, 4, 12),
+            (random_game(GenSpec("random", 12, 30, 100, 95)), "dual: whole", 2, 3, 12),
             (random_game(GenSpec("random", 12, 30, 100, 6)), "dual: left", 0, 1, 0),
             (random_game(GenSpec("random", 12, 30, 100, 4)), "empty", 1, 2, 0),
             (zero_cycle_game(1), "primal", 3, 4, 100),
-            (random_game(GenSpec("random", 12, 30, 100, 14)), "given-up", 4, 4, 12),
+            (random_game(GenSpec("random", 12, 30, 100, 1553)), "given-up", 4, 4, 12),
         ],
         ids=["empty-trap", "inside", "whole-graph", "left-infinite", "stopped-by-limit", "primal", "given-up"],
     )
@@ -1022,7 +1032,7 @@ class TestLosingRegion:
             for primal, dual in rounds:
                 assert dual.edge_work > primal.edge_work, seed
             stopped += len(rounds)
-        assert stopped == 48
+        assert stopped == 14
 
     def test_zero_cycle_family_matches_full_range(self):
         outcomes = []

@@ -439,8 +439,8 @@ class TestCli:
             (random_game(GenSpec("random", 12, 30, 100, 1)), "size=0 ended=empty rounds=1 updates=4", 1, "no"),
             (random_game(GenSpec("random", 12, 30, 100, 5)), "size=4 ended=dual rounds=1 updates=18", 1, "no"),
             (
-                random_game(GenSpec("random", 12, 30, 100, 3663)),
-                "size=12 ended=given-up rounds=4 updates=875", 6, "yes",
+                random_game(GenSpec("random", 12, 30, 100, 1553)),
+                "size=12 ended=given-up rounds=4 updates=294", 1, "no",
             ),
         ],
         ids=["two-cycle", "empty", "dual", "given-up"],
