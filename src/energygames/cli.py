@@ -140,7 +140,7 @@ def _cmd_solve(args) -> int:
     region = report.region
     print(
         f"losing region: size={region.size} ended={region.ended} "
-        f"rounds={region.rounds} updates={sum(p.updates for p in region.phases)}",
+        f"updates={sum(p.updates for p in region.phases)}",
         file=sys.stderr,
     )
     for guess in report.guesses:

@@ -1,9 +1,8 @@
 """Exact minimal energies via repeated approximation.
 
-:func:`solve` first finds a trap that holds the losing region under small
-caps, trims it by Alice's attractor to the rest, finds the losing region
-inside it, from that run itself when it was full-range value iteration or
-else with one budgeted run of a dual game, and drops it
+:func:`solve` first finds a trap that holds the losing region under a
+small cap, trims it by Alice's attractor to the rest, finds the losing
+region inside it with one full-range run of a dual game, and drops it
 (:func:`_losing_region`), since losing nodes would otherwise climb to the
 first level's bound in every guess.  The trim carries the pre-pass's
 progress measure to the rest, and its max is that bound there in place
@@ -15,7 +14,7 @@ accepted (:func:`_guess_loop`).  A guess runs levels on one graph
 running potential, its weights rounded up to a multiple of the level's
 granularity, and adds the result to it, until it is a fixed point.  The
 nodes a first level makes infinite are cut as the region is (:func:`_cut`).
-Why the region is exact is parts (a)-(d) of :func:`solve`'s docstring; why
+Why the region is exact is parts (a)-(c) of :func:`solve`'s docstring; why
 an accepted guess is exact and the loop ends is (i)-(iv).
 """
 
@@ -65,23 +64,16 @@ class GuessRecord:
 
 @dataclass(frozen=True)
 class RegionRecord:
-    """The pre-pass that finds and certifies the losing region.
+    """The pre-pass that finds and certifies the losing region L.
 
-    ``ended`` says how it ended, and ``size`` means, for each:
-
-    - "empty": the last round's trap S' was empty; size 0, as L is empty;
-    - "primal": the last round's primal was full-range value iteration;
-      size |L|, which equals |S'|;
-    - "dual": a dual run on S' completed; size |L|, its finite set, which
-      may be smaller than S';
-    - "given-up": M reached n*W and nothing is certified; size |S'| of the
-      last round, an upper bound on |L|.
+    ``size`` is |L|.  ``ended`` says how it ended: "empty" when the trap S'
+    was empty, so L is too, or "dual" when the dual run on S' certified
+    its finite set as L, which may be smaller than S'.
     """
 
     size: int
-    ended: str  # "empty", "primal", "dual" or "given-up"
-    rounds: int
-    phases: tuple[PhaseRecord, ...]  # one per kernel call, primal and dual
+    ended: str  # "empty" or "dual"
+    phases: tuple[PhaseRecord, ...]  # the primal, then the dual if S' is not empty
 
 
 @dataclass(frozen=True)
@@ -162,17 +154,16 @@ def _error_budget(bound: int, n: int, floor: Fraction | None) -> int:
 
 def _run_phase(
     graph: GameGraph, bound: int, granularity: int, phases: list[PhaseRecord],
-    weights: list[int] | None = None, limit: int | None = None,
+    weights: list[int] | None = None,
 ) -> ViterResult:
     """One kernel call on ``graph``: value iteration over the multiples of
     ``granularity`` up to ``bound`` on ``weights``, by default the graph's
-    own, under the kernel's edge-work ``limit``; appends the call's record to
-    ``phases``.  On the graph's own weights the values round up, so a run
-    that completes gives a progress measure, at least e*; on weights rounded
-    up to multiples of ``granularity`` (:func:`_rounded_weights`), even
-    under a zero potential, it gives the rounded game's energies, at most
-    e*."""
-    result = solve_with_list(graph, multiples_list(granularity, bound), weights, limit)
+    own; appends the call's record to ``phases``.  On the graph's own
+    weights the values round up, so the run gives a progress measure, at
+    least e*; on weights rounded up to multiples of ``granularity``
+    (:func:`_rounded_weights`), even under a zero potential, it gives the
+    rounded game's energies, at most e*."""
+    result = solve_with_list(graph, multiples_list(granularity, bound), weights)
     phases.append(PhaseRecord(
         graph.n, bound, granularity, result.total_updates, result.steps, result.edge_work,
         result.energies.count(INF),
@@ -299,55 +290,40 @@ def _trap_dual(graph: GameGraph, trap: list[int]) -> GameGraph:
 
 def _losing_region(graph: GameGraph) -> tuple[RegionRecord, list[Energy]]:
     """Find the losing region L and certify it.  Returns the region's record
-    and a measure b whose finite values cap e*: when the region ended
-    "empty", "primal" or "dual", the primal measure carried through Alice's
-    attractor (:func:`_trim`), whose infinite set is L; when it ended
-    "given-up", n*W at every node, which drops nothing.  Why a certified L
-    is the losing region is parts (a)-(d) of :func:`solve`.
+    and a measure b whose infinite set is L and whose finite values cap e*.
+    Why L is the losing region is parts (a)-(c) of :func:`solve`.
 
-    Round by round, a primal :func:`_run_phase` runs on the true weights up
-    to its cap M, which doubles from max(W, 1), at a level's granularity
-    with no floor, :func:`_error_budget` // n; its infinite set S gives
-    S' = S minus Alice's attractor to the rest (:func:`_trim`).  An empty S'
-    ends the region "empty".  A primal whose kernel run reports
-    ``full_range``, at granularity 1 with M at or above the deficit bound D,
-    computed e* itself: S' is L, and the region ends "primal" with no dual
-    run.  Once M passes D the primal's work stops growing, so without this
-    every later round would repeat the same primal and the same stopped
-    dual up to n*W.  Otherwise one full-range run of the dual of S'
-    (:func:`_trap_dual`) up to the dual's own bound n'W' stops once its edge
-    work is past that round's primal's.  A run that completes certifies its
-    finite set as L, and the nodes of S' it leaves infinite, which win, get
-    n*W in the measure: the region ended "dual".  A stopped run goes on to
-    the next M, whose primal spends more and so allows more; the region has
-    "given-up" once M reaches n*W.
+    One primal :func:`_run_phase` runs on the true weights up to the cap
+    M = max(W, 1) at a level's granularity with no floor,
+    :func:`_error_budget` // n.  Its infinite set S gives S' = S minus
+    Alice's attractor to the rest, and the primal's measure carried there
+    (:func:`_trim`).  An empty S' ends the region "empty".  Otherwise one
+    full-range run of the dual of S' (:func:`_trap_dual`), up to the dual's
+    own bound n'W', certifies its finite set as L, and the nodes of S' it
+    leaves infinite, which win, get n*W in the measure: the region ends
+    "dual".
+
+    Two trade-offs.  The dual run has no work cap: its worst case is that
+    of full-range value iteration with set lifts, which is not proven
+    polynomial.  And when S' holds nodes that Alice wins, their n*W becomes
+    the first bound of the guess loop on the rest.
     """
     n = graph.n
     if n == 0:
-        return RegionRecord(0, "empty", 0, ()), []
-    cap = graph.default_bound()
+        return RegionRecord(0, "empty", ()), []
     bound = max(graph.max_weight, 1)
     phases: list[PhaseRecord] = []
-    rounds = 0
-    while True:
-        rounds += 1
-        primal = _run_phase(graph, bound, _error_budget(bound, n, None) // n, phases)
-        measure = _trim(graph, primal.energies)
-        trap = [v for v in range(n) if measure[v] == INF]
-        if not trap:
-            return RegionRecord(0, "empty", rounds, tuple(phases)), measure
-        if primal.full_range:
-            return RegionRecord(len(trap), "primal", rounds, tuple(phases)), measure
-        dual = _trap_dual(graph, trap)
-        run = _run_phase(dual, dual.default_bound(), 1, phases, limit=primal.edge_work)
-        if run.complete:
-            for v, e in zip(trap, run.energies):
-                if e == INF:
-                    measure[v] = cap
-            return RegionRecord(len(trap) - phases[-1].dropped, "dual", rounds, tuple(phases)), measure
-        bound *= 2
-        if bound >= cap:
-            return RegionRecord(len(trap), "given-up", rounds, tuple(phases)), [cap] * n
+    primal = _run_phase(graph, bound, _error_budget(bound, n, None) // n, phases)
+    measure = _trim(graph, primal.energies)
+    trap = [v for v in range(n) if measure[v] == INF]
+    if not trap:
+        return RegionRecord(0, "empty", tuple(phases)), measure
+    dual = _trap_dual(graph, trap)
+    run = _run_phase(dual, dual.default_bound(), 1, phases)
+    winning = {v for v, e in zip(trap, run.energies) if e == INF}
+    cap = graph.default_bound()
+    measure = [cap if v in winning else b for v, b in enumerate(measure)]
+    return RegionRecord(len(trap) - len(winning), "dual", tuple(phases)), measure
 
 
 def _guess_loop(
@@ -387,10 +363,9 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
     S' is S minus Alice's attractor to the nodes outside S (:func:`_trim`).
     The losing region L is empty when S' is.  Otherwise take the dual game on
     S', with the owners swapped and each weight w re-weighted to
-    -(k*w + 1), k = |S'| + 1 (:func:`_trap_dual`): a completed full-range
-    run of it up to its own bound n'W' certifies its finite set as L, and
-    the nodes of S' it leaves infinite win.  A primal that was itself
-    full-range value iteration needs no dual run (d):
+    -(k*w + 1), k = |S'| + 1 (:func:`_trap_dual`): a full-range run of it up
+    to its own bound n'W' certifies its finite set as L, and the nodes of S'
+    it leaves infinite win:
 
     (a) S' is a trap for Alice by construction (her nodes in S' have every
         successor in S', Bob's at least one), and by (b) every node outside
@@ -415,18 +390,9 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
         take it and win, and an Alice node there has an edge to a winning
         node, which lies in S' minus L.  So no Bob node outside L has an
         edge into L and every Alice node outside L keeps an edge out of it:
-        cutting L (:func:`_cut`) cannot raise, and since Bob
-        cannot enter L and Alice loses there, the rest is a subgame whose
-        energies are the true ones;
-    (d) a primal at granularity 1 whose kernel run reports ``full_range``
-        went up to a cap M at or above D, the sum of the n - 1 largest
-        per-node deficits max(0, max -w), which caps the deficit of every
-        simple path and so every finite energy (see
-        :mod:`energygames.value_iteration`).  Its list is then admissible,
-        so p = e* and S is exactly L.  Alice cannot force a play out of L
-        from a node of L, so her attractor to the rest takes none of it:
-        S' = S = L, and the trim leaves b = p = e* on the rest.  This
-        certifies L with no dual run, and (c) holds for it as for any L.
+        cutting L (:func:`_cut`) cannot raise, and since Bob cannot enter L
+        and Alice loses there, the rest is a subgame whose energies are the
+        true ones.
     The trim also carries p into the attractor (:func:`_trim`): an Alice
     node there gets b = max(0, b(v) - w) from the successor v that attracted
     it along an edge of weight w, a Bob node the max of that over its
@@ -435,9 +401,7 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
     node has it on every edge: at an attracted node by construction, outside
     S by (b).  After a dual run, the nodes of S' minus L get b = n*W, which
     caps the energy of any winning node.  So e* <= b on the rest, and the
-    rerun in (i) does not happen.  A dual run that passes its edge-work limit (see
-    :func:`_losing_region`) certifies nothing; a region that gives up has
-    b = n*W at every node, which drops nothing and caps every finite energy.
+    rerun in (i) does not happen.
 
     The guess loop (:func:`_guess_loop`) runs on the rest, the graph minus
     b's infinite set, from a first bound M = max b, clamped at 0.  It tries
@@ -455,9 +419,9 @@ def solve(graph: GameGraph, *, penalty: Fraction | int | float | None = None) ->
         no ``INF`` entry made no node infinite at any level, so by (ii) and
         (iii) it is e* whatever M was.  The loop runs again from the rest's
         own n'W' iff the result has an ``INF`` entry and M < n'W', and the
-        report lists those guesses after the first run's.  Every node of a
-        certified rest wins, by (a)-(d), so an ``INF`` entry there can only
-        come from an M below e*; a region that gives up starts at n*W;
+        report lists those guesses after the first run's.  Every node of
+        the rest wins, by (a)-(c), so an ``INF`` entry there can only come
+        from an M below e*;
     (ii) a capped value iteration that makes no node infinite is the least
         fixed point of the uncapped operator, so each later level adds the
         exact energies of a rounded residual game, lower bounds: 0 <= pi <= e*;

@@ -24,10 +24,7 @@ D instead of climbing to the top by one cycle's total per pass.  After the
 initial pass, best holds max(0, max -w) at every node, so D is an O(n) sum.
 Energies and list steps are those of the uncapped run (an INF node counts
 the list's length in positions); only updates and edge work drop.  Any
-other list keeps its top: a coarse one rounds values up, so they may pass
-D.  A result reports ``full_range`` when the cap reached D: a complete run
-is then full-range value iteration, the exact energies of the game on its
-weights.
+other list keeps its top: a coarse one rounds values up, so they may pass D.
 
 Violated nodes are processed first in, first out, in rounds: the loop walks
 this round's list and appends the nodes an update violates to the next
@@ -72,10 +69,9 @@ of Dorfman, Kaplan and Zwick (ICALP 2019).  A losing node climbs by one
 cycle's total per pass, so after the cap at D most updates still go to nodes
 that end infinite; a lift raises a whole set at once.  It is tried after a
 round that leaves nodes pending, once the edge work since the last try
-reaches 4m (the first try comes at 4m), and before the edge-work limit is
-tested, so a lift may complete a run that would have stopped.  A try makes
-a few O(n + m) passes, so the tries' cost stays within a small multiple of
-the run's own edge work.  One lift:
+reaches 4m (the first try comes at 4m).  A try makes a few O(n + m)
+passes, so the tries' cost stays within a small multiple of the run's own
+edge work.  One lift:
 
 - X is the tight attractor of the queued nodes.  It starts with them, and
   a walk backwards over tight edges, where e(t) + w = e(v), adds a Bob node
@@ -149,8 +145,6 @@ class ViterResult:
     updates: tuple[int, ...]  # updates per node
     steps: int  # list positions advanced, summed over all updates
     edge_work: int  # out- plus in-degree summed over updates
-    complete: bool = True  # False when a limit stopped the run before its fixed point
-    full_range: bool = False  # a unit range whose cap reached D: full-range value iteration
 
     @property
     def total_updates(self) -> int:
@@ -158,8 +152,7 @@ class ViterResult:
 
 
 def solve_with_list(
-    graph: GameGraph, admissible: AdmissibleList, weights: Sequence[int] | None = None,
-    limit: int | None = None,
+    graph: GameGraph, admissible: AdmissibleList, weights: Sequence[int] | None = None
 ) -> ViterResult:
     """Compute the minimal energies of ``graph`` given an admissible list.
 
@@ -167,11 +160,9 @@ def solve_with_list(
     by default the graph's own.  Violating nodes are processed first in,
     first out; the final energies do not depend on the order.
 
-    A run whose edge work is past ``limit`` stops before its next round, with
-    ``complete`` False: lower bounds and the counters of the rounds it ran.
-    On a unit range, targets above the deficit bound D go to INF, and
-    ``full_range`` says whether the top reached D, and set lifts raise
-    whole sets of violated nodes at once (see the module docstring).
+    On a unit range, targets above the deficit bound D go to INF, and set
+    lifts raise whole sets of violated nodes at once (see the module
+    docstring).
     Raises ValueError on a self-loop or a sink, self-loops checked first.
     """
     n = graph.n
@@ -209,11 +200,8 @@ def solve_with_list(
     # D caps every finite energy (see the module docstring).  Only a unit
     # range stops there: a coarse list rounds up, and its values may pass D.
     cap = finite[-1]
-    full_range = False
-    if unit:
-        deficit = sum(best) - min(best) if n else 0
-        full_range = deficit <= cap
-        cap = min(cap, deficit)
+    if unit and n:
+        cap = min(cap, sum(best) - min(best))
 
     pending: list[int] = []
     queued = [False] * n
@@ -228,7 +216,7 @@ def solve_with_list(
     infinite = 0
     edge_work = 0
     lift_at = 4 * graph.m  # edge work at which the next lift is tried (unit ranges)
-    while pending and (limit is None or edge_work <= limit):
+    while pending:
         next_round: list[int] = []
         for u in pending:
             queued[u] = False
@@ -305,7 +293,7 @@ def solve_with_list(
     else:
         steps = sum(bisect_left(finite, x) for x in e if x != INF)
     steps += infinite * len(finite)
-    return ViterResult(tuple(e), tuple(updates), steps, edge_work, not pending, full_range)
+    return ViterResult(tuple(e), tuple(updates), steps, edge_work)
 
 
 def _lift(

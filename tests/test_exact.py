@@ -205,9 +205,8 @@ FIXED_FLOORS = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(
 def guessed_graph(graph):
     """The graph ``solve``'s guess loop runs on, what is left once the
     losing region is dropped, and the loop's first bound: the max of the
-    region's measure, clamped at 0, which is n*W when the region gave up.
-    Either caps the graph's finite energies (part (i) of ``solve``), so
-    ``solve`` runs no second loop there."""
+    region's measure, clamped at 0.  It caps the graph's finite energies
+    (part (i) of ``solve``), so ``solve`` runs no second loop there."""
     _, measure = _losing_region(graph)
     bound = max([0, *(b for b in measure if b != INF)])
     rest = graph
@@ -244,9 +243,9 @@ class TestLevelLoop:
         # is refuted; one accepted run ends coarser than granularity 1, since
         # on graphs this small a carried bound leaves little to halve (the
         # fixed-floor test below covers coarse stops), and the reference
-        # recursion runs 93 levels that do nothing past the accepted runs' last
+        # recursion runs 94 levels that do nothing past the accepted runs' last
         assert (runs, first_drops, coarse, rejected, refuted_at_one, saved, idle) == (
-            301, 0, 1, 0, 0, 0, 93
+            301, 0, 1, 0, 0, 0, 94
         )
 
     def test_matches_the_reference_recursion_at_fixed_floors(self):
@@ -493,18 +492,18 @@ class TestSolveDriver:
     def test_worst_case_penalty_is_certified_losing(self, neg_two_cycle):
         report = solve(neg_two_cycle)
         assert report.energies == (INF, INF)
-        assert report.region.ended == "primal" and report.region.size == 2
-        assert len(report.region.phases) == 1
+        assert report.region.ended == "dual" and report.region.size == 2
+        assert len(report.region.phases) == 2
         assert not report.guesses and not report.fallback_used
 
     def test_worst_case_penalty_certified_under_large_bound(self):
         # the forced two-cycle of total -2, plus an unused heavy edge for Bob
-        # that lifts n*W to 64: one pre-pass round at M = W = 32 certifies
-        # both nodes, so no guess climbs them to 64
+        # that lifts n*W to 64: the pre-pass's primal at M = W = 32 and its
+        # dual certify both nodes, so no guess climbs them to 64
         graph = GameGraph((ALICE, BOB), ((0, 1, -1), (1, 0, -1), (1, 0, 32)))
         report = solve(graph)
         assert report.energies == brute_force_energies(graph) == (INF, INF)
-        assert report.region.ended == "dual" and report.region.rounds == 1
+        assert report.region.ended == "dual" and len(report.region.phases) == 2
         assert report.region.phases[0].bound == 32
         assert not report.guesses and not report.fallback_used
 
@@ -538,17 +537,18 @@ class TestSolveDriver:
         assert full_range_guesses == 74
 
     def test_report_totals_sum_the_phases(self):
-        # and each phase ran at the granularity its rule gives: a primal
-        # round and a guess level at their error budget divided by n, with
-        # no floor for the primal and under the guess for a level, and a
+        # and each phase ran at the granularity its rule gives: the region's
+        # primal and a guess level at their error budget divided by n, with
+        # no floor for the primal and under the guess for a level, and the
         # dual run at 1
         saw_dual = False
         for seed in range(120):
             report = solve(small_random(seed))
             phases = list(report.region.phases)
-            saw_dual |= len(phases) > report.region.rounds
-            primal, dual = phases[::2], phases[1::2]
-            assert all(p.granularity == _error_budget(p.bound, p.nodes, None) // p.nodes for p in primal)
+            assert len(phases) == 1 + (report.region.ended == "dual")
+            saw_dual |= len(phases) == 2
+            primal, *dual = phases
+            assert primal.granularity == _error_budget(primal.bound, primal.nodes, None) // primal.nodes
             assert all(p.granularity == 1 for p in dual)
             for guess in report.guesses:
                 for p in guess.phases:
@@ -557,22 +557,18 @@ class TestSolveDriver:
             assert report.total_updates == sum(p.updates for p in phases)
             assert report.total_steps == sum(p.steps for p in phases)
             assert report.total_edge_work == sum(p.edge_work for p in phases)
-            assert report.region.phases and report.region.rounds >= 1
         assert saw_dual, "some instance must run the dual"
 
     def test_twelve_node_set_matches_full_range(self):
-        # the kernel's set lifts let every region certify: none gives up,
-        # so no guess loop runs from n*W on the whole graph and no guess's
-        # first level drops nodes (game 1553 of the 12-node random family
-        # still does; see test_flooded_reduction_output_still_exact)
-        given_up = first_drops = 0
+        # every region certifies its losing nodes, so no guess's first level
+        # drops nodes
+        first_drops = 0
         for seed in range(500):
             graph = small_random(seed, max_n=12, max_w=1000, max_out=4)
             report = solve(graph)
             assert report.energies == full_range(graph), seed
-            given_up += report.region.ended == "given-up"
             first_drops += any(guess.phases[0].dropped for guess in report.guesses)
-        assert (given_up, first_drops) == (0, 0)
+        assert first_drops == 0
 
     @pytest.mark.parametrize(
         "graph, message",
@@ -616,7 +612,7 @@ class TestSolveDriver:
             if report.fallback_used:
                 continue
             # the guess loop runs on the nodes outside the certified region
-            solved = graph.n if report.region.ended == "given-up" else graph.n - report.region.size
+            solved = graph.n - report.region.size
             if solved == 0:
                 assert not report.guesses  # nothing left to guess on
                 continue
@@ -730,8 +726,6 @@ class TestStartBound:
                 with monkeypatch.context() as patch:
                     patch.setattr(exact, "_trim", trim_breaking)
                     report = solve(graph)
-                if report.region.ended == "given-up":
-                    continue
                 if report.guesses[0].phases[0].bound == graph.default_bound():
                     continue
                 assert report.energies == expected
@@ -774,7 +768,7 @@ class TestStartBound:
 
     def test_low_penalty_tail_and_reduction_outputs_match_full_range(self):
         # four low-penalty sweep games with 6 to 106 losing nodes: each region
-        # is certified in round 1.  Three carry a bound below n*W; in the
+        # is certified by its dual run.  Three carry a bound below n*W; in the
         # third game the dual leaves 10 winning nodes of S' infinite, which
         # carry n*W.  Of the 58 reduction outputs whose input Alice wins, 26
         # carry a bound below n*W
@@ -783,7 +777,7 @@ class TestStartBound:
         ):
             graph = random_game(GenSpec("random", 200, 800, weight, seed, alice_pct=alice_pct))
             report = solve(graph)
-            assert (report.region.ended, report.region.rounds) == ("dual", 1)
+            assert report.region.ended == "dual"
             assert report.region.phases[-1].dropped == left
             assert (report.guesses[0].phases[0].bound < graph.default_bound()) == (not left)
             assert report.energies == full_range(graph)
@@ -812,14 +806,10 @@ class TestLosingRegion:
         for graph in instances:
             exact = brute_force_energies(graph)
             region, measure = _losing_region(graph)
-            # the carried measure bounds e* from above; a region that gave
-            # up carries n*W everywhere
+            # the carried measure bounds e* from above
             assert all(e <= b for e, b in zip(exact, measure))
-            if region.ended == "given-up":
-                assert measure == [graph.default_bound()] * graph.n
-            else:
-                assert infinite_set(measure) == [v for v in range(graph.n) if exact[v] == INF]
-                certified_losing += bool(region.size)
+            assert infinite_set(measure) == [v for v in range(graph.n) if exact[v] == INF]
+            certified_losing += bool(region.size)
             assert solve(graph).energies == exact
         assert certified_losing >= 100
 
@@ -828,19 +818,19 @@ class TestLosingRegion:
         # Alice's cycle 0 -> 1 -> 0 totals 0 through a -1 edge, so she wins
         # everywhere, but the primal's coarse list climbs it to infinity; the
         # whole graph is then a trap and only the dual can reject it.  Its
-        # run completes in round 1 and leaves all three nodes infinite, so
-        # no node is certified losing
+        # run leaves all three nodes infinite, so no node is certified
+        # losing
         graph = GameGraph((ALICE, ALICE, BOB), ((0, 1, -1), (1, 0, 1), (2, 0, heavy)))
         report = solve(graph)
         region = report.region
-        assert (region.size, region.ended, region.rounds, region.phases[-1].dropped) == (0, "dual", 1, 3)
+        assert (region.size, region.ended, region.phases[-1].dropped) == (0, "dual", 3)
         assert report.energies == brute_force_energies(graph) == (1, 0, 0)
 
     def test_set_alice_can_leave_is_not_certified(self):
         # at M = 100 the primal makes the negative cycle 0 <-> 1 infinite, but
         # Alice escapes from 0 along a dip of 200; the dual on {0, 1} alone
         # would be finite, yet her attractor to the winning nodes covers the
-        # set, so round 1 trims it to nothing and certifies no losing node
+        # set, so the trim leaves nothing and no dual runs
         graph = GameGraph(
             (ALICE, BOB, ALICE, ALICE, ALICE),
             ((0, 1, -1), (1, 0, -1), (0, 2, -100), (2, 3, -100), (3, 4, 100), (4, 3, 0)),
@@ -848,7 +838,7 @@ class TestLosingRegion:
         report = solve(graph)
         assert report.energies == brute_force_energies(graph) == (200, 201, 100, 0, 0)
         region = report.region
-        assert region.ended == "empty" and region.rounds == 1 and region.size == 0
+        assert region.ended == "empty" and len(region.phases) == 1 and region.size == 0
 
     def test_attractor_covers_a_set_alice_can_leave(self):
         # Alice leaves S = {0, 1} from 0, and Bob's 1 can only move to 0
@@ -917,11 +907,11 @@ class TestLosingRegion:
 
     def test_completed_dual_certifies_its_finite_set(self):
         # each game's S' holds nodes that Alice wins, which the primal's coarse
-        # list climbs to infinity; the dual run on S' completes and leaves
-        # them infinite.  Its finite set is certified as the losing region,
-        # the oracle's infinite set, and the nodes it leaves infinite carry
-        # n*W.  The first two keep a losing node in S', the last two, the
-        # last of them game 6 of CI's 12-node set, none.
+        # list climbs to infinity; the dual run on S' leaves them infinite.
+        # Its finite set is certified as the losing region, the oracle's
+        # infinite set, and the nodes it leaves infinite carry n*W.  The
+        # first two keep a losing node in S', the last two, the last of them
+        # game 6 of CI's 12-node set, none.
         games = [
             (small_random(1689, max_n=10, max_w=1000), 3, 2),
             (small_random(2308, max_n=8, max_w=1000), 2, 2),
@@ -931,7 +921,7 @@ class TestLosingRegion:
         for graph, size, left in games:
             region, measure = _losing_region(graph)
             dual = region.phases[-1]
-            assert region.ended == "dual" and len(region.phases) == 2 * region.rounds
+            assert region.ended == "dual" and len(region.phases) == 2
             assert (region.size, dual.nodes, dual.dropped) == (size, size + left, left)
             exact = brute_force_energies(graph)
             assert infinite_set(measure) == infinite_set(exact)
@@ -942,97 +932,76 @@ class TestLosingRegion:
     def test_flooded_reduction_output_still_exact(self):
         # an output whose input Alice wins: the primal's coarse list climbs its
         # zero-total mixed-weight cycles to infinity, so S' is the whole
-        # graph.  Its dual run completes in round 1 and leaves every node
-        # infinite, so nothing is certified losing, every node carries n*W
+        # graph.  Its dual run leaves every node infinite, so nothing is
+        # certified losing, every node carries n*W
         # and the guess loop solves the whole graph
         graph = random_game(GenSpec("random", n=2, m=2, max_weight=2, seed=1))
         reduced, _, _ = to_win_everywhere(graph, 1)
         completed, _ = to_complete_bipartite(to_bipartite(reduced)[0])
         report = solve(completed)
         region = report.region
-        assert (region.size, region.ended, region.rounds) == (0, "dual", 1)
+        assert (region.size, region.ended) == (0, "dual")
         assert region.phases[-1].dropped == completed.n
         assert report.guesses[0].phases[0].bound == completed.default_bound()
         assert report.energies == full_range(completed)
         assert INF not in report.energies
-        # a 12-node random game floods through four rounds and gives up, and
-        # all 12 of its nodes lose, so its one guess's first level, on the
-        # whole graph from n*W, drops them all
+        # a 12-node random game whose 12 nodes all lose: the primal floods
+        # the whole graph too, and the dual run certifies every node, so no
+        # guess runs
         graph = random_game(GenSpec("random", 12, 30, 100, 1553))
         report = solve(graph)
-        assert (report.region.size, report.region.ended, report.region.rounds) == (12, "given-up", 4)
-        assert [guess.phases[0].dropped for guess in report.guesses] == [12]
-        assert [guess.accepted for guess in report.guesses] == [True]
-        assert not report.fallback_used
+        assert (report.region.size, report.region.ended) == (12, "dual")
+        assert not report.guesses and not report.fallback_used
         assert report.energies == full_range(graph) == (INF,) * 12
 
     @pytest.mark.parametrize(
-        "graph, outcome, stopped, rounds, size",
+        "graph, outcome, size",
         [
-            (random_game(GenSpec("random", 12, 30, 100, 1)), "empty", 0, 1, 0),
-            (random_game(GenSpec("random", 12, 30, 100, 5)), "dual: inside", 0, 1, 4),
-            (random_game(GenSpec("random", 12, 30, 100, 95)), "dual: whole", 2, 3, 12),
-            (random_game(GenSpec("random", 12, 30, 100, 6)), "dual: left", 0, 1, 0),
-            (random_game(GenSpec("random", 12, 30, 100, 4)), "empty", 1, 2, 0),
-            (zero_cycle_game(1), "primal", 3, 4, 100),
-            (random_game(GenSpec("random", 12, 30, 100, 1553)), "given-up", 4, 4, 12),
+            (random_game(GenSpec("random", 12, 30, 100, 1)), "empty", 0),
+            (random_game(GenSpec("random", 12, 30, 100, 5)), "dual: inside", 4),
+            (random_game(GenSpec("random", 12, 30, 100, 95)), "dual: whole", 12),
+            (random_game(GenSpec("random", 12, 30, 100, 6)), "dual: left", 0),
         ],
-        ids=["empty-trap", "inside", "whole-graph", "left-infinite", "stopped-by-limit", "primal", "given-up"],
+        ids=["empty-trap", "inside", "whole-graph", "left-infinite"],
     )
-    def test_region_ends_every_way_it_can(self, graph, outcome, stopped, rounds, size):
-        # Each round runs the primal and, on a non-empty trap S', the dual.  A
-        # region ends at an empty S' ("empty"), at a full-range primal with no
-        # dual run ("primal"), at a completed dual run ("dual"), or gives up
-        # at n*W ("given-up"); every other dual run was stopped by its
-        # edge-work limit.  A completed run certifies L strictly inside the
-        # graph, or the whole graph, or leaves some of S' infinite.
+    def test_region_ends_every_way_it_can(self, graph, outcome, size):
+        # The primal runs, and on a non-empty trap S' the dual.  A region
+        # ends at an empty S' ("empty") or at the dual run ("dual"), which
+        # certifies L strictly inside the graph, or the whole graph, or
+        # leaves some of S' infinite.
         region, measure = _losing_region(graph)
-        completed = region.ended == "dual"
         ended = region.ended
-        if completed:
+        if ended == "dual":
             kind = "left" if region.phases[-1].dropped else "whole" if region.size == graph.n else "inside"
             ended += ": " + kind
-        assert (ended, len(region.phases) - region.rounds - completed) == (outcome, stopped)
-        assert (region.rounds, region.size) == (rounds, size)
+        assert (ended, region.size) == (outcome, size)
+        assert len(region.phases) == 1 + (region.ended == "dual")
         expected = full_range(graph)
-        if region.ended == "given-up":
-            assert measure == [graph.default_bound()] * graph.n
-        else:
-            assert infinite_set(measure) == infinite_set(expected)
+        assert infinite_set(measure) == infinite_set(expected)
         assert solve(graph).energies == expected
 
-    def test_primal_region_carries_the_exact_energies(self):
-        # A primal at granularity 1 whose cap reached D is full-range value
-        # iteration: its infinite set is L and it runs no dual.  Nothing is
-        # attracted out of L, so the trim leaves e* on every other node.
-        primal = 0
-        for seed in range(500):
-            graph = small_random(seed)
+    def test_one_dual_run_certifies_the_region(self):
+        # Every region ends "empty" or "dual" after at most two kernel calls,
+        # its size is the number of INF entries of its measure, and that INF
+        # set is the one of full-range value iteration.
+        graphs = [small_random(seed) for seed in range(500)]
+        graphs += [small_random(seed, max_n=12, max_w=1000, max_out=4) for seed in range(500)]
+        graphs += [random_game(GenSpec("random", 12, 30, 100, seed)) for seed in (1553, 3663)]
+        graphs += [zero_cycle_game(seed) for seed in range(3)]
+        for graph in graphs:
             region, measure = _losing_region(graph)
-            if region.ended == "primal":
-                primal += 1
-                assert region.phases[-1].granularity == 1
-                assert len(region.phases) == 2 * region.rounds - 1
-                assert region.size == measure.count(INF)
-                assert tuple(measure) == brute_force_energies(graph)
-        assert primal == 49
+            assert region.ended in ("empty", "dual") and len(region.phases) <= 2
+            assert region.size == measure.count(INF)
+            assert infinite_set(measure) == infinite_set(full_range(graph))
 
-    def test_stopped_dual_spends_more_than_its_rounds_primal(self):
-        # a dual run is stopped only once its edge work passes the work of
-        # its own round's primal: no budget carries over between rounds.  The
-        # region's phases pair up round by round, primal then dual, and every
-        # dual but a completed last one was stopped; a region that ended
-        # "primal" has no last dual, so its last primal pairs with nothing.
-        stopped = 0
-        for seed in range(500):
-            region, _ = _losing_region(small_random(seed, max_n=12, max_w=1000, max_out=4))
-            rounds = list(zip(region.phases[0::2], region.phases[1::2]))
-            if region.ended == "dual":
-                rounds.pop()
-            for primal, dual in rounds:
-                assert dual.edge_work > primal.edge_work, seed
-            stopped += len(rounds)
-        assert stopped == 14
+    def test_zero_cycle_games_at_size(self):
+        # n = 10^4 games with long zero-total cycles: one primal and one
+        # complete dual run keep each solve under 10^6 edge work
+        for seed in range(3):
+            graph = zero_cycle_game(seed, n=10**4)
+            report = solve(graph)
+            assert report.energies == full_range(graph), seed
+            assert report.total_edge_work < 10**6, seed
 
     def test_zero_cycle_family_matches_full_range(self):
         outcomes = []

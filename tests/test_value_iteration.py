@@ -65,13 +65,9 @@ def reference_solve_with_list(graph, admissible, weights=None, capped=True):
         if weight >= 0:
             count[src] += 1
     finite = admissible.finite
-    full_range = False
     cap = finite[-1]
-    if finite[0] == 0 and isinstance(finite, range) and finite.step == 1:
-        deficits = _deficit_bound(graph, weights)
-        full_range = deficits <= cap
-        if capped:
-            cap = min(cap, deficits)
+    if capped and finite[0] == 0 and isinstance(finite, range) and finite.step == 1:
+        cap = min(cap, _deficit_bound(graph, weights))
     e = [finite[0]] * n
     pos = [0] * n
     is_alice = [owner == ALICE for owner in graph.owners]
@@ -117,7 +113,7 @@ def reference_solve_with_list(graph, admissible, weights=None, capped=True):
             elif not queued[t]:
                 pending.append(t)
                 queued[t] = True
-    return ViterResult(tuple(e), tuple(updates), steps, edge_work, full_range=full_range)
+    return ViterResult(tuple(e), tuple(updates), steps, edge_work)
 
 
 def _lifts(admissible):
@@ -127,9 +123,8 @@ def _lifts(admissible):
 
 
 def _outcome(result):
-    """What set lifts keep: energies, list steps, ``complete`` and
-    ``full_range``."""
-    return result.energies, result.steps, result.complete, result.full_range
+    """What set lifts keep: energies and list steps."""
+    return result.energies, result.steps
 
 
 def matches_reference(graph, admissible, weights=None):
@@ -295,42 +290,6 @@ class TestSolveWithList:
         assert result.steps == sum(result.energies)
         assert result.edge_work > 0
 
-    def test_limit_at_or_above_the_work_changes_nothing(self):
-        for seed in range(120):
-            graph = small_random(seed, max_n=12, max_w=1000, max_out=4)
-            for lst in _list_shapes(graph):
-                result = solve_with_list(graph, lst)
-                assert result.complete
-                for limit in (result.edge_work, result.edge_work + 1, 10**9):
-                    assert solve_with_list(graph, lst, limit=limit) == result
-
-    def test_lower_limit_stops_between_rounds(self):
-        # A run stops before its first round that starts past the limit.  So
-        # every limit from the last round it started up to one below its edge
-        # work gives the same run, and a limit at its edge work sweeps at
-        # least one round more.  Walked round by round from a limit below 0,
-        # which runs no round, each stopped run holds lower bounds and the
-        # counters of the rounds it ran, and the walk ends at the full run.
-        stopped = 0
-        for seed in range(60):
-            graph = small_random(seed, max_n=12, max_w=1000, max_out=4)
-            lst = _universal(graph)
-            full = solve_with_list(graph, lst)
-            run = solve_with_list(graph, lst, limit=-1)
-            assert run.edge_work == 0 and run.energies == (0,) * graph.n
-            while not run.complete:
-                stopped += 1
-                assert solve_with_list(graph, lst, limit=max(run.edge_work - 1, -1)) == run
-                assert all(a <= b for a, b in zip(run.energies, full.energies))
-                assert all(a <= b for a, b in zip(run.updates, full.updates))
-                assert run.steps == sum(_position(lst, x) for x in run.energies)
-                following = solve_with_list(graph, lst, limit=run.edge_work)
-                assert following.total_updates > run.total_updates
-                run = following
-            assert run == full
-        # set lifts end many runs in fewer rounds
-        assert stopped == 261
-
     def test_steps_account_for_list_positions_on_coarse_lists(self):
         # Every node starts at index 0 and only moves up, so the positions
         # advanced add up to the final positions.
@@ -369,10 +328,9 @@ class TestDeficitBound:
         # Deficits 5, 3 and 0 give D = 8, which is e* at node 0: the path
         # 0 -> 1 -> 2 dips by 5 and then by 3 more.
         graph = GameGraph((ALICE, BOB, ALICE), ((0, 1, -5), (1, 2, -3), (2, 1, 3)))
-        result = solve_with_list(graph, full_list(bound))
-        assert result.energies == (8, 3, 0)
-        assert result.full_range
-        assert not solve_with_list(graph, full_list(7)).full_range
+        assert solve_with_list(graph, full_list(bound)).energies == (8, 3, 0)
+        # a top below D keeps its own cap: 8 passes 7
+        assert solve_with_list(graph, full_list(7)).energies == (INF, 3, 0)
 
     def test_losing_cycle_stops_at_the_bound(self):
         # Bob's unused heavy edge lifts n*W to 2000, but D = 1: both nodes go
@@ -380,22 +338,27 @@ class TestDeficitBound:
         graph = GameGraph((ALICE, BOB), ((0, 1, -1), (1, 0, -1), (1, 0, 1000)))
         result = solve_with_list(graph, full_list(graph.default_bound()))
         assert result.energies == (INF, INF)
-        assert result.total_updates <= 4 and result.full_range
+        assert result.total_updates <= 4
         assert reference_solve_with_list(graph, full_list(2000), capped=False).total_updates == 2002
 
     def test_empty_game(self):
         result = solve_with_list(GameGraph((), ()), full_list(0))
-        assert result == ViterResult((), (), 0, 0, True, True)
+        assert result == ViterResult((), (), 0, 0)
 
     def test_coarse_and_tuple_lists_keep_their_top(self):
         # A coarse list rounds up past e*, so its values may pass D, and a
-        # tuple is never taken for a unit range: no cap, and the run is not
-        # full-range value iteration.
+        # tuple is never taken for a unit range: no cap at D, so each run
+        # equals the uncapped reference, and a losing cycle climbs to the
+        # top of the list.
         graph = GameGraph((ALICE, BOB, ALICE), ((0, 1, -5), (1, 2, -3), (2, 1, 3)))
         assert solve_with_list(graph, multiples_list(3, 15)).energies == (9, 3, 0)
         assert solve_with_list(graph, AdmissibleList((0, 3, 8, 9, 15))).energies == (8, 3, 0)
-        for lst in (multiples_list(3, 15), AdmissibleList(tuple(range(16))), AdmissibleList((0, 3, 8, 9, 15))):
-            assert not solve_with_list(graph, lst).full_range
+        losing = GameGraph((ALICE, BOB), ((0, 1, -1), (1, 0, -1), (1, 0, 1000)))
+        for game in (graph, losing):
+            for lst in (multiples_list(3, 15), AdmissibleList(tuple(range(16))), AdmissibleList((0, 3, 8, 9, 15))):
+                uncapped = reference_solve_with_list(game, lst, capped=False)
+                assert solve_with_list(game, lst) == uncapped
+        assert solve_with_list(losing, AdmissibleList(tuple(range(16)))).total_updates == 17
 
 
 class TestReferenceKernel:
